@@ -17,7 +17,7 @@ from .dqb import (DualQuasiBialgebra, convolution, convolution_inverse,
                   validate_dqb)
 from .errors import (DimensionMismatch, DocumentError, DualQuasiError,
                      InvariantViolation, ScalarParseError)
-from .groups import (Cocycle, GroupData, GroupExample,
+from .groups import (Cocycle, GroupData, GroupExample, anti_homomorphism_defect,
                      canonical_group_preantipode, cyclic_cocycle,
                      cyclic_group_example, group_antipode_data, group_dqb,
                      idempotent_monoid_bialgebra, trivial_cocycle,
@@ -25,16 +25,14 @@ from .groups import (Cocycle, GroupData, GroupExample,
 from .io import (dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode,
                  load_antipode, load_bicomodule, load_dqb, load_preantipode,
                  serialize_report)
-from .linalg import (AffineSolution, Matrix, flatten_index, inverse, kernel,
-                     rank, solve_affine, tensor_index, tensor_unindex,
-                     unflatten_index)
+from .linalg import (AffineSolution, Matrix, inverse, kernel, rank, solve_affine,
+                     tensor_index, tensor_unindex)
 from .preantipode import (AntipodeData, CoinvariantRetraction,
-                          PreantipodeFamily, anti_homomorphism_defect,
-                          check_antipode, check_preantipode,
+                          PreantipodeFamily, check_antipode, check_preantipode,
                           check_projection_formula, coinvariant_retraction,
                           preantipode_from_antipode, retraction_report,
                           solve_preantipode, structure_isomorphism)
 from .report import Check, Report
-from .scalars import Field, Scalar, cyclotomic_root
+from .scalars import Field, Scalar
 
 __version__ = "0.1.0"

@@ -8,17 +8,18 @@ Exit codes form a stable contract: 0 means success (all checks pass),
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .comodules import coinvariants, hhat, validate_bicomodule
+from .comodules import adjunction_counit, coinvariants, hhat, validate_bicomodule
 from .dqb import validate_dqb
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
 from .groups import (GroupData, cyclic_cocycle, group_antipode_data, group_dqb)
 from .io import (dump_antipode, dump_dqb, dump_preantipode, load_antipode,
                  load_bicomodule, load_dqb, load_preantipode, serialize_report)
-from .linalg import Matrix, rank
-from .preantipode import (check_preantipode, coinvariant_retraction,
+from .linalg import rank
+from .preantipode import (check_antipode, check_preantipode,
                           preantipode_from_antipode, retraction_report,
                           solve_preantipode)
 from .report import Check, Report
@@ -64,25 +65,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_valid_dqb(args):
+def _load_dqb(args, require_valid: bool = False):
+    """The algebra document and its axiom report.
+
+    With ``require_valid`` an algebra that fails an axiom is an input error
+    (exit 2) rather than a reported negative."""
     H = load_dqb(args.dqb.read_text(encoding="utf-8"))
     rep = validate_dqb(H)
+    if require_valid and not rep.ok:
+        raise ValueError(f"input is not a dual quasi-bialgebra "
+                         f"({rep.failures[0].axiom} fails)")
     return H, rep
 
 
 def cmd_verify(args) -> int:
-    H = load_dqb(args.dqb.read_text(encoding="utf-8"))
-    rep = validate_dqb(H)
+    _, rep = _load_dqb(args)
     print(serialize_report(rep, args.report))
     return 0 if rep.ok else 1
 
 
 def cmd_solve_preantipode(args) -> int:
-    H, rep = _load_valid_dqb(args)
-    if not rep.ok:
-        print(f"error: input is not a dual quasi-bialgebra "
-              f"({rep.failures[0].axiom} fails)", file=sys.stderr)
-        return 2
+    H, _ = _load_dqb(args, require_valid=True)
     family = solve_preantipode(H)
     if family is None:
         if args.report == "json-lines":
@@ -92,8 +95,7 @@ def cmd_solve_preantipode(args) -> int:
         return 1
     doc = dump_preantipode(family.particular)
     if args.report == "json-lines":
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "preantipode": [[str(family.particular[i, j]) for j in range(H.dim)]
                             for i in range(H.dim)],
             "kernel_dimension": family.kernel_dimension,
@@ -107,13 +109,8 @@ def cmd_solve_preantipode(args) -> int:
 
 
 def cmd_from_antipode(args) -> int:
-    H, rep = _load_valid_dqb(args)
-    if not rep.ok:
-        print(f"error: input is not a dual quasi-bialgebra "
-              f"({rep.failures[0].axiom} fails)", file=sys.stderr)
-        return 2
+    H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
-    from .preantipode import check_antipode
     rep_a = check_antipode(H, data)
     if not rep_a.ok:
         print(serialize_report(rep_a, args.report))
@@ -134,7 +131,7 @@ def cmd_structure_theorem(args) -> int:
         print("error: provide exactly one of a module document or --use-hhat",
               file=sys.stderr)
         return 2
-    H, rep = _load_valid_dqb(args)
+    H, rep = _load_dqb(args)
     if not rep.ok:
         print(serialize_report(rep, args.report))
         return 1
@@ -148,10 +145,17 @@ def cmd_structure_theorem(args) -> int:
             return 1
 
     checks: list[Check] = []
+
+    def finish() -> int:
+        report = Report(tuple(checks))
+        print(serialize_report(report, args.report))
+        return 0 if report.ok else 1
+
+    # the coinvariants and the evaluation map are computed once and shared
+    # with the retraction checks below
     coinv = coinvariants(H, M)
     checks.append(Check("coinvariant-dimension", True, None,
                         str(coinv.rank), str(M.dim)))
-    from .comodules import adjunction_counit
     eps = adjunction_counit(H, M, coinv)
     eps_rank = rank(eps)
     bijective = (coinv.rank * H.dim == M.dim) and eps_rank == M.dim
@@ -164,33 +168,20 @@ def cmd_structure_theorem(args) -> int:
         rep_s = check_preantipode(H, S)
         checks.extend(rep_s.checks)
         if not rep_s.ok:
-            print(serialize_report(Report(tuple(checks)), args.report))
-            return 1
+            return finish()
     else:
         family = solve_preantipode(H)
         if family is None:
             checks.append(Check("preantipode-exists", False, None,
                                 "empty solution set", None))
-            print(serialize_report(Report(tuple(checks)), args.report))
-            return 1
+            return finish()
         checks.append(Check("preantipode-exists", True, None,
                             f"kernel dimension {family.kernel_dimension}", None))
         S = family.particular
 
-    rep_tau = retraction_report(H, S, M)
-    checks.extend(rep_tau.checks)
-    if not rep_tau.ok:
-        print(serialize_report(Report(tuple(checks)), args.report))
-        return 1
-    retr = coinvariant_retraction(H, S, M)
-    psi = retr.counit_inverse
-    ident_m = Matrix.identity(H.field, M.dim)
-    ident_c = Matrix.identity(H.field, coinv.rank * H.dim)
-    checks.append(Check("counit-after-inverse", eps @ psi == ident_m))
-    checks.append(Check("inverse-after-counit", psi @ eps == ident_c))
-    report = Report(tuple(checks))
-    print(serialize_report(report, args.report))
-    return 0 if report.ok else 1
+    # the five retraction identities, then ε∘ψ = id and ψ∘ε = id once they hold
+    checks.extend(retraction_report(H, S, M, coinv=coinv, eps=eps).checks)
+    return finish()
 
 
 def cmd_gen(args) -> int:

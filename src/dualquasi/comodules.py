@@ -23,7 +23,7 @@ from typing import Sequence
 from .dqb import DualQuasiBialgebra, _add
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, kernel, rank, solve_affine
-from .report import Check, Report, format_terms, terms_equal
+from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Scalar
 
 
@@ -92,9 +92,6 @@ class HopfBicomodule:
     def hopf_dim(self) -> int:
         return self.rho_l.rows // self.dim
 
-    def bicomodule(self) -> Bicomodule:
-        return Bicomodule(self.dim, self.rho_l, self.rho_r)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -156,10 +153,6 @@ def _sweedler(H: DualQuasiBialgebra, lterms, rterms, j: int, nleft: int, nright:
     return out
 
 
-def _fail(name, witness, lhs, rhs) -> Check:
-    return Check(name, False, witness, format_terms(lhs), format_terms(rhs))
-
-
 def _dimension_check(H: DualQuasiBialgebra, obj) -> Check | None:
     if obj.hopf_dim != H.dim:
         return Check("dimensions", False, None,
@@ -175,10 +168,7 @@ def _dimension_check(H: DualQuasiBialgebra, obj) -> Check | None:
 
 
 def _left_coaction_checks(H: DualQuasiBialgebra, d: int, lt) -> list[Check]:
-    one = H.field.one
-    checks = []
-    failed = None
-    for j in range(d):
+    def coassociativity(j):
         lhs: dict = {}
         rhs: dict = {}
         for a, i, c in lt[j]:
@@ -186,20 +176,16 @@ def _left_coaction_checks(H: DualQuasiBialgebra, d: int, lt) -> list[Check]:
                 _add(lhs, (a1, a2, i), c * c2)
             for b, i2, c2 in lt[i]:
                 _add(rhs, (a, b, i2), c * c2)
-        if not terms_equal(lhs, rhs):
-            failed = _fail("left-coassociativity", (j,), lhs, rhs)
-            break
-    checks.append(failed or Check("left-coassociativity", True))
-    failed = None
-    for j in range(d):
+        return lhs, rhs
+
+    def counit(j):
         acc: dict = {}
         for a, i, c in lt[j]:
             _add(acc, (i,), c * H.eps(a))
-        if not terms_equal(acc, {(j,): one}):
-            failed = _fail("left-counit", (j,), acc, {(j,): one})
-            break
-    checks.append(failed or Check("left-counit", True))
-    return checks
+        return acc, {(j,): H.field.one}
+
+    return [check_identity("left-coassociativity", basis_tuples(d), coassociativity),
+            check_identity("left-counit", basis_tuples(d), counit)]
 
 
 def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
@@ -211,49 +197,39 @@ def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
 
 
 def _coaction_checks(H: DualQuasiBialgebra, d: int, lt, rt) -> list[Check]:
-    one = H.field.one
-    checks = _left_coaction_checks(H, d, lt)
-
-    failed = None
-    for j in range(d):
-        lhs = {}
-        rhs = {}
+    def coassociativity(j):
+        lhs: dict = {}
+        rhs: dict = {}
         for i, a, c in rt[j]:
             for a1, a2, c2 in H.delta_terms(a):
                 _add(lhs, (i, a1, a2), c * c2)
             for i2, b, c2 in rt[i]:
                 _add(rhs, (i2, b, a), c * c2)
-        if not terms_equal(lhs, rhs):
-            failed = _fail("right-coassociativity", (j,), lhs, rhs)
-            break
-    checks.append(failed or Check("right-coassociativity", True))
+        return lhs, rhs
 
-    failed = None
-    for j in range(d):
-        acc = {}
+    def counit(j):
+        acc: dict = {}
         for i, a, c in rt[j]:
             _add(acc, (i,), c * H.eps(a))
-        if not terms_equal(acc, {(j,): one}):
-            failed = _fail("right-counit", (j,), acc, {(j,): one})
-            break
-    checks.append(failed or Check("right-counit", True))
+        return acc, {(j,): H.field.one}
 
-    # (H⊗ρ^r)ρ^l = (ρ^l⊗H)ρ^r : M → H⊗M⊗H
-    failed = None
-    for j in range(d):
-        lhs = {}
-        rhs = {}
+    def compatibility(j):
+        """(H⊗ρ^r)ρ^l = (ρ^l⊗H)ρ^r : M → H⊗M⊗H"""
+        lhs: dict = {}
+        rhs: dict = {}
         for a, i, c in lt[j]:
             for i2, b, c2 in rt[i]:
                 _add(lhs, (a, i2, b), c * c2)
         for i, b, c in rt[j]:
             for a, i2, c2 in lt[i]:
                 _add(rhs, (a, i2, b), c * c2)
-        if not terms_equal(lhs, rhs):
-            failed = _fail("bicomodule-compatibility", (j,), lhs, rhs)
-            break
-    checks.append(failed or Check("bicomodule-compatibility", True))
-    return checks
+        return lhs, rhs
+
+    return _left_coaction_checks(H, d, lt) + [
+        check_identity("right-coassociativity", basis_tuples(d), coassociativity),
+        check_identity("right-counit", basis_tuples(d), counit),
+        check_identity("bicomodule-compatibility", basis_tuples(d), compatibility),
+    ]
 
 
 def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
@@ -269,96 +245,74 @@ def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
     lt = _left_terms(M.rho_l, d)
     rt = _right_terms(M.rho_r, d, n)
     at = _act_terms(M.act, d, n)
-    checks = _coaction_checks(H, d, lt, rt)
-    one = H.field.one
 
-    failed = None
-    for j in range(d):
+    def action_unit(j):
         acc: dict = {}
         for u, cu in H.unit_terms():
             for j2, c in at[j * n + u]:
                 _add(acc, (j2,), cu * c)
-        if not terms_equal(acc, {(j,): one}):
-            failed = _fail("action-unit", (j,), acc, {(j,): one})
-            break
-    checks.append(failed or Check("action-unit", True))
+        return acc, {(j,): H.field.one}
 
-    # ρ^l(m·h) = m₋₁h₁ ⊗ m₀·h₂
-    failed = None
-    for j in range(d):
-        for a in range(n):
-            lhs: dict = {}
-            rhs: dict = {}
-            for j2, c in at[j * n + a]:
-                for x, i, c2 in lt[j2]:
-                    _add(lhs, (x, i), c * c2)
-            for x, i, c in lt[j]:
-                for a1, a2, c2 in H.delta_terms(a):
-                    for y, c3 in H.mul_terms(x, a1):
-                        for i2, c4 in at[i * n + a2]:
-                            _add(rhs, (y, i2), c * c2 * c3 * c4)
-            if not terms_equal(lhs, rhs):
-                failed = _fail("action-left-colinear", (j, a), lhs, rhs)
-                break
-        if failed:
-            break
-    checks.append(failed or Check("action-left-colinear", True))
+    def left_colinear(j, a):
+        """ρ^l(m·h) = m₋₁h₁ ⊗ m₀·h₂"""
+        lhs: dict = {}
+        rhs: dict = {}
+        for j2, c in at[j * n + a]:
+            for x, i, c2 in lt[j2]:
+                _add(lhs, (x, i), c * c2)
+        for x, i, c in lt[j]:
+            for a1, a2, c2 in H.delta_terms(a):
+                for y, c3 in H.mul_terms(x, a1):
+                    for i2, c4 in at[i * n + a2]:
+                        _add(rhs, (y, i2), c * c2 * c3 * c4)
+        return lhs, rhs
 
-    # ρ^r(m·h) = m₀·h₁ ⊗ m₁h₂
-    failed = None
-    for j in range(d):
-        for a in range(n):
-            lhs = {}
-            rhs = {}
-            for j2, c in at[j * n + a]:
-                for i, b, c2 in rt[j2]:
-                    _add(lhs, (i, b), c * c2)
-            for i, b, c in rt[j]:
-                for a1, a2, c2 in H.delta_terms(a):
-                    for i2, c3 in at[i * n + a1]:
-                        for y, c4 in H.mul_terms(b, a2):
-                            _add(rhs, (i2, y), c * c2 * c3 * c4)
-            if not terms_equal(lhs, rhs):
-                failed = _fail("action-right-colinear", (j, a), lhs, rhs)
-                break
-        if failed:
-            break
-    checks.append(failed or Check("action-right-colinear", True))
+    def right_colinear(j, a):
+        """ρ^r(m·h) = m₀·h₁ ⊗ m₁h₂"""
+        lhs: dict = {}
+        rhs: dict = {}
+        for j2, c in at[j * n + a]:
+            for i, b, c2 in rt[j2]:
+                _add(lhs, (i, b), c * c2)
+        for i, b, c in rt[j]:
+            for a1, a2, c2 in H.delta_terms(a):
+                for i2, c3 in at[i * n + a1]:
+                    for y, c4 in H.mul_terms(b, a2):
+                        _add(rhs, (i2, y), c * c2 * c3 * c4)
+        return lhs, rhs
 
-    # (m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)
-    failed = None
     sweedlers = [_sweedler(H, lt, rt, j, 1, 1) for j in range(d)]
-    for j in range(d):
-        for a in range(n):
-            for b in range(n):
-                lhs = {}
-                rhs = {}
-                for j2, c in at[j * n + a]:
-                    for j3, c2 in at[j2 * n + b]:
-                        _add(lhs, (j3,), c * c2)
-                for ltup, j2, rtup, c in sweedlers[j]:
-                    x, y = ltup[0], rtup[0]
-                    for atup, ca in H.delta_power(a, 3):
-                        for btup, cb in H.delta_power(b, 3):
-                            w = H.omega_inv_at(x, atup[0], btup[0])
-                            if not w:
-                                continue
-                            w2 = H.omega_at(y, atup[2], btup[2])
-                            if not w2:
-                                continue
-                            coeff = c * ca * cb * w * w2
-                            for t, cm in H.mul_terms(atup[1], btup[1]):
-                                for j3, c3 in at[j2 * n + t]:
-                                    _add(rhs, (j3,), coeff * cm * c3)
-                if not terms_equal(lhs, rhs):
-                    failed = _fail("action-quasi-associativity", (j, a, b), lhs, rhs)
-                    break
-            if failed:
-                break
-        if failed:
-            break
-    checks.append(failed or Check("action-quasi-associativity", True))
-    return Report(tuple(checks))
+
+    def quasi_associativity(j, a, b):
+        """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
+        lhs: dict = {}
+        rhs: dict = {}
+        for j2, c in at[j * n + a]:
+            for j3, c2 in at[j2 * n + b]:
+                _add(lhs, (j3,), c * c2)
+        for ltup, j2, rtup, c in sweedlers[j]:
+            x, y = ltup[0], rtup[0]
+            for atup, ca in H.delta_power(a, 3):
+                for btup, cb in H.delta_power(b, 3):
+                    w = H.omega_inv_at(x, atup[0], btup[0])
+                    if not w:
+                        continue
+                    w2 = H.omega_at(y, atup[2], btup[2])
+                    if not w2:
+                        continue
+                    coeff = c * ca * cb * w * w2
+                    for t, cm in H.mul_terms(atup[1], btup[1]):
+                        for j3, c3 in at[j2 * n + t]:
+                            _add(rhs, (j3,), coeff * cm * c3)
+        return lhs, rhs
+
+    return Report(tuple(_coaction_checks(H, d, lt, rt) + [
+        check_identity("action-unit", basis_tuples(d), action_unit),
+        check_identity("action-left-colinear", basis_tuples(d, n), left_colinear),
+        check_identity("action-right-colinear", basis_tuples(d, n), right_colinear),
+        check_identity("action-quasi-associativity", basis_tuples(d, n, n),
+                       quasi_associativity),
+    ]))
 
 
 # -- constructions --------------------------------------------------------------

@@ -10,9 +10,11 @@ complete.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, tensor_index, tensor_unindex
-from .report import Check, Report, format_terms, terms_equal
+from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Field, Scalar
 
 
@@ -232,89 +234,58 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
 
 
 # -- the axiom suite -----------------------------------------------------------
+#
+# Each identity is a sides function: given basis indices it returns both sides,
+# as sparse vectors keyed by index tuples or as scalars.
 
 
 def _add(d: dict, key, value) -> None:
     d[key] = d.get(key) + value if key in d else value
 
 
-def _vector_check(name: str, witness, lhs: dict, rhs: dict) -> Check | None:
-    if terms_equal(lhs, rhs):
-        return None
-    return Check(name, False, witness, format_terms(lhs), format_terms(rhs))
+def _coassociativity(H, i):
+    lhs: dict = {}
+    rhs: dict = {}
+    for a, b, c in H.delta_terms(i):
+        for a1, a2, c2 in H.delta_terms(a):
+            _add(lhs, (a1, a2, b), c * c2)
+        for b1, b2, c2 in H.delta_terms(b):
+            _add(rhs, (a, b1, b2), c * c2)
+    return lhs, rhs
 
 
-def _scalar_check(name: str, witness, lhs: Scalar, rhs: Scalar) -> Check | None:
-    if lhs == rhs:
-        return None
-    return Check(name, False, witness, str(lhs), str(rhs))
+def _counit_law(H, side, i):
+    acc: dict = {}
+    for a, b, c in H.delta_terms(i):
+        if side == 0:
+            _add(acc, (b,), c * H.eps(a))
+        else:
+            _add(acc, (a,), c * H.eps(b))
+    return acc, {(i,): H.field.one}
 
 
-def _coassociativity(H) -> Check:
-    for i in range(H.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for a, b, c in H.delta_terms(i):
-            for a1, a2, c2 in H.delta_terms(a):
-                _add(lhs, (a1, a2, b), c * c2)
-            for b1, b2, c2 in H.delta_terms(b):
-                _add(rhs, (a, b1, b2), c * c2)
-        bad = _vector_check("coassociativity", (i,), lhs, rhs)
-        if bad:
-            return bad
-    return Check("coassociativity", True)
+def _mul_comultiplicative(H, i, j):
+    lhs: dict = {}
+    rhs: dict = {}
+    for t, c in H.mul_terms(i, j):
+        for x, y, c2 in H.delta_terms(t):
+            _add(lhs, (x, y), c * c2)
+    for a1, a2, ca in H.delta_terms(i):
+        for b1, b2, cb in H.delta_terms(j):
+            for x, cx in H.mul_terms(a1, b1):
+                for y, cy in H.mul_terms(a2, b2):
+                    _add(rhs, (x, y), ca * cb * cx * cy)
+    return lhs, rhs
 
 
-def _counit_laws(H) -> list[Check]:
-    out = []
-    for name, side in (("counit-left", 0), ("counit-right", 1)):
-        failed = None
-        for i in range(H.dim):
-            acc: dict = {}
-            for a, b, c in H.delta_terms(i):
-                if side == 0:
-                    _add(acc, (b,), c * H.eps(a))
-                else:
-                    _add(acc, (a,), c * H.eps(b))
-            failed = _vector_check(name, (i,), acc, {(i,): H.field.one})
-            if failed:
-                break
-        out.append(failed or Check(name, True))
-    return out
+def _mul_counital(H, i, j):
+    lhs = H.field.zero
+    for t, c in H.mul_terms(i, j):
+        lhs = lhs + c * H.eps(t)
+    return lhs, H.eps(i) * H.eps(j)
 
 
-def _mul_comultiplicative(H) -> Check:
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs: dict = {}
-            rhs: dict = {}
-            for t, c in H.mul_terms(i, j):
-                for x, y, c2 in H.delta_terms(t):
-                    _add(lhs, (x, y), c * c2)
-            for a1, a2, ca in H.delta_terms(i):
-                for b1, b2, cb in H.delta_terms(j):
-                    for x, cx in H.mul_terms(a1, b1):
-                        for y, cy in H.mul_terms(a2, b2):
-                            _add(rhs, (x, y), ca * cb * cx * cy)
-            bad = _vector_check("multiplication-comultiplicative", (i, j), lhs, rhs)
-            if bad:
-                return bad
-    return Check("multiplication-comultiplicative", True)
-
-
-def _mul_counital(H) -> Check:
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = H.field.zero
-            for t, c in H.mul_terms(i, j):
-                lhs = lhs + c * H.eps(t)
-            bad = _scalar_check("multiplication-counital", (i, j), lhs, H.eps(i) * H.eps(j))
-            if bad:
-                return bad
-    return Check("multiplication-counital", True)
-
-
-def _unit_comultiplicative(H) -> Check:
+def _unit_comultiplicative(H):
     lhs: dict = {}
     rhs: dict = {}
     for u, cu in H.unit_terms():
@@ -323,28 +294,36 @@ def _unit_comultiplicative(H) -> Check:
     for u1, c1 in H.unit_terms():
         for u2, c2 in H.unit_terms():
             _add(rhs, (u1, u2), c1 * c2)
-    return _vector_check("unit-comultiplicative", None, lhs, rhs) \
-        or Check("unit-comultiplicative", True)
+    return lhs, rhs
 
 
-def _unit_counital(H) -> Check:
+def _unit_counital(H):
     acc = H.field.zero
     for u, cu in H.unit_terms():
         acc = acc + cu * H.eps(u)
-    return _scalar_check("unit-counital", None, acc, H.field.one) \
-        or Check("unit-counital", True)
+    return acc, H.field.one
+
+
+def _entrywise(axiom: str, H, lhs: Matrix, rhs: Matrix, arity: int) -> Check:
+    """Two functionals on H^⊗arity agree at every basis tuple."""
+    n = H.dim
+
+    def sides(*w):
+        flat = tensor_index(w, n)
+        return lhs.entries[flat], rhs.entries[flat]
+
+    return check_identity(axiom, basis_tuples(*[n] * arity), sides)
 
 
 def _reassociator_invertible(H) -> Check:
+    """ω∗ω⁻¹ = ε⊗ε⊗ε = ω⁻¹∗ω, the first product scanned in full first."""
     eps3 = H.counit_power(3)
     for prod in (convolution(H, H.omega, H.omega_inv, arity=3),
                  convolution(H, H.omega_inv, H.omega, arity=3)):
-        if prod != eps3:
-            for flat, (a, b) in enumerate(zip(prod.entries, eps3.entries)):
-                if a != b:
-                    witness = tensor_unindex(flat, H.dim, 3)
-                    return Check("reassociator-invertible", False, witness, str(a), str(b))
-    return Check("reassociator-invertible", True)
+        check = _entrywise("reassociator-invertible", H, prod, eps3, 3)
+        if not check.passed:
+            break
+    return check
 
 
 def _cocycle_identity(H) -> Check:
@@ -377,80 +356,47 @@ def _cocycle_identity(H) -> Check:
     lhs = convolution(H, row(w_hh_m), row(w_m_hh), arity=4)
     rhs = convolution(H, convolution(H, row(eps_w), row(w_h_m_h), arity=4),
                       row(w_eps), arity=4)
-    if lhs != rhs:
-        for flat, (a, b) in enumerate(zip(lhs.entries, rhs.entries)):
-            if a != b:
-                return Check("cocycle-identity", False, tensor_unindex(flat, n, 4),
-                             str(a), str(b))
-    return Check("cocycle-identity", True)
+    return _entrywise("cocycle-identity", H, lhs, rhs, 4)
 
 
-def _cocycle_normalization(H) -> list[Check]:
+def _cocycle_normalization(H, slot, j, k):
     """ω(h⊗k⊗l) = ε(h)ε(k)ε(l) whenever the unit element sits in a slot."""
-    names = ("cocycle-normalization-left", "cocycle-normalization-middle",
-             "cocycle-normalization-right")
-    out = []
-    for slot, name in enumerate(names):
-        failed = None
-        for j in range(H.dim):
-            for k in range(H.dim):
-                acc = H.field.zero
-                for u, cu in H.unit_terms():
-                    args = [j, k]
-                    args.insert(slot, u)
-                    acc = acc + cu * H.omega_at(*args)
-                failed = _scalar_check(name, (j, k), acc, H.eps(j) * H.eps(k))
-                if failed:
-                    break
-            if failed:
-                break
-        out.append(failed or Check(name, True))
-    return out
+    acc = H.field.zero
+    for u, cu in H.unit_terms():
+        args = [j, k]
+        args.insert(slot, u)
+        acc = acc + cu * H.omega_at(*args)
+    return acc, H.eps(j) * H.eps(k)
 
 
-def _quasi_associativity(H) -> Check:
+def _quasi_associativity(H, i, j, k):
     """h₁(k₁l₁)·ω(h₂⊗k₂⊗l₂) = ω(h₁⊗k₁⊗l₁)·(h₂k₂)l₂ on basis triples."""
-    n = H.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs: dict = {}
-                rhs: dict = {}
-                for a1, a2, ca in H.delta_terms(i):
-                    for b1, b2, cb in H.delta_terms(j):
-                        for c1, c2, cc in H.delta_terms(k):
-                            coeff = ca * cb * cc
-                            w = H.omega_at(a2, b2, c2)
-                            if w:
-                                for t, cm in H.mul_terms(b1, c1):
-                                    for t2, cm2 in H.mul_terms(a1, t):
-                                        _add(lhs, (t2,), coeff * cm * cm2 * w)
-                            w2 = H.omega_at(a1, b1, c1)
-                            if w2:
-                                for t, cm in H.mul_terms(a2, b2):
-                                    for t2, cm2 in H.mul_terms(t, c2):
-                                        _add(rhs, (t2,), coeff * w2 * cm * cm2)
-                bad = _vector_check("quasi-associativity", (i, j, k), lhs, rhs)
-                if bad:
-                    return bad
-    return Check("quasi-associativity", True)
+    lhs: dict = {}
+    rhs: dict = {}
+    for a1, a2, ca in H.delta_terms(i):
+        for b1, b2, cb in H.delta_terms(j):
+            for c1, c2, cc in H.delta_terms(k):
+                coeff = ca * cb * cc
+                w = H.omega_at(a2, b2, c2)
+                if w:
+                    for t, cm in H.mul_terms(b1, c1):
+                        for t2, cm2 in H.mul_terms(a1, t):
+                            _add(lhs, (t2,), coeff * cm * cm2 * w)
+                w2 = H.omega_at(a1, b1, c1)
+                if w2:
+                    for t, cm in H.mul_terms(a2, b2):
+                        for t2, cm2 in H.mul_terms(t, c2):
+                            _add(rhs, (t2,), coeff * w2 * cm * cm2)
+    return lhs, rhs
 
 
-def _unit_laws(H) -> list[Check]:
-    out = []
-    for name, left in (("unit-left", True), ("unit-right", False)):
-        failed = None
-        for i in range(H.dim):
-            acc: dict = {}
-            for u, cu in H.unit_terms():
-                pairs = H.mul_terms(u, i) if left else H.mul_terms(i, u)
-                for t, c in pairs:
-                    _add(acc, (t,), cu * c)
-            failed = _vector_check(name, (i,), acc, {(i,): H.field.one})
-            if failed:
-                break
-        out.append(failed or Check(name, True))
-    return out
+def _unit_law(H, left, i):
+    acc: dict = {}
+    for u, cu in H.unit_terms():
+        pairs = H.mul_terms(u, i) if left else H.mul_terms(i, u)
+        for t, c in pairs:
+            _add(acc, (t,), cu * c)
+    return acc, {(i,): H.field.one}
 
 
 def validate_dqb(H: DualQuasiBialgebra) -> Report:
@@ -461,15 +407,26 @@ def validate_dqb(H: DualQuasiBialgebra) -> Report:
     unit laws.  Each failing entry carries the first offending basis tuple
     in lexicographic order and both values.
     """
-    checks: list[Check] = [_coassociativity(H)]
-    checks.extend(_counit_laws(H))
-    checks.append(_mul_comultiplicative(H))
-    checks.append(_mul_counital(H))
-    checks.append(_unit_comultiplicative(H))
-    checks.append(_unit_counital(H))
-    checks.append(_reassociator_invertible(H))
-    checks.append(_cocycle_identity(H))
-    checks.extend(_cocycle_normalization(H))
-    checks.append(_quasi_associativity(H))
-    checks.extend(_unit_laws(H))
-    return Report(tuple(checks))
+    n = H.dim
+
+    def holds(axiom, arity, sides, *args):
+        witnesses = [None] if arity is None else basis_tuples(*[n] * arity)
+        return check_identity(axiom, witnesses, partial(sides, H, *args))
+
+    return Report((
+        holds("coassociativity", 1, _coassociativity),
+        holds("counit-left", 1, _counit_law, 0),
+        holds("counit-right", 1, _counit_law, 1),
+        holds("multiplication-comultiplicative", 2, _mul_comultiplicative),
+        holds("multiplication-counital", 2, _mul_counital),
+        holds("unit-comultiplicative", None, _unit_comultiplicative),
+        holds("unit-counital", None, _unit_counital),
+        _reassociator_invertible(H),
+        _cocycle_identity(H),
+        holds("cocycle-normalization-left", 2, _cocycle_normalization, 0),
+        holds("cocycle-normalization-middle", 2, _cocycle_normalization, 1),
+        holds("cocycle-normalization-right", 2, _cocycle_normalization, 2),
+        holds("quasi-associativity", 3, _quasi_associativity),
+        holds("unit-left", 1, _unit_law, True),
+        holds("unit-right", 1, _unit_law, False),
+    ))

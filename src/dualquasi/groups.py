@@ -1,4 +1,5 @@
-"""Group algebras with normalized 3-cocycles, and the negative control example.
+"""Finite groups and 3-cochains as raw data, group algebras with normalized
+3-cocycles, and the negative control example.
 
 A normalized 3-cocycle θ on a finite group extends trilinearly to a
 reassociator on the group algebra, turning it into a dual quasi-bialgebra
@@ -11,20 +12,100 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dqb import DualQuasiBialgebra
-from .errors import InvariantViolation
-from .groups_types import Cocycle, GroupData
+from .dqb import DualQuasiBialgebra, _add
+from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
-from .preantipode import AntipodeData
-from .report import Check, Report
-from .scalars import Field
+from .preantipode import AntipodeData, _require_square
+from .report import (Check, Report, basis_tuples, check_identity, format_terms,
+                     terms_equal)
+from .scalars import Field, Scalar
 
 __all__ = [
     "GroupData", "Cocycle", "GroupExample",
     "validate_cocycle", "trivial_cocycle", "cyclic_cocycle",
     "group_dqb", "group_antipode_data", "canonical_group_preantipode",
-    "idempotent_monoid_bialgebra", "cyclic_group_example",
+    "idempotent_monoid_bialgebra", "cyclic_group_example", "anti_homomorphism_defect",
 ]
+
+
+@dataclass(frozen=True)
+class GroupData:
+    """A finite group: index-valued multiplication table, identity, inverses."""
+
+    order: int
+    table: tuple[tuple[int, ...], ...]
+    identity: int
+    inverse: tuple[int, ...]
+
+    @classmethod
+    def from_table(cls, table) -> "GroupData":
+        """Build from a multiplication table, verifying the group axioms."""
+        n = len(table)
+        rows = tuple(tuple(row) for row in table)
+        for g, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {g} has length {len(row)}, expected {n}")
+            for h, v in enumerate(row):
+                if not 0 <= v < n:
+                    raise ValueError(f"table entry ({g},{h}) = {v} out of range")
+        identity = None
+        for e in range(n):
+            if all(rows[e][g] == g == rows[g][e] for g in range(n)):
+                identity = e
+                break
+        if identity is None:
+            raise ValueError("table has no two-sided identity")
+        inverse = []
+        for g in range(n):
+            inv = next((h for h in range(n)
+                        if rows[g][h] == identity == rows[h][g]), None)
+            if inv is None:
+                raise ValueError(f"element {g} has no inverse")
+            inverse.append(inv)
+        for g in range(n):
+            for h in range(n):
+                for k in range(n):
+                    if rows[rows[g][h]][k] != rows[g][rows[h][k]]:
+                        raise ValueError(f"table is not associative at ({g},{h},{k})")
+        return cls(n, rows, identity, tuple(inverse))
+
+    @classmethod
+    def cyclic(cls, n: int) -> "GroupData":
+        """The cyclic group of order n; element a represents the a-th power."""
+        if n < 1:
+            raise ValueError("order must be positive")
+        table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        return cls(n, table, 0, tuple((-a) % n for a in range(n)))
+
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def inv(self, a: int) -> int:
+        return self.inverse[a]
+
+
+@dataclass(frozen=True)
+class Cocycle:
+    """A total map G×G×G → nonzero scalars, stored flat (g·N² + h·N + k)."""
+
+    field: Field
+    order: int
+    values: tuple[Scalar, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.order ** 3:
+            raise ValueError(
+                f"cocycle needs {self.order ** 3} values, got {len(self.values)}")
+
+    @classmethod
+    def from_function(cls, group: GroupData, field: Field, fn) -> "Cocycle":
+        n = group.order
+        values = [fn(g, h, k) for g in range(n) for h in range(n) for k in range(n)]
+        return cls(field, n, tuple(values))
+
+    def theta(self, g: int, h: int, k: int) -> Scalar:
+        n = self.order
+        return self.values[(g * n + h) * n + k]
 
 
 def validate_cocycle(group: GroupData, theta: Cocycle) -> Report:
@@ -38,51 +119,20 @@ def validate_cocycle(group: GroupData, theta: Cocycle) -> Report:
         return Report((Check("cocycle-total", False, None,
                              f"defined on a group of order {theta.order}",
                              f"group has order {n}"),))
-    one = theta.field.one
-    checks: list[Check] = []
+    t, mul, e = theta.theta, group.mul, group.identity
 
-    failed = None
-    for flat, v in enumerate(theta.values):
-        if not v:
-            g, rest = divmod(flat, n * n)
-            h, k = divmod(rest, n)
-            failed = Check("cocycle-nonzero", False, (g, h, k), "0", "nonzero")
-            break
-    checks.append(failed or Check("cocycle-nonzero", True))
+    def cocycle_identity(g, h, k, l):
+        return (t(h, k, l) * t(g, mul(h, k), l) * t(g, h, k),
+                t(g, h, mul(k, l)) * t(mul(g, h), k, l))
 
-    failed = None
-    e = group.identity
-    for g in range(n):
-        for h in range(n):
-            v = theta.theta(g, e, h)
-            if v != one:
-                failed = Check("cocycle-normalized", False, (g, e, h), str(v), "1")
-                break
-        if failed:
-            break
-    checks.append(failed or Check("cocycle-normalized", True))
-
-    failed = None
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul(g, h)
-            for k in range(n):
-                hk = group.mul(h, k)
-                for l in range(n):
-                    lhs = theta.theta(h, k, l) * theta.theta(g, hk, l) * theta.theta(g, h, k)
-                    rhs = theta.theta(g, h, group.mul(k, l)) * theta.theta(gh, k, l)
-                    if lhs != rhs:
-                        failed = Check("cocycle-identity", False, (g, h, k, l),
-                                       str(lhs), str(rhs))
-                        break
-                if failed:
-                    break
-            if failed:
-                break
-        if failed:
-            break
-    checks.append(failed or Check("cocycle-identity", True))
-    return Report(tuple(checks))
+    zero_at = next((w for w in basis_tuples(n, n, n) if not t(*w)), None)
+    return Report((
+        Check("cocycle-nonzero", True) if zero_at is None
+        else Check("cocycle-nonzero", False, zero_at, "0", "nonzero"),
+        check_identity("cocycle-normalized", ((g, e, h) for g, h in basis_tuples(n, n)),
+                       lambda *w: (t(*w), theta.field.one)),
+        check_identity("cocycle-identity", basis_tuples(n, n, n, n), cocycle_identity),
+    ))
 
 
 def trivial_cocycle(group: GroupData, field: Field | None = None) -> Cocycle:
@@ -236,3 +286,36 @@ def cyclic_group_example(n: int, r: int, field: Field | None = None) -> GroupExa
         antipode=group_antipode_data(group, theta),
         preantipode=canonical_group_preantipode(group, theta),
     )
+
+
+def anti_homomorphism_defect(group: GroupData, H: DualQuasiBialgebra,
+                             S: Matrix) -> tuple[Report, list[Scalar]]:
+    """Measure how far S is from a coalgebra antimorphism on a group algebra.
+
+    Verifies S(g₂)⊗S(g₁) = ω(g,g⁻¹,g)⁻¹·ΔS(g) for every group element and
+    returns the defect scalars ω(g,g⁻¹,g)⁻¹ (a defect of 1 means S behaves
+    like an honest antimorphism at that element)."""
+    _require_square(H, S)
+    if group.order != H.dim:
+        raise DimensionMismatch("group order disagrees with the algebra dimension")
+    checks: list[Check] = []
+    defects: list[Scalar] = []
+    for g in range(group.order):
+        defect = H.omega_at(g, group.inv(g), g).inverse()
+        defects.append(defect)
+        lhs: dict = {}
+        rhs: dict = {}
+        for a, b, c0 in H.delta_terms(g):
+            for q1, s1 in S.column_terms(b):
+                for q2, s2 in S.column_terms(a):
+                    _add(lhs, (q1, q2), c0 * s1 * s2)
+        for q, sq in S.column_terms(g):
+            for x, y, c in H.delta_terms(q):
+                _add(rhs, (x, y), defect * sq * c)
+        if terms_equal(lhs, rhs):
+            checks.append(Check(f"antimorphism-defect[{g}]", True, (g,),
+                                str(defect), None))
+        else:
+            checks.append(Check(f"antimorphism-defect[{g}]", False, (g,),
+                                format_terms(lhs), format_terms(rhs)))
+    return Report(tuple(checks)), defects

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .comodules import HopfBicomodule
-from .dqb import DualQuasiBialgebra, convolution_inverse
+from .dqb import DualQuasiBialgebra
 from .errors import DocumentError, ScalarParseError
 from .linalg import Matrix
 from .preantipode import AntipodeData
@@ -55,7 +55,9 @@ def _require(doc: dict, key: str, kind, location: str):
     if key not in doc:
         raise DocumentError(f"missing key {key!r}", location)
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true/false are not counts or versions
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise DocumentError(f"key {key!r} has the wrong type", f"{location}.{key}")
     return value
 
@@ -181,9 +183,6 @@ def _sparse_entries(matrix: Matrix, from_rc) -> list[list]:
 def dump_dqb(H: DualQuasiBialgebra) -> str:
     """Canonical serialization; inserts omega_inv when it was computed."""
     n = H.dim
-    omega_inv = H.omega_inv
-    if omega_inv is None:  # defensive; constructor always stores one
-        omega_inv = convolution_inverse(H, H.omega, arity=3)
     doc = {
         "version": FORMAT_VERSION,
         "field": _field_doc(H.field),
@@ -193,7 +192,7 @@ def dump_dqb(H: DualQuasiBialgebra) -> str:
         "mul": _sparse_entries(H.mul, lambda r, c: (c // n, c % n, r)),
         "unit": [str(v) for v in H.unit.entries],
         "omega": _sparse_entries(H.omega, lambda r, c: ((c // n) // n, (c // n) % n, c % n)),
-        "omega_inv": _sparse_entries(omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n)),
+        "omega_inv": _sparse_entries(H.omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n)),
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -215,25 +215,6 @@ def tensor_unindex(flat: int, dim: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def flatten_index(indices: Sequence[int], dims: Sequence[int]) -> int:
-    """tensor_index for mixed factor dimensions."""
-    if len(indices) != len(dims):
-        raise DimensionMismatch("index/dimension length mismatch")
-    flat = 0
-    for idx, d in zip(indices, dims):
-        if not 0 <= idx < d:
-            raise IndexError(f"basis index {idx} out of range for dimension {d}")
-        flat = flat * d + idx
-    return flat
-
-
-def unflatten_index(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(dims)
-    for pos in range(len(dims) - 1, -1, -1):
-        flat, out[pos] = divmod(flat, dims[pos])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class AffineSolution:
     """The full solution set of a linear system: particular + kernel basis."""

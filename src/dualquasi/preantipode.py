@@ -19,14 +19,14 @@ from the retraction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .comodules import (HopfBicomodule, Subspace, _act_terms, _left_terms,
                         _right_terms, _sweedler, adjunction_counit, coinvariants)
 from .dqb import DualQuasiBialgebra, _add
 from .errors import DimensionMismatch, InvariantViolation
-from .groups_types import GroupData  # thin import to avoid a cycle
 from .linalg import Matrix, solve_affine
-from .report import Check, Report, clean_terms, format_terms, terms_equal
+from .report import Check, Report, basis_tuples, check_identity, clean_terms
 from .scalars import Scalar
 
 
@@ -83,20 +83,16 @@ def _require_square(H: DualQuasiBialgebra, S: Matrix) -> None:
 # -- preantipode axiom evaluation ------------------------------------------------
 
 
-def _s_col(S: Matrix, j: int):
-    return S.column_terms(j)
-
-
 def _right_coaction_sides(H, S, p):
     """S(x₂)₁ ⊗ x₁S(x₂)₂  vs  S(x)⊗1_H, both in H⊗H, for x = e_p."""
     lhs: dict = {}
     rhs: dict = {}
     for a, b, c0 in H.delta_terms(p):
-        for q, sq in _s_col(S, b):
+        for q, sq in S.column_terms(b):
             for q1, q2, c1 in H.delta_terms(q):
                 for w, c2 in H.mul_terms(a, q2):
                     _add(lhs, (q1, w), c0 * sq * c1 * c2)
-    for q, sq in _s_col(S, p):
+    for q, sq in S.column_terms(p):
         for u, cu in H.unit_terms():
             _add(rhs, (q, u), sq * cu)
     return lhs, rhs
@@ -107,11 +103,11 @@ def _left_coaction_sides(H, S, p):
     lhs: dict = {}
     rhs: dict = {}
     for a, b, c0 in H.delta_terms(p):
-        for q, sq in _s_col(S, a):
+        for q, sq in S.column_terms(a):
             for q1, q2, c1 in H.delta_terms(q):
                 for w, c2 in H.mul_terms(q1, b):
                     _add(lhs, (w, q2), c0 * sq * c1 * c2)
-    for q, sq in _s_col(S, p):
+    for q, sq in S.column_terms(p):
         for u, cu in H.unit_terms():
             _add(rhs, (u, q), sq * cu)
     return lhs, rhs
@@ -121,19 +117,19 @@ def _counit_sides(H, S, p):
     """ω(x₁ ⊗ S(x₂) ⊗ x₃)  vs  ε(x), for x = e_p."""
     acc = H.field.zero
     for (a, b, c), c0 in H.delta_power(p, 3):
-        for q, sq in _s_col(S, b):
+        for q, sq in S.column_terms(b):
             acc = acc + c0 * sq * H.omega_at(a, q, c)
     return acc, H.eps(p)
 
 
 def _counit_scalar(H, S, i) -> Scalar:
     acc = H.field.zero
-    for q, sq in _s_col(S, i):
+    for q, sq in S.column_terms(i):
         acc = acc + sq * H.eps(q)
     return acc
 
 
-def _scalar_compat_sides(H, S, p, left: bool):
+def _scalar_compat_sides(H, S, left: bool, p):
     """h₁S(h₂)  (resp. S(h₁)h₂)  vs  εS(h)·1_H, for h = e_p.
 
     These follow from the two coaction identities by applying the counit to
@@ -142,11 +138,11 @@ def _scalar_compat_sides(H, S, p, left: bool):
     rhs: dict = {}
     for a, b, c0 in H.delta_terms(p):
         if left:
-            for q, sq in _s_col(S, b):
+            for q, sq in S.column_terms(b):
                 for w, cm in H.mul_terms(a, q):
                     _add(lhs, (w,), c0 * sq * cm)
         else:
-            for q, sq in _s_col(S, a):
+            for q, sq in S.column_terms(a):
                 for w, cm in H.mul_terms(q, b):
                     _add(lhs, (w,), c0 * sq * cm)
     t = _counit_scalar(H, S, p)
@@ -160,36 +156,18 @@ def check_preantipode(H: DualQuasiBialgebra, S: Matrix) -> Report:
     derived scalar compatibilities, on every basis element of H."""
     _require_square(H, S)
     n = H.dim
-    checks: list[Check] = []
-    for name, sides in (
-        ("preantipode-right-coaction", _right_coaction_sides),
-        ("preantipode-left-coaction", _left_coaction_sides),
-    ):
-        failed = None
-        for p in range(n):
-            lhs, rhs = sides(H, S, p)
-            if not terms_equal(lhs, rhs):
-                failed = Check(name, False, (p,), format_terms(lhs), format_terms(rhs))
-                break
-        checks.append(failed or Check(name, True))
-    failed = None
-    for p in range(n):
-        lhs, rhs = _counit_sides(H, S, p)
-        if lhs != rhs:
-            failed = Check("preantipode-reassociator-counit", False, (p,),
-                           str(lhs), str(rhs))
-            break
-    checks.append(failed or Check("preantipode-reassociator-counit", True))
-    for name, left in (("preantipode-counit-left", True),
-                       ("preantipode-counit-right", False)):
-        failed = None
-        for p in range(n):
-            lhs, rhs = _scalar_compat_sides(H, S, p, left)
-            if not terms_equal(lhs, rhs):
-                failed = Check(name, False, (p,), format_terms(lhs), format_terms(rhs))
-                break
-        checks.append(failed or Check(name, True))
-    return Report(tuple(checks))
+    return Report((
+        check_identity("preantipode-right-coaction", basis_tuples(n),
+                       partial(_right_coaction_sides, H, S)),
+        check_identity("preantipode-left-coaction", basis_tuples(n),
+                       partial(_left_coaction_sides, H, S)),
+        check_identity("preantipode-reassociator-counit", basis_tuples(n),
+                       partial(_counit_sides, H, S)),
+        check_identity("preantipode-counit-left", basis_tuples(n),
+                       partial(_scalar_compat_sides, H, S, True)),
+        check_identity("preantipode-counit-right", basis_tuples(n),
+                       partial(_scalar_compat_sides, H, S, False)),
+    ))
 
 
 def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:
@@ -248,105 +226,82 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
         ω(h₁ ⊗ β(h₂)s(h₃)α(h₄) ⊗ h₅) = ε(h) = ω⁻¹(s(h₁) ⊗ α(h₂)h₃β(h₄) ⊗ s(h₅)).
     """
     _require_square(H, data.s)
-    n = H.dim
     s = data.s
     alpha = data.alpha.entries
     beta = data.beta.entries
-    checks: list[Check] = []
 
-    failed = None
-    for p in range(n):
+    def comultiplication(p):
         lhs: dict = {}
         rhs: dict = {}
-        for q, sq in _s_col(s, p):
+        for q, sq in s.column_terms(p):
             for x, y, c in H.delta_terms(q):
                 _add(lhs, (x, y), sq * c)
         for a, b, c0 in H.delta_terms(p):
-            for q1, s1 in _s_col(s, b):
-                for q2, s2 in _s_col(s, a):
+            for q1, s1 in s.column_terms(b):
+                for q2, s2 in s.column_terms(a):
                     _add(rhs, (q1, q2), c0 * s1 * s2)
-        if not terms_equal(lhs, rhs):
-            failed = Check("antipode-comultiplication", False, (p,),
-                           format_terms(lhs), format_terms(rhs))
-            break
-    checks.append(failed or Check("antipode-comultiplication", True))
+        return lhs, rhs
 
-    failed = None
-    for p in range(n):
-        acc = _counit_scalar(H, s, p)
-        if acc != H.eps(p):
-            failed = Check("antipode-counit", False, (p,), str(acc), str(H.eps(p)))
-            break
-    checks.append(failed or Check("antipode-counit", True))
-
-    failed = None
-    for p in range(n):
-        lhs = {}
-        rhs = {}
+    def left_contraction(p):
+        lhs: dict = {}
+        rhs: dict = {}
         for (a, b, c), c0 in H.delta_power(p, 3):
             coeff = c0 * beta[b]
             if not coeff:
                 continue
-            for q, sq in _s_col(s, c):
+            for q, sq in s.column_terms(c):
                 for w, cm in H.mul_terms(a, q):
                     _add(lhs, (w,), coeff * sq * cm)
         for u, cu in H.unit_terms():
             _add(rhs, (u,), beta[p] * cu)
-        if not terms_equal(lhs, rhs):
-            failed = Check("antipode-left-contraction", False, (p,),
-                           format_terms(lhs), format_terms(rhs))
-            break
-    checks.append(failed or Check("antipode-left-contraction", True))
+        return lhs, rhs
 
-    failed = None
-    for p in range(n):
-        lhs = {}
-        rhs = {}
+    def right_contraction(p):
+        lhs: dict = {}
+        rhs: dict = {}
         for (a, b, c), c0 in H.delta_power(p, 3):
             coeff = c0 * alpha[b]
             if not coeff:
                 continue
-            for q, sq in _s_col(s, a):
+            for q, sq in s.column_terms(a):
                 for w, cm in H.mul_terms(q, c):
                     _add(lhs, (w,), coeff * sq * cm)
         for u, cu in H.unit_terms():
             _add(rhs, (u,), alpha[p] * cu)
-        if not terms_equal(lhs, rhs):
-            failed = Check("antipode-right-contraction", False, (p,),
-                           format_terms(lhs), format_terms(rhs))
-            break
-    checks.append(failed or Check("antipode-right-contraction", True))
+        return lhs, rhs
 
-    failed = None
-    for p in range(n):
+    def reassociator(p):
         acc = H.field.zero
         for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
             coeff = c0 * beta[h2] * alpha[h4]
             if not coeff:
                 continue
-            for q, sq in _s_col(s, h3):
+            for q, sq in s.column_terms(h3):
                 acc = acc + coeff * sq * H.omega_at(h1, q, h5)
-        if acc != H.eps(p):
-            failed = Check("antipode-reassociator", False, (p,), str(acc), str(H.eps(p)))
-            break
-    checks.append(failed or Check("antipode-reassociator", True))
+        return acc, H.eps(p)
 
-    failed = None
-    for p in range(n):
+    def reassociator_inverse(p):
         acc = H.field.zero
         for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
             coeff = c0 * alpha[h2] * beta[h4]
             if not coeff:
                 continue
-            for q1, s1 in _s_col(s, h1):
-                for q2, s2 in _s_col(s, h5):
+            for q1, s1 in s.column_terms(h1):
+                for q2, s2 in s.column_terms(h5):
                     acc = acc + coeff * s1 * s2 * H.omega_inv_at(q1, h3, q2)
-        if acc != H.eps(p):
-            failed = Check("antipode-reassociator-inverse", False, (p,),
-                           str(acc), str(H.eps(p)))
-            break
-    checks.append(failed or Check("antipode-reassociator-inverse", True))
-    return Report(tuple(checks))
+        return acc, H.eps(p)
+
+    n = H.dim
+    return Report((
+        check_identity("antipode-comultiplication", basis_tuples(n), comultiplication),
+        check_identity("antipode-counit", basis_tuples(n),
+                       lambda p: (_counit_scalar(H, s, p), H.eps(p))),
+        check_identity("antipode-left-contraction", basis_tuples(n), left_contraction),
+        check_identity("antipode-right-contraction", basis_tuples(n), right_contraction),
+        check_identity("antipode-reassociator", basis_tuples(n), reassociator),
+        check_identity("antipode-reassociator-inverse", basis_tuples(n),
+                       reassociator_inverse),
+    ))
 
 
 def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
@@ -361,7 +316,7 @@ def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
             coeff = c0 * beta[a] * alpha[c]
             if not coeff:
                 continue
-            for q, sq in _s_col(data.s, b):
+            for q, sq in data.s.column_terms(b):
                 entries[q * n + p] = entries[q * n + p] + coeff * sq
     return Matrix(H.field, n, n, entries)
 
@@ -396,7 +351,7 @@ def _tau_vectors(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
         for ltup, j, rtup, c in _sweedler(H, lt, rt, i, 1, 2):
             x = ltup[0]
             b1, b2 = rtup
-            for q, sq in _s_col(S, b1):
+            for q, sq in S.column_terms(b1):
                 for q1, q2, cq in H.delta_terms(q):
                     w = H.omega_at(x, q1, b2)
                     if not w:
@@ -408,20 +363,21 @@ def _tau_vectors(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
     return out
 
 
-def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
+def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
+                       coinv: Subspace | None = None):
+    """The five retraction verdicts, τ on every basis vector, and the
+    coinvariant basis (computed here unless given)."""
     _require_square(H, S)
     d, n = M.dim, H.dim
     lt = _left_terms(M.rho_l, d)
     rt = _right_terms(M.rho_r, d, n)
     at = _act_terms(M.act, d, n)
-    coinv = coinvariants(H, M)
+    if coinv is None:
+        coinv = coinvariants(H, M)
     tau = _tau_vectors(H, S, M, lt, rt, at)
-    one = H.field.one
-    checks: list[Check] = []
 
-    # image lands in the coinvariants: ρ^r(τ(m)) = τ(m)⊗1
-    failed = None
-    for i in range(d):
+    def into_coinvariants(i):
+        """ρ^r(τ(m)) = τ(m)⊗1"""
         lhs: dict = {}
         rhs: dict = {}
         for (j,), v in tau[i].items():
@@ -429,40 +385,27 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
                 _add(lhs, (j2, b), v * c)
             for u, cu in H.unit_terms():
                 _add(rhs, (j, u), v * cu)
-        if not terms_equal(lhs, rhs):
-            failed = Check("retraction-into-coinvariants", False, (i,),
-                           format_terms(lhs), format_terms(rhs))
-            break
-    checks.append(failed or Check("retraction-into-coinvariants", True))
+        return lhs, rhs
 
-    # τ(mh) = ω⁻¹[τ(m₀)₋₁ ⊗ m₁ ⊗ h]·τ(m₀)₀
-    failed = None
-    for i in range(d):
-        for a in range(n):
-            lhs = {}
-            rhs = {}
-            for j, c in at[i * n + a]:
-                for key, v in tau[j].items():
-                    _add(lhs, key, c * v)
-            for j, b, c in rt[i]:
-                for (j2,), v in tau[j].items():
-                    for x, j3, c3 in lt[j2]:
-                        w = H.omega_inv_at(x, b, a)
-                        if w:
-                            _add(rhs, (j3,), c * v * c3 * w)
-            if not terms_equal(lhs, rhs):
-                failed = Check("retraction-module-identity", False, (i, a),
-                               format_terms(lhs), format_terms(rhs))
-                break
-        if failed:
-            break
-    checks.append(failed or Check("retraction-module-identity", True))
+    def module_identity(i, a):
+        """τ(mh) = ω⁻¹[τ(m₀)₋₁ ⊗ m₁ ⊗ h]·τ(m₀)₀"""
+        lhs: dict = {}
+        rhs: dict = {}
+        for j, c in at[i * n + a]:
+            for key, v in tau[j].items():
+                _add(lhs, key, c * v)
+        for j, b, c in rt[i]:
+            for (j2,), v in tau[j].items():
+                for x, j3, c3 in lt[j2]:
+                    w = H.omega_inv_at(x, b, a)
+                    if w:
+                        _add(rhs, (j3,), c * v * c3 * w)
+        return lhs, rhs
 
-    # m₋₁ ⊗ τ(m₀) = τ(m₀)₋₁m₁ ⊗ τ(m₀)₀
-    failed = None
-    for i in range(d):
-        lhs = {}
-        rhs = {}
+    def left_colinearity(i):
+        """m₋₁ ⊗ τ(m₀) = τ(m₀)₋₁m₁ ⊗ τ(m₀)₀"""
+        lhs: dict = {}
+        rhs: dict = {}
         for x, j, c in lt[i]:
             for (j2,), v in tau[j].items():
                 _add(lhs, (x, j2), c * v)
@@ -471,75 +414,43 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
                 for y, j3, c3 in lt[j2]:
                     for t, cm in H.mul_terms(y, b):
                         _add(rhs, (t, j3), c * v * c3 * cm)
-        if not terms_equal(lhs, rhs):
-            failed = Check("retraction-left-colinearity", False, (i,),
-                           format_terms(lhs), format_terms(rhs))
-            break
-    checks.append(failed or Check("retraction-left-colinearity", True))
+        return lhs, rhs
 
-    # τ(m₀)·m₁ = m
-    failed = None
-    for i in range(d):
+    def splits_counit(i):
+        """τ(m₀)·m₁ = m"""
         acc: dict = {}
         for j, b, c in rt[i]:
             for (j2,), v in tau[j].items():
                 for j3, c3 in at[j2 * n + b]:
                     _add(acc, (j3,), c * v * c3)
-        if not terms_equal(acc, {(i,): one}):
-            failed = Check("retraction-splits-counit", False, (i,),
-                           format_terms(acc), format_terms({(i,): one}))
-            break
-    checks.append(failed or Check("retraction-splits-counit", True))
+        return acc, {(i,): H.field.one}
 
-    # τ(mh) = m·ε(h) on coinvariant m
-    failed = None
-    for alpha in range(coinv.rank):
-        col = coinv.basis.column_terms(alpha)
-        for a in range(n):
-            lhs = {}
-            rhs = {}
-            for i, v in col:
-                for j, c in at[i * n + a]:
-                    for key, v2 in tau[j].items():
-                        _add(lhs, key, v * c * v2)
-                _add(rhs, (i,), v * H.eps(a))
-            if not terms_equal(lhs, rhs):
-                failed = Check("retraction-fixes-coinvariants", False, (alpha, a),
-                               format_terms(lhs), format_terms(rhs))
-                break
-        if failed:
-            break
-    checks.append(failed or Check("retraction-fixes-coinvariants", True))
+    def fixes_coinvariants(alpha, a):
+        """τ(mh) = m·ε(h) on coinvariant m"""
+        lhs: dict = {}
+        rhs: dict = {}
+        for i, v in coinv.basis.column_terms(alpha):
+            for j, c in at[i * n + a]:
+                for key, v2 in tau[j].items():
+                    _add(lhs, key, v * c * v2)
+            _add(rhs, (i,), v * H.eps(a))
+        return lhs, rhs
 
-    return Report(tuple(checks)), tau, coinv
+    report = Report((
+        check_identity("retraction-into-coinvariants", basis_tuples(d), into_coinvariants),
+        check_identity("retraction-module-identity", basis_tuples(d, n), module_identity),
+        check_identity("retraction-left-colinearity", basis_tuples(d), left_colinearity),
+        check_identity("retraction-splits-counit", basis_tuples(d), splits_counit),
+        check_identity("retraction-fixes-coinvariants", basis_tuples(coinv.rank, n),
+                       fixes_coinvariants),
+    ))
+    return report, tau, coinv
 
 
-def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule) -> Report:
-    """Per-identity verdicts for the retraction induced by S on M.
-
-    Checks, in order: the image lies in the coinvariants, the module identity
-    for τ(mh), left colinearity, τ(m₀)m₁ = m, and triviality on coinvariants.
-    The last identity is equivalent to the middle two given the splitting
-    identity, so matching verdicts across the two routes is itself a useful
-    consistency signal.
-    """
-    report, _, _ = _retraction_pieces(H, S, M)
-    return report
-
-
-def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
-                           M: HopfBicomodule) -> CoinvariantRetraction:
-    """The retraction in coinvariant coordinates plus the evaluation inverse.
-
-    Recomputes the coinvariant basis itself (never trusts a caller-supplied
-    one) so the codomain of the inverse matches the evaluation map exactly.
-    Any failed identity raises InvariantViolation."""
-    report, tau, coinv = _retraction_pieces(H, S, M)
-    if not report.ok:
-        bad = report.failures[0]
-        raise InvariantViolation(
-            f"retraction identity {bad.axiom} failed at witness {bad.witness}")
-    d, n, r = M.dim, H.dim, coinv.rank
+def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, coinv: Subspace,
+                        tau: list[dict]) -> tuple[Matrix, Matrix]:
+    """τ in coinvariant coordinates (r×d) and ψ(m) = τ(m₀)⊗m₁ ((r·n)×d)."""
+    d, r = M.dim, coinv.rank
     zero = H.field.zero
     entries = [zero] * (r * d)
     for i in range(d):
@@ -551,12 +462,64 @@ def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
         for beta, v in enumerate(coords):
             entries[beta * d + i] = v
     retraction = Matrix(H.field, r, d, entries)
-    psi = retraction.kron(Matrix.identity(H.field, n)) @ M.rho_r
+    return retraction, retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
+
+
+def _composites(H: DualQuasiBialgebra, eps: Matrix, psi: Matrix) -> tuple[Check, Check]:
+    """Whether ε∘ψ and ψ∘ε are identity matrices."""
+    return (Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
+            Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows)))
+
+
+def _verified_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, report: Report,
+                      tau: list[dict], coinv: Subspace) -> tuple[Matrix, Matrix, Matrix]:
+    """(retraction, ψ, ε) once the retraction identities and both composites
+    hold; any failure raises InvariantViolation."""
+    if not report.ok:
+        bad = report.failures[0]
+        raise InvariantViolation(
+            f"retraction identity {bad.axiom} failed at witness {bad.witness}")
+    retraction, psi = _evaluation_inverse(H, M, coinv, tau)
     eps = adjunction_counit(H, M, coinv)
-    if eps @ psi != Matrix.identity(H.field, d):
+    after, before = _composites(H, eps, psi)
+    if not after.passed:
         raise InvariantViolation("evaluation ∘ inverse is not the identity")
-    if psi @ eps != Matrix.identity(H.field, r * n):
+    if not before.passed:
         raise InvariantViolation("inverse ∘ evaluation is not the identity")
+    return retraction, psi, eps
+
+
+def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
+                      coinv: Subspace | None = None, eps: Matrix | None = None) -> Report:
+    """Per-identity verdicts for the retraction induced by S on M.
+
+    Checks, in order: the image lies in the coinvariants, the module identity
+    for τ(mh), left colinearity, τ(m₀)m₁ = m, and triviality on coinvariants.
+    The last identity is equivalent to the middle two given the splitting
+    identity, so matching verdicts across the two routes is itself a useful
+    consistency signal.
+
+    ``coinv`` is the coinvariant basis when the caller already has it.  Given
+    also the evaluation map ``eps`` on that basis, the report goes on, once
+    the five identities hold, to whether ψ(m) = τ(m₀)⊗m₁ inverts it:
+    ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit`` (ψ∘ε = id).
+    """
+    report, tau, coinv = _retraction_pieces(H, S, M, coinv)
+    if eps is None or not report.ok:
+        return report
+    _, psi = _evaluation_inverse(H, M, coinv, tau)
+    return Report(report.checks + _composites(H, eps, psi))
+
+
+def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
+                           M: HopfBicomodule) -> CoinvariantRetraction:
+    """The retraction in coinvariant coordinates plus the evaluation inverse.
+
+    Recomputes the coinvariant basis itself (never trusts a caller-supplied
+    one) so the codomain of the inverse matches the evaluation map exactly.
+    Any failed identity raises InvariantViolation."""
+    report, tau, coinv = _retraction_pieces(H, S, M)
+    retraction, psi, _ = _verified_inverse(H, M, report, tau, coinv)
     return CoinvariantRetraction(coinv, retraction, psi)
 
 
@@ -565,9 +528,9 @@ def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
     """The mutually inverse pair (evaluation M^coH⊗H → M, its inverse ψ).
 
     Both composites are verified to be identity matrices, exactly."""
-    retr = coinvariant_retraction(H, S, M)
-    eps = adjunction_counit(H, M, retr.coinvariants)
-    return eps, retr.counit_inverse
+    report, tau, coinv = _retraction_pieces(H, S, M)
+    _, psi, eps = _verified_inverse(H, M, report, tau, coinv)
+    return eps, psi
 
 
 # -- comparison with the antipode-based projection -------------------------------
@@ -586,7 +549,7 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     lt = _left_terms(M.rho_l, d)
     rt = _right_terms(M.rho_r, d, n)
     at = _act_terms(M.act, d, n)
-    tau = _tau_vectors(H, S, M, lt, rt, at)
+    retraction_checks, tau, coinv = _retraction_pieces(H, S, M)
     alpha = data.alpha.entries
     beta = data.beta.entries
     zero = H.field.zero
@@ -599,32 +562,30 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
             coeff = c * beta[b1]
             if not coeff:
                 continue
-            for q, sq in _s_col(data.s, b2):
+            for q, sq in data.s.column_terms(b2):
                 for j2, ca in at[j * n + q]:
                     _add(acc, (j2,), coeff * sq * ca)
         proj.append(clean_terms(acc))
 
-    failed = None
-    for i in range(d):
+    def projection_formula(i):
         rhs: dict = {}
         for ltup, j, (b1, b2, b3), c in _sweedler(H, lt, rt, i, 1, 3):
             x = ltup[0]
             coeff = c * alpha[b2]
             if not coeff:
                 continue
-            for q, sq in _s_col(data.s, b1):
+            for q, sq in data.s.column_terms(b1):
                 w = H.omega_at(x, q, b3)
                 if not w:
                     continue
                 for key, v in proj[j].items():
                     _add(rhs, key, coeff * sq * w * v)
-        if not terms_equal(tau[i], rhs):
-            failed = Check("retraction-projection-formula", False, (i,),
-                           format_terms(tau[i]), format_terms(rhs))
-            break
-    report = Report((failed or Check("retraction-projection-formula", True),))
+        return tau[i], rhs
 
-    retr = coinvariant_retraction(H, S, M)
+    report = Report((check_identity("retraction-projection-formula", basis_tuples(d),
+                                    projection_formula),))
+
+    _, psi, _ = _verified_inverse(H, M, retraction_checks, tau, coinv)
     gamma = [zero] * (d * n * d)
     for i in range(d):
         for j, b, c in rt[i]:
@@ -632,39 +593,5 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
                 row = j2 * n + b
                 gamma[row * d + i] = gamma[row * d + i] + c * v
     gamma_matrix = Matrix(H.field, d * n, d, gamma)
-    embedded_psi = retr.coinvariants.basis.kron(
-        Matrix.identity(H.field, n)) @ retr.counit_inverse
+    embedded_psi = coinv.basis.kron(Matrix.identity(H.field, n)) @ psi
     return report, gamma_matrix == embedded_psi
-
-
-def anti_homomorphism_defect(group: GroupData, H: DualQuasiBialgebra,
-                             S: Matrix) -> tuple[Report, list[Scalar]]:
-    """Measure how far S is from a coalgebra antimorphism on a group algebra.
-
-    Verifies S(g₂)⊗S(g₁) = ω(g,g⁻¹,g)⁻¹·ΔS(g) for every group element and
-    returns the defect scalars ω(g,g⁻¹,g)⁻¹ (a defect of 1 means S behaves
-    like an honest antimorphism at that element)."""
-    _require_square(H, S)
-    if group.order != H.dim:
-        raise DimensionMismatch("group order disagrees with the algebra dimension")
-    checks: list[Check] = []
-    defects: list[Scalar] = []
-    for g in range(group.order):
-        defect = H.omega_at(g, group.inv(g), g).inverse()
-        defects.append(defect)
-        lhs: dict = {}
-        rhs: dict = {}
-        for a, b, c0 in H.delta_terms(g):
-            for q1, s1 in _s_col(S, b):
-                for q2, s2 in _s_col(S, a):
-                    _add(lhs, (q1, q2), c0 * s1 * s2)
-        for q, sq in _s_col(S, g):
-            for x, y, c in H.delta_terms(q):
-                _add(rhs, (x, y), defect * sq * c)
-        if terms_equal(lhs, rhs):
-            checks.append(Check(f"antimorphism-defect[{g}]", True, (g,),
-                                str(defect), None))
-        else:
-            checks.append(Check(f"antimorphism-defect[{g}]", False, (g,),
-                                format_terms(lhs), format_terms(rhs)))
-    return Report(tuple(checks)), defects

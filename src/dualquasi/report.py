@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,6 @@ class Report:
     def __len__(self) -> int:
         return len(self.checks)
 
-    def __add__(self, other: "Report") -> "Report":
-        return Report(self.checks + other.checks)
-
 
 def clean_terms(terms: dict) -> dict:
     """Drop exact zeros from an accumulated sparse vector."""
@@ -63,3 +62,26 @@ def format_terms(terms: dict) -> str:
         idx = ",".join(str(k) for k in key)
         parts.append(f"{value}*e({idx})")
     return " + ".join(parts)
+
+
+def basis_tuples(*dims: int):
+    """Index tuples over range(d) for each d, in lexicographic order."""
+    return product(*(range(d) for d in dims))
+
+
+def check_identity(axiom: str, witnesses: Iterable, sides: Callable) -> Check:
+    """Check lhs = rhs at every witness, stopping at the first that differs.
+
+    ``sides(*witness)`` returns the two sides: sparse vectors (dicts), compared
+    with ``terms_equal`` and rendered with ``format_terms``, or scalars,
+    compared with ``==`` and rendered with ``str``.  A witness of None stands
+    for an identity without basis arguments and calls ``sides()``.
+    """
+    for witness in witnesses:
+        lhs, rhs = sides(*(witness or ()))
+        if isinstance(lhs, dict):
+            if not terms_equal(lhs, rhs):
+                return Check(axiom, False, witness, format_terms(lhs), format_terms(rhs))
+        elif lhs != rhs:
+            return Check(axiom, False, witness, str(lhs), str(rhs))
+    return Check(axiom, True)

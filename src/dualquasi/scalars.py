@@ -386,10 +386,3 @@ class Scalar:
     def __repr__(self) -> str:
         return f"<{self} over {self.field!r}>"
 
-
-def cyclotomic_root(field: Field, power: int = 1) -> Scalar:
-    """Canonical form of z^power in a cyclotomic field.
-
-    Raises ValueError when the field is the plain rationals.
-    """
-    return field.zeta(power)

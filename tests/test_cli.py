@@ -183,6 +183,19 @@ def test_parse_error_exit_code(workspace):
     assert "syntax error" in err
 
 
+def test_boolean_dim_exit_code(workspace):
+    doc = json.loads((workspace / "cyclic_2_r1.dqb.json").read_text())
+    doc.update(dim=True, delta=[[0, 0, 0, "1"]], mul=[[0, 0, 0, "1"]],
+               omega=[[0, 0, 0, "1"]], omega_inv=[[0, 0, 0, "1"]],
+               counit=["1"], unit=["1"])
+    bad = workspace / "booldim.dqb.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("verify", "solve-preantipode"):
+        rc, out, err = run_cli(command, str(bad))
+        assert (rc, out) == (2, "")
+        assert err == "error: dqb.dim: key 'dim' has the wrong type\n"
+
+
 def test_structure_theorem_on_induced_module_file(workspace, tmp_path):
     import random
     from dualquasi import induce_bicomodule

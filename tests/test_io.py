@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dualquasi import Check, DocumentError, Report, hhat, validate_dqb
+from dualquasi.groups import cyclic_group_example
 from dualquasi.io import (dump_antipode, dump_bicomodule, dump_dqb,
                           dump_preantipode, load_antipode, load_bicomodule,
                           load_dqb, load_preantipode, serialize_report)
@@ -92,6 +93,38 @@ def test_unknown_field_kind_rejected():
 def test_version_checked():
     with pytest.raises(DocumentError):
         load_dqb('{"version": 2}')
+
+
+def _trivial_example():
+    """The one-dimensional algebra, where a boolean true reads as a valid 1."""
+    return cyclic_group_example(1, 0)
+
+
+@pytest.mark.parametrize("key, value, location", [
+    ("version", True, "dqb.version"),
+    ("dim", True, "dqb.dim"),
+    ("field", {"kind": "cyclotomic", "order": True}, "dqb.field.order"),
+])
+def test_boolean_rejected_where_integer_required(key, value, location):
+    doc = json.loads(dump_dqb(_trivial_example().dqb))
+    doc[key] = value
+    with pytest.raises(DocumentError) as err:
+        load_dqb(json.dumps(doc))
+    assert err.value.location == location
+    assert "wrong type" in str(err.value)
+
+
+def test_boolean_dim_rejected_by_every_loader():
+    ex = _trivial_example()
+    for load, text, location in (
+            (load_bicomodule, dump_bicomodule(hhat(ex.dqb)), "module.dim"),
+            (load_antipode, dump_antipode(ex.antipode), "antipode.dim"),
+            (load_preantipode, dump_preantipode(ex.preantipode), "preantipode.dim")):
+        doc = json.loads(text)
+        doc["dim"] = True
+        with pytest.raises(DocumentError) as err:
+            load(json.dumps(doc), ex.dqb)
+        assert err.value.location == location
 
 
 def test_duplicate_omega_entry_rejected():

@@ -325,3 +325,20 @@ def test_retraction_report_flags_zero_map():
         "retraction-splits-counit", "retraction-fixes-coinvariants"]
     with pytest.raises(Exception):
         coinvariant_retraction(H, Matrix.zeros(H.field, 2, 2), hhat(H))
+
+
+def test_retraction_report_with_evaluation_map_adds_composites():
+    ex = example("cyclic_3_r1")
+    H, M = ex.dqb, hhat(ex.dqb)
+    coinv = coinvariants(H, M)
+    eps = adjunction_counit(H, M, coinv)
+    plain = retraction_report(H, ex.preantipode, M)
+    full = retraction_report(H, ex.preantipode, M, coinv=coinv, eps=eps)
+    assert full.checks[:5] == plain.checks
+    assert [(c.axiom, c.passed) for c in full.checks[5:]] == [
+        ("counit-after-inverse", True), ("inverse-after-counit", True)]
+    # the composites need τ to land in the coinvariants, so a failing
+    # retraction stops the report after its five identities
+    zero = Matrix.zeros(H.field, 3, 3)
+    assert (retraction_report(H, zero, M, coinv=coinv, eps=eps)
+            == retraction_report(H, zero, M))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquasi import Field, Scalar, ScalarParseError, cyclotomic_root
+from dualquasi import Field, Scalar, ScalarParseError
 
 Q = Field.rationals()
 QI = Field.cyclotomic(4)
@@ -42,15 +42,15 @@ def test_field_axioms(field, strategy):
 
 
 def test_cyclotomic_root_examples():
-    assert cyclotomic_root(Field.cyclotomic(2), 1) == -1
-    assert cyclotomic_root(QI, 2) == -1
-    z3 = cyclotomic_root(QW, 1)
+    assert Field.cyclotomic(2).zeta(1) == -1
+    assert QI.zeta(2) == -1
+    z3 = QW.zeta(1)
     assert z3 ** 3 == QW.one
     assert z3 != QW.one
     # primitive root relation: 1 + z + z^2 = 0 in Q(zeta3)
     assert QW.one + z3 + z3 * z3 == QW.zero
     with pytest.raises(ValueError):
-        cyclotomic_root(Q, 1)
+        Q.zeta(1)
 
 
 def test_root_order_and_powers():
