@@ -1,10 +1,16 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
 A field is either the rationals or the extension generated by a primitive
-``order``-th root of unity, written ``z``.  Elements are rational coefficient
-vectors reduced modulo the ``order``-th cyclotomic polynomial, so equality is
-a plain componentwise comparison.  Every axiom check downstream leans on that
-canonical form.
+``order``-th root of unity, written ``z``.  An element is a vector of integer
+numerators over one positive common denominator, reduced modulo the
+``order``-th cyclotomic polynomial Φ.  The form is canonical (the denominator
+and the numerators share no factor, and zero is all zeros over 1), so
+equality is a plain componentwise comparison.  Every axiom check downstream
+leans on that canonical form.
+
+Φ is monic with integer coefficients, so a product is an integer convolution
+folded back below degree deg Φ by integer tables of z^deg … z^(2·deg−2); the
+denominators simply multiply.
 
 Text syntax (used by the document formats): rationals are ``p/q`` or ``p``;
 cyclotomic elements are polynomials in ``z`` such as ``1/2*z^3 - 1``.
@@ -14,56 +20,36 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ScalarParseError
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _INT_RE = re.compile(r"\d+")
 
 
-def _trim(poly: list[Fraction]) -> list[Fraction]:
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # exact long division; coefficient lists are low-degree first
-    rem = _trim(list(a))
-    deg_b = len(b) - 1
-    lead = b[-1]
-    if len(rem) - 1 < deg_b:
-        return [], rem
-    quot = [_ZERO] * (len(rem) - deg_b)
-    for k in range(len(rem) - deg_b - 1, -1, -1):
-        c = rem[k + deg_b] / lead
-        if c:
-            quot[k] = c
-            for i, bi in enumerate(b):
-                if bi:
-                    rem[k + i] -= c * bi
-    return _trim(quot), _trim(rem)
-
-
-_CYCLOTOMIC_CACHE: dict[int, list[Fraction]] = {}
-
-
-def _cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Coefficients of the n-th cyclotomic polynomial, low-degree first."""
-    cached = _CYCLOTOMIC_CACHE.get(n)
-    if cached is not None:
-        return cached
-    num = [_ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), _ONE
+@cache
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, low-degree first."""
+    # Φ_n = (x^n − 1) / ∏ Φ_d over the proper divisors d of n; every Φ_d is monic
+    rem = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, _cyclotomic_polynomial(d))
-            assert not rem
-    _CYCLOTOMIC_CACHE[n] = num
-    return num
+            div = _cyclotomic_polynomial(d)
+            deg = len(div) - 1
+            quot = [0] * (len(rem) - deg)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = rem[k + deg]
+                if c:
+                    for i, di in enumerate(div):
+                        rem[k + i] -= c * di
+            assert not any(rem)
+            rem = quot
+    return tuple(rem)
 
 
 class Field:
@@ -76,8 +62,8 @@ class Field:
 
     _instances: dict[tuple[str, int], "Field"] = {}
 
-    __slots__ = ("kind", "order", "degree", "_modulus", "_power_table",
-                 "_zeta_cache", "zero", "one")
+    __slots__ = ("kind", "order", "degree", "_fold", "_powers", "_zeta_cache",
+                 "zero", "one")
 
     def __init__(self):
         raise TypeError("use Field.rationals() or Field.cyclotomic(order)")
@@ -107,46 +93,63 @@ class Field:
     def _setup(self, kind: str, order: int) -> None:
         self.kind = kind
         self.order = order
-        modulus = _cyclotomic_polynomial(order)
-        self.degree = len(modulus) - 1
-        self._modulus = tuple(modulus)
-        # z^k reduced, for k = degree .. 2*degree - 2 (monic modulus)
-        table: list[tuple[Fraction, ...]] = []
-        top = [-c for c in modulus[:-1]]
-        cur = list(top)
-        table.append(tuple(cur))
-        for _ in range(self.degree - 2):
-            cur = self._shift_reduce(cur, top)
-            table.append(tuple(cur))
-        self._power_table = tuple(table)
+        self.degree = d = len(_cyclotomic_polynomial(order)) - 1
+        # z^k reduced, for k < 2*degree - 1, grown further on demand by zeta()
+        self._powers = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        for _ in range(d - 1):
+            self._grow_powers()
+        # the integer tables that fold a product's high coefficients back down
+        self._fold = tuple((k, tuple((i, t) for i, t in enumerate(self._powers[k]) if t))
+                           for k in range(d, 2 * d - 1))
         self._zeta_cache: dict[int, Scalar] = {}
-        self.zero = Scalar(self, (_ZERO,) * self.degree)
-        self.one = Scalar(self, (_ONE,) + (_ZERO,) * (self.degree - 1))
+        self.zero = _make(self, (0,) * d, 1)
+        self.one = _make(self, (1,) + (0,) * (d - 1), 1)
 
-    @staticmethod
-    def _shift_reduce(cur: list[Fraction], top: list[Fraction]) -> list[Fraction]:
-        shifted = [_ZERO] + list(cur)
-        over = shifted.pop()
+    def _grow_powers(self) -> None:
+        # z · z^k: shift up one degree, replace z^degree by its reduction
+        top = self._powers[-1]
+        shifted = [0] + list(top[:-1])
+        over = top[-1]
         if over:
-            shifted = [s + over * t for s, t in zip(shifted, top)]
-        return shifted
+            modulus = _cyclotomic_polynomial(self.order)
+            shifted = [s - over * m for s, m in zip(shifted, modulus)]
+        self._powers.append(tuple(shifted))
 
-    def _reduce(self, poly) -> tuple[Fraction, ...]:
-        # poly may have degree up to 2*degree - 2
-        out = list(poly[: self.degree])
-        out.extend([_ZERO] * (self.degree - len(out)))
-        for k in range(self.degree, len(poly)):
-            c = poly[k]
+    def _power(self, k: int) -> tuple[int, ...]:
+        """Integer coefficients of z^k, 0 <= k < order."""
+        while len(self._powers) <= k:
+            self._grow_powers()
+        return self._powers[k]
+
+    def _mul_int(self, a, b) -> tuple[int, ...]:
+        """Product of two integer coefficient vectors, reduced modulo Φ."""
+        prod = [0] * (2 * self.degree - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    if bj:
+                        prod[k] += ai * bj
+        out = prod[:self.degree]
+        for k, table in self._fold:
+            c = prod[k]
             if c:
-                tab = self._power_table[k - self.degree]
-                for i, t in enumerate(tab):
+                for i, t in table:
+                    out[i] += c * t
+        return tuple(out)
+
+    def _conjugate(self, a, k: int) -> tuple[int, ...]:
+        """The Galois conjugate z ↦ z^k of an integer coefficient vector."""
+        out = [0] * self.degree
+        for i, ai in enumerate(a):
+            if ai:
+                for j, t in enumerate(self._power(i * k % self.order)):
                     if t:
-                        out[i] += c * t
+                        out[j] += ai * t
         return tuple(out)
 
     def from_fraction(self, value) -> "Scalar":
-        fr = Fraction(value)
-        return Scalar(self, (fr,) + (_ZERO,) * (self.degree - 1))
+        fr = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _make(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
 
     def zeta(self, power: int = 1) -> "Scalar":
         """Canonical form of z^power; z has multiplicative order ``order``."""
@@ -154,15 +157,9 @@ class Field:
             raise ValueError("the rational field has no distinguished root of unity")
         k = power % self.order
         cached = self._zeta_cache.get(k)
-        if cached is not None:
-            return cached
-        top = [-c for c in self._modulus[:-1]]
-        cur = [_ONE] + [_ZERO] * (self.degree - 1)
-        for _ in range(k):
-            cur = self._shift_reduce(cur, top)
-        result = Scalar(self, tuple(cur))
-        self._zeta_cache[k] = result
-        return result
+        if cached is None:
+            cached = self._zeta_cache[k] = _make(self, self._power(k), 1)
+        return cached
 
     def parse(self, text: str) -> "Scalar":
         """Parse the scalar text syntax; raises ScalarParseError with position."""
@@ -238,18 +235,29 @@ class Field:
         return f"Field.cyclotomic({self.order})"
 
 
+
 class Scalar:
     """An exact field element in canonical reduced form.
 
     Immutable; supports the usual arithmetic operators, mixing freely with
-    ``int`` and ``Fraction``.  Elements of distinct fields never mix.
+    ``int`` and ``Fraction``.  Elements of distinct fields never mix.  The
+    value is ``sum(num[k] * z**k) / den`` with ``den > 0`` and
+    ``gcd(den, *num) == 1``.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: Field, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: Field, coeffs):
+        fracs = [Fraction(c) for c in coeffs]
+        # over the lcm of reduced denominators no common factor is left
+        den = lcm(*(f.denominator for f in fracs))
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -261,18 +269,26 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.field, tuple(map(add, self.num, o.num)), da)
+        return _make(self.field, tuple(a * db + b * da for a, b in zip(self.num, o.num)),
+                     da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _make(self.field, tuple(map(sub, self.num, o.num)), da)
+        return _make(self.field, tuple(a * db - b * da for a, b in zip(self.num, o.num)),
+                     da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -281,48 +297,38 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
         if len(a) == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        prod = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Scalar(self.field, self.field._reduce(prod))
+            return _make(self.field, (a[0] * b[0],), self.den * o.den)
+        return _make(self.field, self.field._mul_int(a, b), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar is zero")
-        if len(self.coeffs) == 1:
-            return Scalar(self.field, (1 / self.coeffs[0],))
-        # extended Euclid against the (irreducible) modulus
-        r0, s0 = list(self.field._modulus), []
-        r1, s1 = _trim(list(self.coeffs)), [_ONE]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            qs1[i + j] += qi * sj
-            s = [a - b for a, b in
-                 zip(s0 + [_ZERO] * max(0, len(qs1) - len(s0)),
-                     qs1 + [_ZERO] * max(0, len(s0) - len(qs1)))]
-            r0, s0, r1, s1 = r1, s1, r, _trim(s)
-        g = r0[0]  # gcd is a nonzero constant
-        inv = [c / g for c in s0]
-        return Scalar(self.field, self.field._reduce(inv))
+        field, num = self.field, self.num
+        if len(num) == 1:
+            n = num[0]
+            return _make(field, (self.den if n > 0 else -self.den,), abs(n))
+        # 1/a = (product of the other Galois conjugates of a) / (norm of a);
+        # the norm, a times that product, is a rational integer for integral a
+        order = field.order
+        others = None
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                conj = field._conjugate(num, k)
+                others = conj if others is None else field._mul_int(others, conj)
+        norm = field._mul_int(num, others)[0]
+        if norm < 0:
+            norm, others = -norm, tuple(-c for c in others)
+        return _make(field, tuple(self.den * c for c in others), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -355,28 +361,33 @@ class Scalar:
             other = self.field.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self) -> int:
-        return hash((self.field.order, self.coeffs))
+        # a rational value hashes like the equal int or Fraction
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __str__(self) -> str:
-        if len(self.coeffs) == 1:
-            return str(self.coeffs[0])
+        den = self.den
+        if len(self.num) == 1:
+            return _ratio(self.num[0], den)
         terms: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(self.num) - 1, -1, -1):
+            c = self.num[k]
             if not c:
                 continue
-            mag = -c if c < 0 else c
+            mag = _ratio(abs(c), den)
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "z" if k == 1 else f"z^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             if not terms:
                 terms.append(body if c > 0 else "-" + body)
             else:
@@ -386,3 +397,23 @@ class Scalar:
     def __repr__(self) -> str:
         return f"<{self} over {self.field!r}>"
 
+
+_object_new = object.__new__
+
+
+def _make(field: Field, num: tuple[int, ...], den: int) -> Scalar:
+    """The scalar num / den in canonical form; den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    s = _object_new(Scalar)
+    s.field, s.num, s.den = field, num, den
+    return s
+
+
+def _ratio(n: int, d: int) -> str:
+    """The text of the reduced fraction n/d, as ``str(Fraction(n, d))``."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,9 @@ from dualquasi import Field, Scalar, ScalarParseError
 Q = Field.rationals()
 QI = Field.cyclotomic(4)
 QW = Field.cyclotomic(3)
+# Φ₅ and Φ₁₂ are not binomials; Φ₈ = z⁴ + 1 is
+Q5, Q8, Q12 = Field.cyclotomic(5), Field.cyclotomic(8), Field.cyclotomic(12)
+WIDE = [Q5, Q8, Q12]
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -39,6 +44,77 @@ def test_field_axioms(field, strategy):
             assert a / a == field.one
 
     run()
+
+
+def assert_canonical(s: Scalar) -> Scalar:
+    """Integer numerators over a positive denominator sharing no factor with
+    them; so zero is all zeros over 1."""
+    assert type(s.den) is int and s.den > 0
+    assert len(s.num) == s.field.degree
+    assert all(type(c) is int for c in s.num)
+    assert gcd(s.den, *s.num) == 1
+    return s
+
+
+@pytest.mark.parametrize("field", WIDE, ids=["Q(zeta5)", "Q(zeta8)", "Q(zeta12)"])
+def test_field_axioms_wide_canonical(field):
+    strategy = cyclotomic_scalars(field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategy, strategy, strategy)
+    def run(a, b, c):
+        for s in (a, b, c):
+            assert_canonical(s)
+        ab, bc = assert_canonical(a * b), assert_canonical(b * c)
+        assert assert_canonical(ab * c) == assert_canonical(a * bc)
+        assert (assert_canonical(a * assert_canonical(b + c))
+                == assert_canonical(ab + assert_canonical(a * c)))
+        assert assert_canonical(a - b) == -assert_canonical(b - a)
+        assert assert_canonical(a - a) == field.zero
+        assert ab == assert_canonical(b * a)
+        assert assert_canonical(a * 2) == a + a
+        assert assert_canonical(a / 3) * 3 == a
+        if a:
+            inv = assert_canonical(a.inverse())
+            assert assert_canonical(a * inv) == field.one
+            assert assert_canonical(b / a) * a == b
+
+    run()
+
+
+def _sympy_poly(s: Scalar, x):
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                          for k, c in enumerate(s.coeffs)), x, domain="QQ")
+
+
+@pytest.mark.parametrize("field", WIDE, ids=["Q(zeta5)", "Q(zeta8)", "Q(zeta12)"])
+def test_arithmetic_matches_sympy(field):
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(field.order, x), x, domain="QQ")
+    strategy = cyclotomic_scalars(field)
+
+    @settings(max_examples=25, deadline=None)
+    @given(strategy, strategy)
+    def run(a, b):
+        pa, pb = _sympy_poly(a, x), _sympy_poly(b, x)
+        assert _sympy_poly(a * b, x) == (pa * pb).rem(phi)
+        assert _sympy_poly(a - b, x) == pa - pb
+        if a:
+            assert _sympy_poly(a.inverse(), x) == sympy.invert(pa, phi)
+
+    run()
+
+
+def test_canonical_form_examples():
+    half = Scalar(Q8, (Fraction(1, 2), Fraction(-3, 4), 0, 1))
+    assert (half.num, half.den) == ((2, -3, 0, 4), 4)
+    assert half.coeffs == (Fraction(1, 2), Fraction(-3, 4), 0, 1)
+    assert (Q8.zero.num, Q8.zero.den) == ((0, 0, 0, 0), 1)
+    assert_canonical(half - half)
+    assert (half - half).den == 1
+    assert (Q.from_fraction(Fraction(6, -4)).num, Q.from_fraction(Fraction(6, -4)).den) \
+        == ((-3,), 2)
+    assert Q.from_fraction(-3).inverse().coeffs == (Fraction(-1, 3),)
 
 
 def test_cyclotomic_root_examples():
@@ -139,3 +215,24 @@ def test_cross_field_arithmetic_rejected():
 def test_str_round_trip_random_qi(coeffs):
     value = Scalar(QI, coeffs)
     assert QI.parse(str(value)) == value
+
+
+@pytest.mark.parametrize("field", WIDE, ids=["Q(zeta5)", "Q(zeta8)", "Q(zeta12)"])
+def test_str_round_trip_random_wide(field):
+    @settings(max_examples=40, deadline=None)
+    @given(cyclotomic_scalars(field))
+    def run(value):
+        assert field.parse(str(value)) == value
+
+    run()
+
+
+@pytest.mark.parametrize("field", [Q, QI, Q8], ids=["Q", "Q(i)", "Q(zeta8)"])
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_equal_values_hash_equal(field, value):
+    s = field.from_fraction(value)
+    same = Scalar(field, (value,) + (0,) * (field.degree - 1))
+    for other in (value, Fraction(value), same, field.parse(str(value))):
+        assert s == other and hash(s) == hash(other)
+    assert {value: 1}.get(s) == 1
+    assert len({s, value, Fraction(value)}) == 1
