@@ -53,14 +53,20 @@ def terms_equal(lhs: dict, rhs: dict) -> bool:
 
 
 def format_terms(terms: dict) -> str:
-    """Deterministic rendering of a sparse vector keyed by basis multi-indices."""
+    """Deterministic rendering of a sparse vector keyed by basis multi-indices.
+
+    A coefficient of more than one term is parenthesized: ``(z + 5)*e(0)``.
+    """
     nonzero = sorted(clean_terms(terms).items())
     if not nonzero:
         return "0"
     parts = []
     for key, value in nonzero:
         idx = ",".join(str(k) for k in key)
-        parts.append(f"{value}*e({idx})")
+        coef = str(value)
+        if " " in coef:  # scalar text joins its terms with " + " or " - "
+            coef = f"({coef})"
+        parts.append(f"{coef}*e({idx})")
     return " + ".join(parts)
 
 

@@ -327,8 +327,8 @@ EXPECTED = {
         '{"axiom": "preantipode-right-coaction", "pass": false, "witness": [2], "lhs": "5*e(0,2) + z*e(1,0)", "rhs": "5*e(0,0) + z*e(1,0)"}',
         '{"axiom": "preantipode-left-coaction", "pass": false, "witness": [2], "lhs": "z*e(0,1) + 5*e(2,0)", "rhs": "5*e(0,0) + z*e(0,1)"}',
         '{"axiom": "preantipode-reassociator-counit", "pass": false, "witness": [2], "lhs": "6", "rhs": "1"}',
-        '{"axiom": "preantipode-counit-left", "pass": false, "witness": [2], "lhs": "z*e(0) + 5*e(2)", "rhs": "z + 5*e(0)"}',
-        '{"axiom": "preantipode-counit-right", "pass": false, "witness": [2], "lhs": "z*e(0) + 5*e(2)", "rhs": "z + 5*e(0)"}',
+        '{"axiom": "preantipode-counit-left", "pass": false, "witness": [2], "lhs": "z*e(0) + 5*e(2)", "rhs": "(z + 5)*e(0)"}',
+        '{"axiom": "preantipode-counit-right", "pass": false, "witness": [2], "lhs": "z*e(0) + 5*e(2)", "rhs": "(z + 5)*e(0)"}',
     ],
     'preantipode_entry_sweedler': [
         '{"axiom": "preantipode-right-coaction", "pass": false, "witness": [3], "lhs": "4*e(1,2) + 5*e(2,0)", "rhs": "5*e(2,0)"}',
@@ -338,9 +338,9 @@ EXPECTED = {
         '{"axiom": "preantipode-counit-right", "pass": false, "witness": [3], "lhs": "-4*e(3)", "rhs": "0"}',
     ],
     'antipode_s': [
-        '{"axiom": "antipode-comultiplication", "pass": false, "witness": [2], "lhs": "z*e(1,1)", "rhs": "-z - 1*e(1,1)"}',
+        '{"axiom": "antipode-comultiplication", "pass": false, "witness": [2], "lhs": "z*e(1,1)", "rhs": "(-z - 1)*e(1,1)"}',
         '{"axiom": "antipode-counit", "pass": false, "witness": [2], "lhs": "z", "rhs": "1"}',
-        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [2], "lhs": "-z - 1*e(0)", "rhs": "z*e(0)"}',
+        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [2], "lhs": "(-z - 1)*e(0)", "rhs": "z*e(0)"}',
         '{"axiom": "antipode-right-contraction", "pass": false, "witness": [2], "lhs": "z*e(0)", "rhs": "1*e(0)"}',
         '{"axiom": "antipode-reassociator", "pass": false, "witness": [2], "lhs": "z", "rhs": "1"}',
         '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [2], "lhs": "-z - 1", "rhs": "1"}',
@@ -372,7 +372,7 @@ EXPECTED = {
     'antipode_rescaled': [
         '{"axiom": "antipode-comultiplication", "pass": false, "witness": [1], "lhs": "2*e(2,2)", "rhs": "4*e(2,2)"}',
         '{"axiom": "antipode-counit", "pass": false, "witness": [1], "lhs": "2", "rhs": "1"}',
-        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [1], "lhs": "-z - 1*e(0)", "rhs": "-1/2*z - 1/2*e(0)"}',
+        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [1], "lhs": "(-z - 1)*e(0)", "rhs": "(-1/2*z - 1/2)*e(0)"}',
         '{"axiom": "antipode-right-contraction", "pass": false, "witness": [1], "lhs": "2*e(0)", "rhs": "1*e(0)"}',
         '{"axiom": "antipode-reassociator", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [1], "lhs": "2", "rhs": "1"}',
