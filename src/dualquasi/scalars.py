@@ -235,7 +235,6 @@ class Field:
         return f"Field.cyclotomic({self.order})"
 
 
-
 class Scalar:
     """An exact field element in canonical reduced form.
 
@@ -317,8 +316,8 @@ class Scalar:
         if len(num) == 1:
             n = num[0]
             return _make(field, (self.den if n > 0 else -self.den,), abs(n))
-        # 1/a = (product of the other Galois conjugates of a) / (norm of a);
-        # the norm, a times that product, is a rational integer for integral a
+        # 1/num = (product of the other Galois conjugates of num) / (norm of
+        # num), an integer for integer num; the value is num/den, so scale by den
         order = field.order
         others = None
         for k in range(2, order):
