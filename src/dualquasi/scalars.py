@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import compress, count
 from math import gcd, lcm
 from operator import add, sub
 
@@ -62,7 +63,7 @@ class Field:
 
     _instances: dict[tuple[str, int], "Field"] = {}
 
-    __slots__ = ("kind", "order", "degree", "_fold", "_powers", "_zeta_cache",
+    __slots__ = ("kind", "order", "degree", "_fold", "_high_powers", "_zeta_cache",
                  "zero", "one")
 
     def __init__(self):
@@ -93,33 +94,38 @@ class Field:
     def _setup(self, kind: str, order: int) -> None:
         self.kind = kind
         self.order = order
-        self.degree = d = len(_cyclotomic_polynomial(order)) - 1
-        # z^k reduced, for k < 2*degree - 1, grown further on demand by zeta()
-        self._powers = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-        for _ in range(d - 1):
+        modulus = _cyclotomic_polynomial(order)
+        self.degree = d = len(modulus) - 1
+        # z^(degree + j) reduced, at index j; Φ is monic, so z^degree is minus
+        # the lower terms of Φ
+        self._high_powers = [tuple(-c for c in modulus[:-1])]
+        for _ in range(d - 2):
             self._grow_powers()
-        # the integer tables that fold a product's high coefficients back down
-        self._fold = tuple((k, tuple((i, t) for i, t in enumerate(self._powers[k]) if t))
-                           for k in range(d, 2 * d - 1))
+        # the integer tables that fold a product's coefficients of z^degree …
+        # z^(2*degree − 2) back down, as (index, value) pairs of nonzeros
+        self._fold = tuple(tuple(zip(compress(count(), v), filter(None, v)))
+                           for v in self._high_powers[:d - 1])
         self._zeta_cache: dict[int, Scalar] = {}
         self.zero = _make(self, (0,) * d, 1)
         self.one = _make(self, (1,) + (0,) * (d - 1), 1)
 
     def _grow_powers(self) -> None:
         # z · z^k: shift up one degree, replace z^degree by its reduction
-        top = self._powers[-1]
-        shifted = [0] + list(top[:-1])
+        top = self._high_powers[-1]
         over = top[-1]
+        shifted = (0,) + top[:-1]
         if over:
-            modulus = _cyclotomic_polynomial(self.order)
-            shifted = [s - over * m for s, m in zip(shifted, modulus)]
-        self._powers.append(tuple(shifted))
+            shifted = tuple(s + over * t for s, t in zip(shifted, self._high_powers[0]))
+        self._high_powers.append(shifted)
 
     def _power(self, k: int) -> tuple[int, ...]:
         """Integer coefficients of z^k, 0 <= k < order."""
-        while len(self._powers) <= k:
+        d = self.degree
+        if k < d:
+            return (0,) * k + (1,) + (0,) * (d - 1 - k)
+        while len(self._high_powers) <= k - d:
             self._grow_powers()
-        return self._powers[k]
+        return self._high_powers[k - d]
 
     def _mul_int(self, a, b) -> tuple[int, ...]:
         """Product of two integer coefficient vectors, reduced modulo Φ."""
@@ -130,8 +136,7 @@ class Field:
                     if bj:
                         prod[k] += ai * bj
         out = prod[:self.degree]
-        for k, table in self._fold:
-            c = prod[k]
+        for c, table in zip(prod[self.degree:], self._fold):
             if c:
                 for i, t in table:
                     out[i] += c * t
