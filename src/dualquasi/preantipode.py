@@ -80,46 +80,66 @@ def _require_square(H: DualQuasiBialgebra, S: Matrix) -> None:
         raise DimensionMismatch("S lives over a different field than H")
 
 
-# -- preantipode axiom evaluation ------------------------------------------------
+# -- the defining identities as linear forms in S ---------------------------------
+#
+# At x = e_p each defining identity is a pair of forms (lhs, rhs).  A form maps
+# an output key to {(q, b): coefficient of S[q][b]}, with any constant term
+# under None; the key () stands for the ground field.
 
 
-def _right_coaction_sides(H, S, p):
-    """S(x₂)₁ ⊗ x₁S(x₂)₂  vs  S(x)⊗1_H, both in H⊗H, for x = e_p."""
+def _put(form: dict, key, col, c) -> None:
+    _add(form.setdefault(key, {}), col, c)
+
+
+def _coaction_forms(H, p, right: bool = True):
+    """For x = e_p, in H⊗H: S(x₂)₁ ⊗ x₁S(x₂)₂  vs  S(x)⊗1_H (right), or
+    S(x₁)₁x₂ ⊗ S(x₁)₂  vs  1_H⊗S(x) (left)."""
     lhs: dict = {}
     rhs: dict = {}
     for a, b, c0 in H.delta_terms(p):
-        for q, sq in S.column_terms(b):
+        for q in range(H.dim):
             for q1, q2, c1 in H.delta_terms(q):
-                for w, c2 in H.mul_terms(a, q2):
-                    _add(lhs, (q1, w), c0 * sq * c1 * c2)
-    for q, sq in S.column_terms(p):
+                if right:
+                    for w, c2 in H.mul_terms(a, q2):
+                        _put(lhs, (q1, w), (q, b), c0 * c1 * c2)
+                else:
+                    for w, c2 in H.mul_terms(q1, b):
+                        _put(lhs, (w, q2), (q, a), c0 * c1 * c2)
+    for q in range(H.dim):
         for u, cu in H.unit_terms():
-            _add(rhs, (q, u), sq * cu)
+            _put(rhs, (q, u) if right else (u, q), (q, p), cu)
     return lhs, rhs
 
 
-def _left_coaction_sides(H, S, p):
-    """S(x₁)₁x₂ ⊗ S(x₁)₂  vs  1_H⊗S(x), both in H⊗H, for x = e_p."""
-    lhs: dict = {}
-    rhs: dict = {}
-    for a, b, c0 in H.delta_terms(p):
-        for q, sq in S.column_terms(a):
-            for q1, q2, c1 in H.delta_terms(q):
-                for w, c2 in H.mul_terms(q1, b):
-                    _add(lhs, (w, q2), c0 * sq * c1 * c2)
-    for q, sq in S.column_terms(p):
-        for u, cu in H.unit_terms():
-            _add(rhs, (u, q), sq * cu)
-    return lhs, rhs
-
-
-def _counit_sides(H, S, p):
-    """ω(x₁ ⊗ S(x₂) ⊗ x₃)  vs  ε(x), for x = e_p."""
-    acc = H.field.zero
+def _counit_forms(H, p):
+    """ω(x₁ ⊗ S(x₂) ⊗ x₃)  vs  ε(x), for x = e_p.  The key () is there even
+    when ω gives no term in S, so the solver then still states 0 = ε(x)."""
+    lhs: dict = {(): {}}
     for (a, b, c), c0 in H.delta_power(p, 3):
-        for q, sq in S.column_terms(b):
-            acc = acc + c0 * sq * H.omega_at(a, q, c)
-    return acc, H.eps(p)
+        for q in range(H.dim):
+            w = H.omega_at(a, q, c)
+            if w:
+                _add(lhs[()], (q, b), c0 * w)
+    return lhs, {(): {None: H.eps(p)}}
+
+
+_DEFINING = (
+    ("preantipode-right-coaction", _coaction_forms),
+    ("preantipode-left-coaction", partial(_coaction_forms, right=False)),
+    ("preantipode-reassociator-counit", _counit_forms),
+)
+
+
+def _form_sides(H, S, forms, p):
+    """Both sides of a defining identity at x = e_p, evaluated on S: sparse
+    vectors, or scalars under the key ()."""
+    one, zero = H.field.one, H.field.zero
+
+    def value(coeffs):
+        return sum((c * (one if col is None else S[col]) for col, c in coeffs.items()), zero)
+
+    lhs, rhs = ({key: value(coeffs) for key, coeffs in form.items()} for form in forms(H, p))
+    return (lhs[()], rhs[()]) if () in rhs else (lhs, rhs)
 
 
 def _counit_scalar(H, S, i) -> Scalar:
@@ -156,13 +176,9 @@ def check_preantipode(H: DualQuasiBialgebra, S: Matrix) -> Report:
     derived scalar compatibilities, on every basis element of H."""
     _require_square(H, S)
     n = H.dim
-    return Report((
-        check_identity("preantipode-right-coaction", basis_tuples(n),
-                       partial(_right_coaction_sides, H, S)),
-        check_identity("preantipode-left-coaction", basis_tuples(n),
-                       partial(_left_coaction_sides, H, S)),
-        check_identity("preantipode-reassociator-counit", basis_tuples(n),
-                       partial(_counit_sides, H, S)),
+    return Report(tuple(
+        check_identity(axiom, basis_tuples(n), partial(_form_sides, H, S, forms))
+        for axiom, forms in _DEFINING) + (
         check_identity("preantipode-counit-left", basis_tuples(n),
                        partial(_scalar_compat_sides, H, S, True)),
         check_identity("preantipode-counit-right", basis_tuples(n),
@@ -173,41 +189,22 @@ def check_preantipode(H: DualQuasiBialgebra, S: Matrix) -> Report:
 def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:
     """The full affine set of preantipodes of H, or None when empty.
 
-    Stacks the three defining identities into one exact linear system in the
-    n² entries of S (unknown S[i][j] at position i·n+j) and solves it; the
-    kernel dimension is returned as data, never assumed to vanish.
+    Every key of every defining identity gives the row lhs − rhs = 0 of one
+    exact linear system in the n² entries of S (unknown S[u][v] at column
+    u·n+v); the kernel dimension is returned as data, never assumed to vanish.
     """
-    n = H.dim
-    field = H.field
-    zero = field.zero
-
-    def residual(S: Matrix) -> list[Scalar]:
-        out: list[Scalar] = []
-        for p in range(n):
-            lhs, rhs = _right_coaction_sides(H, S, p)
-            for i in range(n):
-                for j in range(n):
-                    out.append(lhs.get((i, j), zero) - rhs.get((i, j), zero))
-            lhs, rhs = _left_coaction_sides(H, S, p)
-            for i in range(n):
-                for j in range(n):
-                    out.append(lhs.get((i, j), zero) - rhs.get((i, j), zero))
-            lhs_s, rhs_s = _counit_sides(H, S, p)
-            out.append(lhs_s - rhs_s)
-        return out
-
-    base = residual(Matrix.zeros(field, n, n))
-    nrows = len(base)
-    columns = []
-    for u in range(n):
-        for v in range(n):
-            entries = [zero] * (n * n)
-            entries[u * n + v] = field.one
-            col = residual(Matrix(field, n, n, entries))
-            columns.append([a - b for a, b in zip(col, base)])
-    A = Matrix(field, nrows, n * n,
-               [columns[c][r] for r in range(nrows) for c in range(n * n)])
-    sol = solve_affine(A, [-b for b in base])
+    n, field = H.dim, H.field
+    terms, b = [], []
+    for p in range(n):
+        for _, forms in _DEFINING:
+            lhs, rhs = forms(H, p)
+            for key in {**lhs, **rhs}:
+                row = dict(lhs.get(key, {}))
+                for col, c in rhs.get(key, {}).items():
+                    _add(row, col, -c)
+                b.append(-row.pop(None, field.zero))
+                terms.extend((len(b) - 1, u * n + v, c) for (u, v), c in row.items())
+    sol = solve_affine(Matrix.from_terms(field, len(b), n * n, terms), b)
     if sol is None:
         return None
     particular = Matrix(field, n, n, list(sol.particular))

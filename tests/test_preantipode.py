@@ -112,6 +112,18 @@ def test_trivial_algebra_has_identity_preantipode():
     assert family.kernel_dimension == 0
 
 
+def test_zero_reassociator_has_no_preantipode():
+    # with ω = 0 the reassociator-counit identity reads 0 = ε(x), which no S
+    # satisfies; the two coaction identities alone would admit S = 0
+    from dualquasi import DualQuasiBialgebra
+    H = example("cyclic_2_r0").dqb
+    zero = Matrix.zeros(Q, 1, 8)
+    H0 = DualQuasiBialgebra(Q, 2, H.delta, H.counit, H.mul, H.unit, zero, zero)
+    assert solve_preantipode(H0) is None
+    report = check_preantipode(H0, Matrix.zeros(Q, 2, 2))
+    assert [c.axiom for c in report.failures] == ["preantipode-reassociator-counit"]
+
+
 def test_solver_agrees_with_independent_parametric_oracle():
     # exhaustive symbolic substitution into the grouplike equations (sympy)
     for name in ("cyclic_2_r0", "cyclic_2_r1"):
