@@ -18,11 +18,12 @@ from a left comodule first installs the trivial right coaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .dqb import DualQuasiBialgebra, _add
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Matrix, kernel, rank, solve_affine
+from .linalg import Matrix, _rref, kernel, rank
 from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Scalar
 
@@ -104,10 +105,33 @@ class Subspace:
     def rank(self) -> int:
         return self.basis.cols
 
+    @cached_property
+    def _elimination(self) -> tuple[list[int], list[int], list[list[Scalar]]]:
+        """Rows I of the basis that span its row space, the pivot columns J,
+        and the inverse of the block basis[I, J]; computed once per subspace."""
+        B = self.basis
+        rows = _rref([B.column_list(j) for j in range(B.cols)], B.rows, B.field)
+        ident = Matrix.identity(B.field, len(rows))
+        block = [B.row_list(i) + ident.row_list(t) for t, i in enumerate(rows)]
+        cols = _rref(block, B.cols + len(rows), B.field)
+        return rows, cols, [row[B.cols:] for row in block]
+
     def coordinates(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-        """Coordinates of a vector in this basis, or None if it lies outside."""
-        sol = solve_affine(self.basis, list(vector))
-        return None if sol is None else sol.particular
+        """Coordinates of a vector in this basis, or None if it lies outside.
+
+        The free coordinates of a dependent basis are zero."""
+        B = self.basis
+        if len(vector) != B.rows:
+            raise DimensionMismatch(f"vector has {len(vector)} entries, ambient {B.rows}")
+        rows, cols, inv = self._elimination
+        zero = B.field.zero
+        coords = [zero] * B.cols
+        for j, inv_row in zip(cols, inv):
+            coords[j] = sum((e * vector[i] for e, i in zip(inv_row, rows) if e), zero)
+        for terms, target in zip(B._get_row_terms(), vector):
+            if sum((v * coords[j] for j, v in terms), zero) != target:
+                return None
+        return tuple(coords)
 
 
 # -- sparse structure-constant views ------------------------------------------

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 from dualquasi import (Bicomodule, DualQuasiBialgebra, Field,
-                       HopfBicomodule, LeftComodule, Matrix,
+                       HopfBicomodule, LeftComodule, Matrix, Subspace,
                        adjunction_counit, adjunction_unit, coinvariants,
                        free_hopf_bicomodule, hhat, induce_bicomodule, rank,
                        regular_bicomodule, trivial_left_coaction,
@@ -172,6 +173,22 @@ def test_coinvariants_of_hhat_are_inverse_pairs():
             column = coinv.basis.column_list(col)
             assert [str(v) for v in column] == \
                 ["1" if i == flat else "0" for i in range(n * n)]
+
+
+def test_subspace_coordinates_in_a_general_basis():
+    # basis columns (1, 2, 0, 1) and (0, 1, 3, 1/2): no identity block anywhere
+    q = Q.from_fraction
+    basis = Matrix.from_rows(Q, [[q(1), q(0)], [q(2), q(1)],
+                                 [q(0), q(3)], [q(1), q(Fraction(1, 2))]])
+    V = Subspace(4, basis)
+    # 3·b₀ − 2·b₁ = (3, 4, −6, 2)
+    assert V.coordinates([q(3), q(4), q(-6), q(2)]) == (q(3), q(-2))
+    assert V.coordinates([Q.zero] * 4) == (Q.zero, Q.zero)
+    # agrees with the first three entries but not with the fourth
+    assert V.coordinates([q(3), q(4), q(-6), q(3)]) is None
+    assert V.coordinates([q(0), q(0), q(0), q(1)]) is None
+    # the elimination is made once and reused
+    assert V._elimination is V._elimination
 
 
 def test_coinvariants_of_shifted_coaction_vanish():
