@@ -66,6 +66,7 @@ class DualQuasiBialgebra:
         self._mul_table = tuple(tuple(mul.column_terms(c)) for c in range(n * n))
         self._unit_terms = tuple(unit.column_terms(0))
         self._delta_powers: dict[tuple[int, int], tuple] = {}
+        self._split_tables: dict[int, tuple] = {}
         self._counit_powers: dict[int, Matrix] = {}
         if omega_inv is None:
             omega_inv = convolution_inverse(self, omega, arity=3)
@@ -100,6 +101,23 @@ class DualQuasiBialgebra:
                     result.append((tup[:-1] + (a, b), c * c2))
             result = tuple(result)
         self._delta_powers[key] = result
+        return result
+
+    def split_table(self, k: int):
+        """Per flat index of H^⊗k: terms (left_flat, right_flat, c) of its
+        codiagonal comultiplication, with Δ applied factorwise."""
+        cached = self._split_tables.get(k)
+        if cached is not None:
+            return cached
+        if k == 0:
+            result = (((0, 0, self.field.one),),)
+        else:
+            n = self.dim
+            result = tuple(
+                tuple((lf * n + a, rf * n + b, c * c2)
+                      for lf, rf, c in head for a, b, c2 in self._delta_terms[last])
+                for head in self.split_table(k - 1) for last in range(n))
+        self._split_tables[k] = result
         return result
 
     def mul_terms(self, a: int, b: int):
@@ -161,18 +179,6 @@ def _functional_arity(H: DualQuasiBialgebra, f: Matrix, arity: int | None) -> in
     return k
 
 
-def _split_terms(H: DualQuasiBialgebra, idx: tuple[int, ...]):
-    """Codiagonal comultiplication of a basis vector of H^⊗k.
-
-    Yields (left_tuple, right_tuple, coeff) with Δ applied factorwise."""
-    if not idx:
-        yield (), (), H.field.one
-        return
-    for a, b, c in H.delta_terms(idx[0]):
-        for ra, rb, rc in _split_terms(H, idx[1:]):
-            yield (a,) + ra, (b,) + rb, c * rc
-
-
 def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
                 arity: int | None = None) -> Matrix:
     """Convolution f∗g of functionals on a common tensor power of H.
@@ -183,21 +189,19 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     k = _functional_arity(H, f, arity)
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
-    n = H.dim
     zero = H.field.zero
-    out = [zero] * (n ** k)
-    for flat in range(n ** k):
-        idx = tensor_unindex(flat, n, k)
+    out = []
+    for terms in H.split_table(k):
         acc = zero
-        for a_tup, b_tup, c in _split_terms(H, idx):
-            fv = f.entries[tensor_index(a_tup, n)]
+        for lf, rf, c in terms:
+            fv = f.entries[lf]
             if not fv:
                 continue
-            gv = g.entries[tensor_index(b_tup, n)]
+            gv = g.entries[rf]
             if not gv:
                 continue
             acc = acc + fv * gv * c
-        out[flat] = acc
+        out.append(acc)
     return Matrix.row_vector(H.field, out)
 
 
@@ -214,15 +218,11 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
     N = n ** k
     zero = H.field.zero
     rows = [[zero] * N for _ in range(N)]
-    for flat in range(N):
-        idx = tensor_unindex(flat, n, k)
-        row = rows[flat]
-        for a_tup, b_tup, c in _split_terms(H, idx):
-            fv = f.entries[tensor_index(a_tup, n)]
-            if not fv:
-                continue
-            col = tensor_index(b_tup, n)
-            row[col] = row[col] + fv * c
+    for row, terms in zip(rows, H.split_table(k)):
+        for lf, rf, c in terms:
+            fv = f.entries[lf]
+            if fv:
+                row[rf] = row[rf] + fv * c
     eps_k = H.counit_power(k)
     sol = solve_affine(Matrix.from_rows(H.field, rows), list(eps_k.entries))
     if sol is None:
