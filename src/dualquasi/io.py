@@ -36,6 +36,9 @@ from .report import Report
 from .scalars import Field, Scalar
 
 FORMAT_VERSION = 1
+# Field set-up builds tables quadratic in the degree φ(order), so a document
+# may not declare a larger order than this.
+MAX_FIELD_ORDER = 1024
 
 
 # -- primitive readers -----------------------------------------------------------
@@ -77,6 +80,9 @@ def _field_from_doc(doc: dict, location: str) -> Field:
         order = _require(fdoc, "order", int, f"{location}.field")
         if order < 1:
             raise DocumentError(f"order must be positive, got {order}",
+                                f"{location}.field.order")
+        if order > MAX_FIELD_ORDER:
+            raise DocumentError(f"order must be at most {MAX_FIELD_ORDER}, got {order}",
                                 f"{location}.field.order")
         return Field.cyclotomic(order)
     raise DocumentError(f"unknown field kind {kind!r}", f"{location}.field.kind")

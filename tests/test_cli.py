@@ -196,6 +196,17 @@ def test_boolean_dim_exit_code(workspace):
         assert err == "error: dqb.dim: key 'dim' has the wrong type\n"
 
 
+def test_oversized_field_order_exit_code(workspace):
+    doc = json.loads((workspace / "cyclic_2_r1.dqb.json").read_text())
+    doc["field"] = {"kind": "cyclotomic", "order": 100000}
+    bad = workspace / "bigorder.dqb.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("verify", "solve-preantipode"):
+        rc, out, err = run_cli(command, str(bad))
+        assert (rc, out) == (2, "")
+        assert err == "error: dqb.field.order: order must be at most 1024, got 100000\n"
+
+
 def test_structure_theorem_on_induced_module_file(workspace, tmp_path):
     import random
     from dualquasi import induce_bicomodule

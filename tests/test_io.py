@@ -4,9 +4,10 @@ import pytest
 
 from dualquasi import Check, DocumentError, Report, hhat, validate_dqb
 from dualquasi.groups import cyclic_group_example
-from dualquasi.io import (dump_antipode, dump_bicomodule, dump_dqb,
-                          dump_preantipode, load_antipode, load_bicomodule,
-                          load_dqb, load_preantipode, serialize_report)
+from dualquasi.io import (MAX_FIELD_ORDER, dump_antipode, dump_bicomodule,
+                          dump_dqb, dump_preantipode, load_antipode,
+                          load_bicomodule, load_dqb, load_preantipode,
+                          serialize_report)
 
 from helpers import bundled_examples, control_bialgebra
 
@@ -88,6 +89,17 @@ def test_unknown_field_kind_rejected():
         load_dqb('{"version":1,"field":{"kind":"real"},"dim":1,"delta":[],'
                  '"counit":["1"],"mul":[],"unit":["1"],"omega":[]}')
     assert "unknown field kind" in str(err.value)
+
+
+def test_oversized_field_order_rejected():
+    doc = json.loads(dump_dqb(bundled_examples()[0].dqb))
+    doc["field"] = {"kind": "cyclotomic", "order": MAX_FIELD_ORDER + 1}
+    with pytest.raises(DocumentError) as err:
+        load_dqb(json.dumps(doc))
+    assert err.value.location == "dqb.field.order"
+    assert str(err.value) == "dqb.field.order: order must be at most 1024, got 1025"
+    doc["field"]["order"] = MAX_FIELD_ORDER
+    assert load_dqb(json.dumps(doc)).field.order == 1024
 
 
 def test_version_checked():
