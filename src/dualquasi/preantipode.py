@@ -136,9 +136,11 @@ def _form_sides(H, S, forms, p):
     one, zero = H.field.one, H.field.zero
 
     def value(coeffs):
-        return sum((c * (one if col is None else S[col]) for col, c in coeffs.items()), zero)
+        return sum((c * (one if col is None else S[col]) for col, c in coeffs.items()),
+                   zero)
 
-    lhs, rhs = ({key: value(coeffs) for key, coeffs in form.items()} for form in forms(H, p))
+    lhs, rhs = ({key: value(coeffs) for key, coeffs in form.items()}
+                for form in forms(H, p))
     return (lhs[()], rhs[()]) if () in rhs else (lhs, rhs)
 
 
