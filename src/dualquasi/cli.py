@@ -20,7 +20,7 @@ from .io import (dump_antipode, dump_dqb, dump_preantipode, load_antipode,
                  load_bicomodule, load_dqb, load_preantipode, serialize_report)
 from .linalg import rank
 from .preantipode import (check_antipode, check_preantipode,
-                          preantipode_from_antipode, retraction_report,
+                          preantipode_with_report, retraction_report,
                           solve_preantipode)
 from .report import Check, Report
 
@@ -115,8 +115,7 @@ def cmd_from_antipode(args) -> int:
     if not rep_a.ok:
         print(serialize_report(rep_a, args.report))
         return 1
-    S = preantipode_from_antipode(H, data)
-    rep_s = check_preantipode(H, S)
+    S, rep_s = preantipode_with_report(H, data)
     print(serialize_report(rep_s, args.report))
     doc = dump_preantipode(S)
     if args.report == "text":

@@ -128,7 +128,7 @@ class Subspace:
         coords = [zero] * B.cols
         for j, inv_row in zip(cols, inv):
             coords[j] = sum((e * vector[i] for e, i in zip(inv_row, rows) if e), zero)
-        for terms, target in zip(B._get_row_terms(), vector):
+        for terms, target in zip(map(B.row_terms, range(B.rows)), vector):
             if sum((v * coords[j] for j, v in terms), zero) != target:
                 return None
         return tuple(coords)
@@ -364,26 +364,22 @@ def free_hopf_bicomodule(H: DualQuasiBialgebra, M: Bicomodule) -> HopfBicomodule
     _require_valid_coactions(H, M)
     d, n = M.dim, H.dim
     D = d * n
-    zero = H.field.zero
     lt = _left_terms(M.rho_l, d)
     rt = _right_terms(M.rho_r, d, n)
 
-    rho_l = [zero] * (n * D * D)
-    rho_r = [zero] * (D * n * D)
-    act = [zero] * (D * D * n)
+    # (row, column, value) terms; equal positions add up in from_terms
+    rho_l, rho_r, act = [], [], []
     for i in range(d):
         for a in range(n):
             col = i * n + a
             for x, j, c1 in lt[i]:
                 for (a1, a2), c2 in H.delta_power(a, 2):
                     for y, c3 in H.mul_terms(x, a1):
-                        row = y * D + (j * n + a2)
-                        rho_l[row * D + col] = rho_l[row * D + col] + c1 * c2 * c3
+                        rho_l.append((y * D + (j * n + a2), col, c1 * c2 * c3))
             for j, b, c1 in rt[i]:
                 for (a1, a2), c2 in H.delta_power(a, 2):
                     for y, c3 in H.mul_terms(b, a2):
-                        row = (j * n + a1) * n + y
-                        rho_r[row * D + col] = rho_r[row * D + col] + c1 * c2 * c3
+                        rho_r.append(((j * n + a1) * n + y, col, c1 * c2 * c3))
     sweedlers = [_sweedler(H, lt, rt, i, 1, 1) for i in range(d)]
     for i in range(d):
         for a in range(n):
@@ -401,36 +397,23 @@ def free_hopf_bicomodule(H: DualQuasiBialgebra, M: Bicomodule) -> HopfBicomodule
                                 continue
                             coeff = c * ca * cl * w * w2
                             for t, cm in H.mul_terms(atup[1], ltup2[1]):
-                                row = j * n + t
-                                act[row * D * n + col] = act[row * D * n + col] + coeff * cm
+                                act.append((j * n + t, col, coeff * cm))
     return HopfBicomodule(
         D,
-        Matrix(H.field, n * D, D, rho_l),
-        Matrix(H.field, D * n, D, rho_r),
-        Matrix(H.field, D, D * n, act),
+        Matrix.from_terms(H.field, n * D, D, rho_l),
+        Matrix.from_terms(H.field, D * n, D, rho_r),
+        Matrix.from_terms(H.field, D, D * n, act),
     )
 
 
 def trivial_right_coaction(H: DualQuasiBialgebra, dim: int) -> Matrix:
     """The coaction v ↦ v⊗1_H as a (dim·n)×dim matrix."""
-    n = H.dim
-    zero = H.field.zero
-    entries = [zero] * (dim * n * dim)
-    for i in range(dim):
-        for u, cu in H.unit_terms():
-            entries[(i * n + u) * dim + i] = cu
-    return Matrix(H.field, dim * n, dim, entries)
+    return Matrix.identity(H.field, dim).kron(H.unit)
 
 
 def trivial_left_coaction(H: DualQuasiBialgebra, dim: int) -> Matrix:
     """The coaction v ↦ 1_H⊗v as an (n·dim)×dim matrix."""
-    n = H.dim
-    zero = H.field.zero
-    entries = [zero] * (n * dim * dim)
-    for i in range(dim):
-        for u, cu in H.unit_terms():
-            entries[(u * dim + i) * dim + i] = cu
-    return Matrix(H.field, n * dim, dim, entries)
+    return H.unit.kron(Matrix.identity(H.field, dim))
 
 
 def induce_bicomodule(H: DualQuasiBialgebra, V: LeftComodule) -> HopfBicomodule:
@@ -519,16 +502,10 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
         coinv = coinvariants(H, M)
     d, n, r = M.dim, H.dim, coinv.rank
     at = _act_terms(M.act, d, n)
-    zero = H.field.zero
-    entries = [zero] * (d * r * n)
-    for alpha in range(r):
-        col_terms = coinv.basis.column_terms(alpha)
-        for a in range(n):
-            col = alpha * n + a
-            for i, v in col_terms:
-                for j, c in at[i * n + a]:
-                    entries[j * (r * n) + col] = entries[j * (r * n) + col] + v * c
-    eps = Matrix(H.field, d, r * n, entries)
+    eps = Matrix.from_terms(H.field, d, r * n, [
+        (j, alpha * n + a, v * c)
+        for alpha in range(r) for a in range(n)
+        for i, v in coinv.basis.column_terms(alpha) for j, c in at[i * n + a]])
     if r:
         source = induce_bicomodule(H, coinvariant_comodule(H, M, coinv))
         ident = Matrix.identity(H.field, n)

@@ -196,14 +196,15 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
     zero = H.field.zero
+    fe, ge = f.entries, g.entries
     out = []
     for terms in H.split_table(k):
         acc = zero
         for lf, rf, c in terms:
-            fv = f.entries[lf]
+            fv = fe[lf]
             if not fv:
                 continue
-            gv = g.entries[rf]
+            gv = ge[rf]
             if not gv:
                 continue
             acc = acc + fv * gv * c
@@ -224,9 +225,10 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
     N = n ** k
     zero = H.field.zero
     rows = [[zero] * N for _ in range(N)]
+    fe = f.entries
     for row, terms in zip(rows, H.split_table(k)):
         for lf, rf, c in terms:
-            fv = f.entries[lf]
+            fv = fe[lf]
             if fv:
                 row[rf] = row[rf] + fv * c
     eps_k = H.counit_power(k)

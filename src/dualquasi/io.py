@@ -116,7 +116,7 @@ def _sparse_matrix(field: Field, entries, dims: tuple[int, ...], to_rc,
                    allow_duplicates: bool) -> Matrix:
     if not isinstance(entries, list):
         raise DocumentError("expected a list of sparse entries", location)
-    data = [field.zero] * (rows * cols)
+    terms = []
     seen: set[tuple[int, ...]] = set()
     for pos, entry in enumerate(entries):
         here = f"{location}[{pos}]"
@@ -130,8 +130,8 @@ def _sparse_matrix(field: Field, entries, dims: tuple[int, ...], to_rc,
             seen.add(idx)
         value = _scalar(field, entry[-1], here)
         r, c = to_rc(idx)
-        data[r * cols + c] = data[r * cols + c] + value
-    return Matrix(field, rows, cols, data)
+        terms.append((r, c, value))
+    return Matrix.from_terms(field, rows, cols, terms)
 
 
 # -- dual quasi-bialgebra documents ------------------------------------------------
@@ -178,10 +178,8 @@ def _field_doc(field: Field) -> dict:
 def _sparse_entries(matrix: Matrix, from_rc) -> list[list]:
     out = []
     for r in range(matrix.rows):
-        for c in range(matrix.cols):
-            v = matrix[r, c]
-            if v:
-                out.append(list(from_rc(r, c)) + [str(v)])
+        for c, v in matrix.row_terms(r):
+            out.append(list(from_rc(r, c)) + [str(v)])
     out.sort(key=lambda e: e[:-1])
     return out
 

@@ -1,15 +1,20 @@
-"""Dense exact matrices over a Field, with deterministic Gaussian elimination.
+"""Exact matrices over a Field, stored as sparse rows, with deterministic
+Gaussian elimination.
 
-Entries are stored row-major.  Multiplication and Kronecker products skip
-zero entries, which keeps the very sparse structure-constant matrices cheap
-without a separate sparse type.  Pivoting always takes the first nonzero
-entry, so solution sets and kernel bases are reproducible.
+Each row keeps only its nonzero entries, so products, Kronecker products,
+sums and zero tests on the very sparse structure-constant matrices touch no
+zeros; the dense row-major ``entries`` view is built on first use.
+Elimination works on dense rows, which fill in as it goes.  Pivoting always
+takes the first nonzero entry, so solution sets and kernel bases are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -17,59 +22,92 @@ from .scalars import Field, Scalar
 
 
 class Matrix:
-    """Immutable dense matrix of exact scalars."""
+    """Immutable matrix of exact scalars, stored as sparse rows.
 
-    __slots__ = ("field", "rows", "cols", "entries", "_row_terms")
+    Row i is a tuple of (column, value) terms in increasing column order,
+    holding exactly the nonzero entries.  Every scalar is canonical, so two
+    matrices are equal exactly when their shapes and row terms are.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_rows", "_columns", "_entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence[Scalar]):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch(f"negative shape {rows}x{cols}")
+        _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self._set(field, rows, cols, tuple(
+            _nonzero_terms(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
+
+    def _set(self, field: Field, rows: int, cols: int, row_terms) -> None:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
-        self._row_terms = None
+        self._rows = row_terms
+        self._columns = None
+        self._entries = None
+
+    @classmethod
+    def _of_rows(cls, field: Field, rows: int, cols: int, row_terms) -> "Matrix":
+        """A matrix from its sparse rows, taken as they are."""
+        m = object.__new__(cls)
+        m._set(field, rows, cols, tuple(row_terms))
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._of_rows(field, rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        entries = [field.zero] * (n * n)
-        for i in range(n):
-            entries[i * n + i] = field.one
-        return cls(field, n, n, entries)
+        _check_shape(n, n)
+        one = field.one
+        return cls._of_rows(field, n, n, (((i, one),) for i in range(n)))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat: list[Scalar] = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(r)
-        return cls(field, nrows, ncols, flat)
+        return cls._of_rows(field, nrows, ncols, map(_nonzero_terms, rows))
 
     @classmethod
     def from_terms(cls, field: Field, rows: int, cols: int,
                    terms: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
-        entries = [field.zero] * (rows * cols)
+        """The matrix whose entry (i, j) is the sum of the values given at (i, j)."""
+        _check_shape(rows, cols)
+        zero = field.zero
+        acc: list[dict[int, Scalar]] = [{} for _ in range(rows)]
         for i, j, v in terms:
-            entries[i * cols + j] = entries[i * cols + j] + v
-        return cls(field, rows, cols, entries)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"({i}, {j}) out of range for {rows}x{cols}")
+            row = acc[i]
+            row[j] = row.get(j, zero) + v
+        return cls._of_rows(field, rows, cols, map(_sorted_terms, acc))
 
     @classmethod
     def row_vector(cls, field: Field, values: Sequence[Scalar]) -> "Matrix":
-        return cls(field, 1, len(values), list(values))
+        return cls._of_rows(field, 1, len(values), (_nonzero_terms(values),))
 
     @classmethod
     def column_vector(cls, field: Field, values: Sequence[Scalar]) -> "Matrix":
-        return cls(field, len(values), 1, list(values))
+        return cls._of_rows(field, len(values), 1, (((0, v),) if v else () for v in values))
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        """All entries, row-major; built on first use."""
+        if self._entries is None:
+            cols = self.cols
+            out = [self.field.zero] * (self.rows * cols)
+            for i, row in enumerate(self._rows):
+                base = i * cols
+                for j, v in row:
+                    out[base + j] = v
+            self._entries = tuple(out)
+        return self._entries
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
@@ -77,29 +115,31 @@ class Matrix:
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols + j]
 
+    def row_terms(self, i: int) -> tuple[tuple[int, Scalar], ...]:
+        """The nonzero entries (j, value) of row i, by increasing j."""
+        return self._rows[i]
+
+    def column_terms(self, j: int) -> tuple[tuple[int, Scalar], ...]:
+        """The nonzero entries (i, value) of column j, by increasing i."""
+        if self._columns is None:
+            columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self._rows):
+                for c, v in row:
+                    columns[c].append((i, v))
+            self._columns = tuple(map(tuple, columns))
+        return self._columns[j]
+
     def row_list(self, i: int) -> list[Scalar]:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def column_list(self, j: int) -> list[Scalar]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def column_terms(self, j: int) -> list[tuple[int, Scalar]]:
-        out = []
-        for i in range(self.rows):
-            v = self.entries[i * self.cols + j]
-            if v:
-                out.append((i, v))
+        out = [self.field.zero] * self.cols
+        for j, v in self._rows[i]:
+            out[j] = v
         return out
 
-    def _get_row_terms(self) -> list[list[tuple[int, Scalar]]]:
-        if self._row_terms is None:
-            terms = []
-            for i in range(self.rows):
-                base = i * self.cols
-                terms.append([(j, self.entries[base + j])
-                              for j in range(self.cols) if self.entries[base + j]])
-            self._row_terms = terms
-        return self._row_terms
+    def column_list(self, j: int) -> list[Scalar]:
+        out = [self.field.zero] * self.rows
+        for i, v in self.column_terms(j):
+            out[i] = v
+        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -108,54 +148,54 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         zero = self.field.zero
-        out = [zero] * (self.rows * other.cols)
-        oterms = other._get_row_terms()
-        for i in range(self.rows):
-            base = i * self.cols
-            obase = i * other.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if not a:
-                    continue
-                for j, b in oterms[k]:
-                    out[obase + j] = out[obase + j] + a * b
-        return Matrix(self.field, self.rows, other.cols, out)
+        orows = other._rows
+        out = []
+        for row in self._rows:
+            acc: dict[int, Scalar] = {}
+            for k, a in row:
+                for j, b in orows[k]:
+                    acc[j] = acc.get(j, zero) + a * b
+            out.append(_sorted_terms(acc))
+        return Matrix._of_rows(self.field, self.rows, other.cols, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker (tensor) product, leftmost factor most significant."""
-        R, C = self.rows * other.rows, self.cols * other.cols
+        oc = other.cols
+        # a product of nonzero scalars is nonzero, and the columns j1·oc + j2
+        # come out in increasing order
+        return Matrix._of_rows(
+            self.field, self.rows * other.rows, self.cols * oc,
+            (tuple((j1 * oc + j2, a * b) for j1, a in arow for j2, b in orow)
+             for arow in self._rows for orow in other._rows))
+
+    def _combine(self, other: "Matrix", op, name: str) -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"shape mismatch in {name}")
+        if other.field != self.field:
+            raise ValueError(f"scalars from different fields: {self.field!r} vs {other.field!r}")
         zero = self.field.zero
-        out = [zero] * (R * C)
-        oterms = other._get_row_terms()
-        for i1 in range(self.rows):
-            for j1 in range(self.cols):
-                a = self.entries[i1 * self.cols + j1]
-                if not a:
-                    continue
-                for i2 in range(other.rows):
-                    rbase = (i1 * other.rows + i2) * C + j1 * other.cols
-                    for j2, b in oterms[i2]:
-                        out[rbase + j2] = a * b
-        return Matrix(self.field, R, C, out)
+        out = []
+        for arow, brow in zip(self._rows, other._rows):
+            if not brow:
+                out.append(arow)
+                continue
+            acc = dict(arow)
+            for j, b in brow:
+                acc[j] = op(acc.get(j, zero), b)
+            out.append(_sorted_terms(acc))
+        return Matrix._of_rows(self.field, self.rows, self.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, sub, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._of_rows(self.field, self.rows, self.cols,
+                               (tuple((j, -v) for j, v in row) for row in self._rows))
 
     def __mul__(self, other) -> "Matrix":
         if isinstance(other, Matrix):
@@ -164,26 +204,24 @@ class Matrix:
             other = self.field.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return Matrix(self.field, self.rows, self.cols,
-                      [a * other for a in self.entries])
+        return Matrix._of_rows(self.field, self.rows, self.cols,
+                               (tuple((j, p) for j, v in row if (p := v * other))
+                                for row in self._rows))
 
     __rmul__ = __mul__
 
     def transpose(self) -> "Matrix":
-        out = [self.field.zero] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Matrix(self.field, self.cols, self.rows, out)
+        return Matrix._of_rows(self.field, self.cols, self.rows,
+                               map(self.column_terms, range(self.cols)))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._rows == other._rows)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -191,8 +229,23 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} over {self.field!r}>"
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(self[i, j]) for j in range(self.cols)) + "]"
+        return "\n".join("[" + ", ".join(map(str, self.row_list(i))) + "]"
                          for i in range(self.rows))
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch(f"negative shape {rows}x{cols}")
+
+
+def _nonzero_terms(values: Iterable[Scalar]) -> tuple[tuple[int, Scalar], ...]:
+    """The (index, value) pairs of the nonzero values, in order."""
+    return tuple(compress(enumerate(values), values))
+
+
+def _sorted_terms(acc: dict[int, Scalar]) -> tuple[tuple[int, Scalar], ...]:
+    """The nonzero (index, value) pairs of an accumulator, by index."""
+    return tuple((j, v) for j, v in sorted(acc.items()) if v)
 
 
 def tensor_index(indices: Sequence[int], dim: int) -> int:

@@ -306,18 +306,17 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
 def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
     """The convolution β∗s∗α as a matrix: S(h) = β(h₁)·s(h₂)·α(h₃)."""
     n = H.dim
-    zero = H.field.zero
     alpha = data.alpha.entries
     beta = data.beta.entries
-    entries = [zero] * (n * n)
+    terms = []
     for p in range(n):
         for (a, b, c), c0 in H.delta_power(p, 3):
             coeff = c0 * beta[a] * alpha[c]
             if not coeff:
                 continue
             for q, sq in data.s.column_terms(b):
-                entries[q * n + p] = entries[q * n + p] + coeff * sq
-    return Matrix(H.field, n, n, entries)
+                terms.append((q, p, coeff * sq))
+    return Matrix.from_terms(H.field, n, n, terms)
 
 
 def preantipode_from_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
@@ -329,12 +328,19 @@ def preantipode_from_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Matr
     rep = check_antipode(H, data)
     if not rep.ok:
         raise ValueError(f"antipode data invalid: {rep.failures[0].axiom}")
+    return preantipode_with_report(H, data)[0]
+
+
+def preantipode_with_report(H: DualQuasiBialgebra,
+                            data: AntipodeData) -> tuple[Matrix, Report]:
+    """β∗s∗α and its preantipode report, for antipode data that already
+    passed ``check_antipode``; raises InvariantViolation when the report fails."""
     S = _sandwich(H, data)
     rep_s = check_preantipode(H, S)
     if not rep_s.ok:
         raise InvariantViolation(
             f"convolution of valid antipode data failed {rep_s.failures[0].axiom}")
-    return S
+    return S, rep_s
 
 
 # -- the retraction τ and the structure isomorphism ------------------------------
@@ -551,7 +557,6 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     retraction_checks, tau, coinv = _retraction_pieces(H, S, M)
     alpha = data.alpha.entries
     beta = data.beta.entries
-    zero = H.field.zero
 
     # P(e_i) = Σ β(m₁)·m₀·s(m₂)
     proj = []
@@ -585,12 +590,8 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
                                     projection_formula),))
 
     _, psi, _ = _verified_inverse(H, M, retraction_checks, tau, coinv)
-    gamma = [zero] * (d * n * d)
-    for i in range(d):
-        for j, b, c in rt[i]:
-            for (j2,), v in proj[j].items():
-                row = j2 * n + b
-                gamma[row * d + i] = gamma[row * d + i] + c * v
-    gamma_matrix = Matrix(H.field, d * n, d, gamma)
+    gamma_matrix = Matrix.from_terms(H.field, d * n, d, [
+        (j2 * n + b, i, c * v)
+        for i in range(d) for j, b, c in rt[i] for (j2,), v in proj[j].items()])
     embedded_psi = coinv.basis.kron(Matrix.identity(H.field, n)) @ psi
     return report, gamma_matrix == embedded_psi

@@ -272,15 +272,29 @@ class Scalar:
             return self.field.from_fraction(other)
         return None
 
+    # Each operation returns an operand unchanged when the other one is an
+    # identity (0 for + and −, 1 for ·): group-algebra structure constants are
+    # 1 and accumulators start at 0, so most operations are of this kind.  The
+    # test comes after coercion, so scalars of different fields still raise.
+
     def __add__(self, other):
         o = other if type(other) is Scalar and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.num, o.num
+        zero = self.field.zero.num
+        if b == zero:
+            return self
+        if a == zero:
+            return o
         da, db = self.den, o.den
+        if len(a) == 1:
+            if da == db:
+                return _make(self.field, (a[0] + b[0],), da)
+            return _make(self.field, (a[0] * db + b[0] * da,), da * db)
         if da == db:
-            return _make(self.field, tuple(map(add, self.num, o.num)), da)
-        return _make(self.field, tuple(a * db + b * da for a, b in zip(self.num, o.num)),
-                     da * db)
+            return _make(self.field, tuple(map(add, a, b)), da)
+        return _make(self.field, tuple(x * db + y * da for x, y in zip(a, b)), da * db)
 
     __radd__ = __add__
 
@@ -288,11 +302,20 @@ class Scalar:
         o = other if type(other) is Scalar and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.num, o.num
+        zero = self.field.zero.num
+        if b == zero:
+            return self
+        if a == zero:
+            return -o
         da, db = self.den, o.den
+        if len(a) == 1:
+            if da == db:
+                return _make(self.field, (a[0] - b[0],), da)
+            return _make(self.field, (a[0] * db - b[0] * da,), da * db)
         if da == db:
-            return _make(self.field, tuple(map(sub, self.num, o.num)), da)
-        return _make(self.field, tuple(a * db - b * da for a, b in zip(self.num, o.num)),
-                     da * db)
+            return _make(self.field, tuple(map(sub, a, b)), da)
+        return _make(self.field, tuple(x * db - y * da for x, y in zip(a, b)), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -308,6 +331,11 @@ class Scalar:
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
+        one = self.field.one.num
+        if b == one and o.den == 1:
+            return self
+        if a == one and self.den == 1:
+            return o
         if len(a) == 1:
             return _make(self.field, (a[0] * b[0],), self.den * o.den)
         return _make(self.field, self.field._mul_int(a, b), self.den * o.den)
@@ -371,6 +399,8 @@ class Scalar:
     def __hash__(self) -> int:
         # a rational value hashes like the equal int or Fraction
         if not any(self.num[1:]):
+            if self.den == 1:
+                return hash(self.num[0])
             return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 

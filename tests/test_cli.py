@@ -239,3 +239,24 @@ def test_structure_theorem_invalid_module_file(workspace, tmp_path):
     assert rc == 1
     assert any(l.startswith("FAIL action-quasi-associativity")
                for l in out.splitlines())
+
+
+def test_from_antipode_checks_each_report_once(tmp_path, monkeypatch, capsys):
+    import dualquasi.cli as cli
+    import dualquasi.preantipode as pre
+    calls = {"check_antipode": 0, "check_preantipode": 0}
+    for name in calls:
+        original = getattr(pre, name)
+
+        def counted(*args, _name=name, _f=original):
+            calls[_name] += 1
+            return _f(*args)
+        for module in (cli, pre):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["gen", "--cyclic", "4", "--r", "1", "--out", str(tmp_path)]) == 0
+    rc = cli.main(["from-antipode", str(tmp_path / "cyclic_4_r1.dqb.json"),
+                   str(tmp_path / "cyclic_4_r1.antipode.json")])
+    assert rc == 0
+    assert any(line.startswith("OK (") for line in capsys.readouterr().out.splitlines())
+    assert calls == {"check_antipode": 1, "check_preantipode": 1}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquasi import (Field, Matrix, inverse, kernel, rank, solve_affine,
+from dualquasi import (Field, Matrix, Scalar, inverse, kernel, rank, solve_affine,
                        tensor_index, tensor_unindex)
 
 Q = Field.rationals()
@@ -144,3 +144,105 @@ def test_shape_errors():
         mat([[1, 2]]) @ mat([[1, 2]])
     with pytest.raises(DimensionMismatch):
         solve_affine(mat([[1, 2]]), vec([1, 2]))
+
+
+# -- sparse rows against a dense reference -------------------------------------
+
+QI = Field.cyclotomic(4)
+
+
+def mostly_zero(field):
+    """Scalars that are zero three times in four."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    value = st.tuples(*[coeff] * field.degree).map(lambda t: Scalar(field, t))
+    return st.tuples(st.integers(0, 3), value).map(lambda t: t[1] if t[0] == 0 else field.zero)
+
+
+def dense(field, rows, cols):
+    return st.lists(mostly_zero(field), min_size=rows * cols, max_size=rows * cols)
+
+
+def build(route, field, rows, cols, flat, rng):
+    """The matrix with row-major entries ``flat``, built along one route."""
+    if route == "dense":
+        return Matrix(field, rows, cols, flat)
+    if route == "rows" and rows:
+        return Matrix.from_rows(field, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+    if route == "terms":
+        # every entry split into two terms, plus terms that cancel, in random order
+        terms = []
+        for k, v in enumerate(flat):
+            i, j = divmod(k, cols)
+            part = field.from_fraction(rng.randint(-2, 2))
+            terms += [(i, j, part), (i, j, v - part)]
+        rng.shuffle(terms)
+        return Matrix.from_terms(field, rows, cols, terms)
+    if route == "matmul":
+        return Matrix(field, rows, cols, flat) @ Matrix.identity(field, cols)
+    # "sub": subtract a matrix that shares entries with the target
+    other = Matrix(field, rows, cols, [v if k % 2 else field.zero for k, v in enumerate(flat)])
+    return (Matrix(field, rows, cols, flat) + other) - other
+
+
+ROUTES = ["dense", "rows", "terms", "matmul", "sub"]
+
+
+def ref_matmul(field, a, b, r, k, c):
+    return [sum((a[i * k + t] * b[t * c + j] for t in range(k)), field.zero)
+            for i in range(r) for j in range(c)]
+
+
+def ref_kron(a, b, r1, c1, r2, c2):
+    return [a[(i // r2) * c1 + j // c2] * b[(i % r2) * c2 + j % c2]
+            for i in range(r1 * r2) for j in range(c1 * c2)]
+
+
+@pytest.mark.parametrize("field", [Q, QI], ids=["Q", "Q(i)"])
+def test_sparse_operations_match_dense_reference(field):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    def run(r, k, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        a, b, a2 = data.draw(dense(field, r, k)), data.draw(dense(field, k, c)), \
+            data.draw(dense(field, r, k))
+        A, B, A2 = (build(data.draw(st.sampled_from(ROUTES)), field, rows, cols, flat, rng)
+                    for rows, cols, flat in ((r, k, a), (k, c, b), (r, k, a2)))
+        assert A.entries == tuple(a)
+        assert (A @ B).entries == tuple(ref_matmul(field, a, b, r, k, c))
+        assert A.kron(B).entries == tuple(ref_kron(a, b, r, k, k, c))
+        assert (A + A2).entries == tuple(x + y for x, y in zip(a, a2))
+        assert (A - A2).entries == tuple(x - y for x, y in zip(a, a2))
+        assert A.transpose().entries == tuple(a[i * k + j] for j in range(k) for i in range(r))
+        assert A.is_zero() == (not any(a))
+        for j in range(k):
+            assert A.column_terms(j) == tuple((i, a[i * k + j]) for i in range(r)
+                                              if a[i * k + j])
+            assert A.column_list(j) == [a[i * k + j] for i in range(r)]
+        for i in range(r):
+            assert A.row_terms(i) == tuple((j, a[i * k + j]) for j in range(k)
+                                           if a[i * k + j])
+            assert A.row_list(i) == a[i * k:(i + 1) * k]
+            for j in range(k):
+                assert A[i, j] == a[i * k + j]
+
+    run()
+
+
+@pytest.mark.parametrize("field", [Q, QI], ids=["Q", "Q(i)"])
+def test_equality_across_construction_routes(field):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    def run(r, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        x = data.draw(dense(field, r, c))
+        y = data.draw(st.one_of(st.just(list(x)), dense(field, r, c)))
+        routes = st.sampled_from(ROUTES)
+        X1 = build(data.draw(routes), field, r, c, x, rng)
+        X2 = build(data.draw(routes), field, r, c, x, rng)
+        Y = build(data.draw(routes), field, r, c, y, rng)
+        assert X1 == X2
+        assert (X1 == Y) == (x == y)
+        assert (X1 != Y) == (x != y)
+        assert (X1 - Y).is_zero() == (x == y)
+
+    run()

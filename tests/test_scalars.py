@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualquasi import Field, Scalar, ScalarParseError
+from dualquasi.scalars import _make
 
 Q = Field.rationals()
 QI = Field.cyclotomic(4)
@@ -53,7 +54,8 @@ def test_field_axioms(field, strategy):
         assert a * b == b * a
         assert a - b == -(b - a)
         assert a / 3 * 3 == a
-        outcomes = [a, a * b, (a * b) * c, b + c, a * (b + c), a - b, -a, a - a, a / 3]
+        outcomes = [a, a * b, (a * b) * c, a + b, b + c, a * (b + c), a - b, b - a, -a,
+                    a - a, a / 3]
         if a:
             assert a * a.inverse() == field.one
             assert a / a == field.one
@@ -63,6 +65,69 @@ def test_field_axioms(field, strategy):
             assert_canonical(s)
 
     run()
+
+
+unequal_denominators = st.tuples(
+    st.integers(-30, 30), st.integers(1, 12), st.integers(-30, 30), st.integers(1, 12)
+).filter(lambda t: Fraction(t[0], t[1]).denominator != Fraction(t[2], t[3]).denominator)
+
+
+@settings(max_examples=120, deadline=None)
+@given(unequal_denominators)
+def test_rational_sums_with_unequal_denominators(t):
+    x, y = Fraction(t[0], t[1]), Fraction(t[2], t[3])
+    a, b = Q.from_fraction(x), Q.from_fraction(y)
+    for got, want in ((a + b, x + y), (b + a, x + y), (a - b, x - y), (b - a, y - x)):
+        assert got.coeffs == (want,)
+        assert_canonical(got)
+
+
+def _general_path(op, x: Scalar, y: Scalar) -> Scalar:
+    """x op y by the arithmetic that runs when neither operand is 0 or 1."""
+    field = x.field
+    if op == "*":
+        num = (x.num[0] * y.num[0],) if field.degree == 1 else field._mul_int(x.num, y.num)
+        return _make(field, num, x.den * y.den)
+    sign = 1 if op == "+" else -1
+    return _make(field, tuple(a * y.den + sign * b * x.den for a, b in zip(x.num, y.num)),
+                 x.den * y.den)
+
+
+@pytest.mark.parametrize("field", [Q, Q8, Q12], ids=["Q", "Q(zeta8)", "Q(zeta12)"])
+def test_identity_operands_return_the_other_operand(field):
+    def check(x):
+        zero, one = field.zero, field.one
+        cases = [(x * one, "*", x, one), (one * x, "*", one, x),
+                 (x + zero, "+", x, zero), (zero + x, "+", zero, x),
+                 (x - zero, "-", x, zero), (zero - x, "-", zero, x)]
+        for got, op, left, right in cases:
+            assert got == _general_path(op, left, right)
+            assert_canonical(got)
+        if x != one:
+            assert x * one is x and one * x is x
+        if x:
+            assert x + zero is x and zero + x is x and x - zero is x
+        assert zero - x == -x
+
+    settings(max_examples=40, deadline=None)(given(
+        rational_scalars() if field is Q else cyclotomic_scalars(field))(check))()
+    # denominators other than 1
+    z = field.zeta(1) if field is not Q else field.one
+    for value in (Fraction(-5, 6), Fraction(7, 4)):
+        x = field.from_fraction(value) * z + field.from_fraction(Fraction(1, 3))
+        assert x.den != 1
+        check(x)
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a * b, lambda a, b: a + b,
+                                lambda a, b: a - b], ids=["*", "+", "-"])
+def test_identity_operands_still_reject_other_fields(op):
+    other = Q5.zeta(1)
+    for identity in (Q8.zero, Q8.one):
+        with pytest.raises(ValueError):
+            op(identity, other)
+        with pytest.raises(ValueError):
+            op(other, identity)
 
 
 def _sympy_poly(s: Scalar, x):
