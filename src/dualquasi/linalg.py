@@ -2,8 +2,9 @@
 Gaussian elimination.
 
 Each row keeps only its nonzero entries, so products, Kronecker products,
-sums and zero tests on the very sparse structure-constant matrices touch no
-zeros; the dense row-major ``entries`` view is built on first use.
+sums, equality and zero tests on the very sparse structure-constant matrices
+do no work on zero entries; the dense row-major ``entries`` view and the
+column view are built on first use.
 Elimination works on dense rows, which fill in as it goes.  Pivoting always
 takes the first nonzero entry, so solution sets and kernel bases are
 reproducible.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -29,8 +31,6 @@ class Matrix:
     matrices are equal exactly when their shapes and row terms are.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_columns", "_entries")
-
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence[Scalar]):
         _check_shape(rows, cols)
         if len(entries) != rows * cols:
@@ -44,8 +44,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._rows = row_terms
-        self._columns = None
-        self._entries = None
 
     @classmethod
     def _of_rows(cls, field: Field, rows: int, cols: int, row_terms) -> "Matrix":
@@ -96,18 +94,25 @@ class Matrix:
     def column_vector(cls, field: Field, values: Sequence[Scalar]) -> "Matrix":
         return cls._of_rows(field, len(values), 1, (((0, v),) if v else () for v in values))
 
-    @property
+    @cached_property
     def entries(self) -> tuple[Scalar, ...]:
         """All entries, row-major; built on first use."""
-        if self._entries is None:
-            cols = self.cols
-            out = [self.field.zero] * (self.rows * cols)
-            for i, row in enumerate(self._rows):
-                base = i * cols
-                for j, v in row:
-                    out[base + j] = v
-            self._entries = tuple(out)
-        return self._entries
+        cols = self.cols
+        out = [self.field.zero] * (self.rows * cols)
+        for i, row in enumerate(self._rows):
+            base = i * cols
+            for j, v in row:
+                out[base + j] = v
+        return tuple(out)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """The nonzero terms (i, value) of each column, by increasing i."""
+        columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for c, v in row:
+                columns[c].append((i, v))
+        return tuple(map(tuple, columns))
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
@@ -121,12 +126,6 @@ class Matrix:
 
     def column_terms(self, j: int) -> tuple[tuple[int, Scalar], ...]:
         """The nonzero entries (i, value) of column j, by increasing i."""
-        if self._columns is None:
-            columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self._rows):
-                for c, v in row:
-                    columns[c].append((i, v))
-            self._columns = tuple(map(tuple, columns))
         return self._columns[j]
 
     def row_list(self, i: int) -> list[Scalar]:
