@@ -163,13 +163,14 @@ def dense(field, rows, cols):
 
 
 def build(route, field, rows, cols, flat, rng):
-    """The matrix with row-major entries ``flat``, built along one route."""
+    """The matrix with row-major entries ``flat``, built along one route
+    (``from_rows`` cannot give a matrix without rows; those take the last one)."""
     if route == "dense":
         return Matrix(field, rows, cols, flat)
     if route == "rows" and rows:
         return Matrix.from_rows(field, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
     if route == "terms":
-        # every entry split into two terms, plus terms that cancel, in random order
+        # every entry, zeros too, as two terms in random order; a zero's terms cancel
         terms = []
         for k, v in enumerate(flat):
             i, j = divmod(k, cols)
