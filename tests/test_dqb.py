@@ -5,6 +5,7 @@ import pytest
 from dualquasi import (DualQuasiBialgebra, Field, InvariantViolation, Matrix,
                        convolution, convolution_inverse, validate_dqb)
 from dualquasi.groups import GroupData, group_dqb, trivial_cocycle
+from dualquasi.report import Check, basis_tuples
 
 from helpers import bundled_examples, control_bialgebra
 
@@ -188,3 +189,109 @@ def test_convolution_on_one_dimensional_algebra():
     g = Matrix.row_vector(Q, [Q.from_fraction(3)])
     assert convolution(H1, f, g) == Matrix.row_vector(Q, [Q.from_fraction(6)])
     assert convolution_inverse(H1, f) == Matrix.row_vector(Q, [Q.from_fraction("1/2")])
+
+
+# -- reference evaluation of the two convolution identities ---------------------
+
+
+def _reference_reassociator(H):
+    """ω∗ω⁻¹ and then ω⁻¹∗ω against ε⊗ε⊗ε, one basis triple at a time."""
+    n = H.dim
+    for first, second in ((H.omega_at, H.omega_inv_at), (H.omega_inv_at, H.omega_at)):
+        for w in basis_tuples(n, n, n):
+            lhs = H.field.zero
+            for h1, h2, ch in H.delta_terms(w[0]):
+                for k1, k2, ck in H.delta_terms(w[1]):
+                    for l1, l2, cl in H.delta_terms(w[2]):
+                        lhs = lhs + ch * ck * cl * first(h1, k1, l1) * second(h2, k2, l2)
+            rhs = H.eps(w[0]) * H.eps(w[1]) * H.eps(w[2])
+            if lhs != rhs:
+                return Check("reassociator-invertible", False, w, str(lhs), str(rhs))
+    return Check("reassociator-invertible", True)
+
+
+def _reference_cocycle(H):
+    """Σ ω(h₁,k₁,l₁p₁)·ω(h₂k₂,l₂,p₂) against
+    Σ ε(h₁)ω(k₁,l₁,p₁)·ω(h₂,k₂l₂,p₂)·ω(h₃,k₃,l₃)ε(p₃), one basis quadruple at
+    a time.  The three-fold sum splits x into x₍₁₎⊗x₍₂₎ and then x₍₁₎ again,
+    the bracketing ((ε⊗ω)∗ω(H⊗m⊗H))∗(ω⊗ε), so a corrupted Δ that is not
+    coassociative is read the same way by both routes."""
+    n = H.dim
+    zero = H.field.zero
+
+    def split2(w):
+        for h1, h2, ch in H.delta_terms(w[0]):
+            for k1, k2, ck in H.delta_terms(w[1]):
+                for l1, l2, cl in H.delta_terms(w[2]):
+                    for p1, p2, cp in H.delta_terms(w[3]):
+                        yield (h1, k1, l1, p1), (h2, k2, l2, p2), ch * ck * cl * cp
+
+    def split3(w):
+        for left, right3, c in split2(w):
+            for left1, left2, c2 in split2(left):
+                yield left1, left2, right3, c * c2
+
+    def w_hh_m(h, k, l, p):  # ω(h, k, lp)
+        return sum((c * H.omega_at(h, k, t) for t, c in H.mul_terms(l, p)), zero)
+
+    def w_m_hh(h, k, l, p):  # ω(hk, l, p)
+        return sum((c * H.omega_at(t, l, p) for t, c in H.mul_terms(h, k)), zero)
+
+    def w_h_m_h(h, k, l, p):  # ω(h, kl, p)
+        return sum((c * H.omega_at(h, t, p) for t, c in H.mul_terms(k, l)), zero)
+
+    for w in basis_tuples(n, n, n, n):
+        lhs = zero
+        for x1, x2, c in split2(w):
+            lhs = lhs + c * w_hh_m(*x1) * w_m_hh(*x2)
+        rhs = zero
+        for x1, x2, x3, c in split3(w):
+            rhs = rhs + (c * H.eps(x1[0]) * H.omega_at(*x1[1:]) * w_h_m_h(*x2)
+                         * H.omega_at(*x3[:3]) * H.eps(x3[3]))
+        if lhs != rhs:
+            return Check("cocycle-identity", False, w, str(lhs), str(rhs))
+    return Check("cocycle-identity", True)
+
+
+def _perturbed(m, rng, value):
+    """m with value added at one random position."""
+    terms = [(r, c, v) for r in range(m.rows) for c, v in m.row_terms(r)]
+    terms.append((rng.randrange(m.rows), rng.randrange(m.cols), value))
+    return Matrix.from_terms(m.field, m.rows, m.cols, terms)
+
+
+def _corruptions(H, seed):
+    """H with one seeded entry of ω, ω⁻¹, m or Δ changed, one of each."""
+    rng = random.Random(seed)
+    field = H.field
+    value = field.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
+    if field.kind == "cyclotomic":
+        value = value + field.zeta(1) * rng.choice([-1, 0, 1])
+    parts = dict(delta=H.delta, counit=H.counit, mul=H.mul, unit=H.unit,
+                 omega=H.omega, omega_inv=H.omega_inv)
+    for key in ("omega", "omega_inv", "mul", "delta"):
+        changed = dict(parts, **{key: _perturbed(parts[key], rng, value)})
+        yield key, DualQuasiBialgebra(field, H.dim, **changed)
+
+
+def _reference_algebras():
+    from helpers import sweedler_four_dim_hopf
+    from dualquasi import cyclic_group_example
+    return [("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
+            ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
+            ("sweedler", sweedler_four_dim_hopf()[0])]
+
+
+def test_convolution_identities_match_the_definitions():
+    failed = {"reassociator-invertible": 0, "cocycle-identity": 0}
+    for index, (name, base) in enumerate(_reference_algebras()):
+        cases = [("base", base)]
+        for seed in range(3):
+            cases.extend(_corruptions(base, 10 * index + seed))
+        for label, H in cases:
+            got = {c.axiom: c for c in validate_dqb(H).checks}
+            for expected in (_reference_reassociator(H), _reference_cocycle(H)):
+                assert got[expected.axiom] == expected, (name, label)
+                failed[expected.axiom] += not expected.passed
+    # the reference has to see failures of both identities to mean anything
+    assert min(failed.values()) >= 5, failed
