@@ -12,17 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .comodules import adjunction_counit, coinvariants, hhat, validate_bicomodule
 from .dqb import validate_dqb
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
-from .groups import (GroupData, cyclic_cocycle, group_antipode_data, group_dqb)
 from .io import (dump_antipode, dump_dqb, dump_preantipode, load_antipode,
                  load_bicomodule, load_dqb, load_preantipode, serialize_report)
-from .linalg import rank
-from .preantipode import (check_antipode, check_preantipode,
-                          preantipode_with_report, retraction_report,
-                          solve_preantipode)
 from .report import Check, Report
+
+# Each command imports the layers above the algebra itself when it runs, so
+# `verify` never loads the comodule, preantipode or group modules.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,6 +82,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_preantipode(args) -> int:
+    from .preantipode import solve_preantipode
+
     H, _ = _load_dqb(args, require_valid=True)
     family = solve_preantipode(H)
     if family is None:
@@ -109,6 +108,8 @@ def cmd_solve_preantipode(args) -> int:
 
 
 def cmd_from_antipode(args) -> int:
+    from .preantipode import check_antipode, preantipode_with_report
+
     H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
     rep_a = check_antipode(H, data)
@@ -126,6 +127,10 @@ def cmd_from_antipode(args) -> int:
 
 
 def cmd_structure_theorem(args) -> int:
+    from .comodules import adjunction_counit, coinvariants, hhat, validate_bicomodule
+    from .linalg import rank
+    from .preantipode import check_preantipode, retraction_report, solve_preantipode
+
     if args.use_hhat == (args.module is not None):
         print("error: provide exactly one of a module document or --use-hhat",
               file=sys.stderr)
@@ -184,6 +189,8 @@ def cmd_structure_theorem(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .groups import GroupData, cyclic_cocycle, group_antipode_data, group_dqb
+
     n, r = args.cyclic, args.r
     if n < 1 or not 0 <= r < n:
         print(f"error: need N >= 1 and 0 <= r < N, got N={n} r={r}", file=sys.stderr)

@@ -17,7 +17,6 @@ from a left comodule first installs the trivial right coaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -26,80 +25,78 @@ from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, _rref, kernel, rank
 from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Scalar
+from .values import Value
 
 
-@dataclass(frozen=True)
-class LeftComodule:
+class LeftComodule(Value):
     """A left H-comodule: coassociative, counital left coaction."""
 
-    dim: int
-    rho_l: Matrix
+    __slots__ = ("dim", "rho_l")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, rho_l: Matrix):
+        if dim < 1:
             raise DimensionMismatch("comodule dimension must be at least 1")
-        if self.rho_l.cols != self.dim or self.rho_l.rows % self.dim:
+        if rho_l.cols != dim or rho_l.rows % dim:
             raise DimensionMismatch(
-                f"left coaction must be (n*{self.dim})x{self.dim}, "
-                f"got {self.rho_l.rows}x{self.rho_l.cols}")
+                f"left coaction must be (n*{dim})x{dim}, "
+                f"got {rho_l.rows}x{rho_l.cols}")
+        self._set(dim, rho_l)
 
     @property
     def hopf_dim(self) -> int:
         return self.rho_l.rows // self.dim
 
 
-@dataclass(frozen=True)
-class Bicomodule:
+class Bicomodule(Value):
     """An H-bicomodule (object with compatible left and right coactions)."""
 
-    dim: int
-    rho_l: Matrix
-    rho_r: Matrix
+    __slots__ = ("dim", "rho_l", "rho_r")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix):
+        if dim < 1:
             raise DimensionMismatch("bicomodule dimension must be at least 1")
-        d = self.dim
-        if self.rho_l.cols != d or self.rho_l.rows % d:
+        d = dim
+        if rho_l.cols != d or rho_l.rows % d:
             raise DimensionMismatch("left coaction shape is inconsistent")
-        if self.rho_r.cols != d or self.rho_r.rows % d:
+        if rho_r.cols != d or rho_r.rows % d:
             raise DimensionMismatch("right coaction shape is inconsistent")
-        if self.rho_l.rows != self.rho_r.rows:
+        if rho_l.rows != rho_r.rows:
             raise DimensionMismatch("coactions disagree on the dimension of H")
+        self._set(dim, rho_l, rho_r)
 
     @property
     def hopf_dim(self) -> int:
         return self.rho_l.rows // self.dim
 
 
-@dataclass(frozen=True)
-class HopfBicomodule:
+class HopfBicomodule(Value):
     """A right dual quasi-Hopf H-bicomodule: bicomodule plus right action."""
 
-    dim: int
-    rho_l: Matrix
-    rho_r: Matrix
-    act: Matrix
+    __slots__ = ("dim", "rho_l", "rho_r", "act")
 
-    def __post_init__(self):
-        d = self.dim
-        Bicomodule(d, self.rho_l, self.rho_r)  # reuse the shape checks
-        n = self.rho_l.rows // d
-        if (self.act.rows, self.act.cols) != (d, d * n):
+    def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix, act: Matrix):
+        d = dim
+        Bicomodule(d, rho_l, rho_r)  # reuse the shape checks
+        n = rho_l.rows // d
+        if (act.rows, act.cols) != (d, d * n):
             raise DimensionMismatch(
-                f"action must be {d}x{d * n}, got {self.act.rows}x{self.act.cols}")
+                f"action must be {d}x{d * n}, got {act.rows}x{act.cols}")
+        self._set(dim, rho_l, rho_r, act)
 
     @property
     def hopf_dim(self) -> int:
         return self.rho_l.rows // self.dim
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of a coordinate space, by an explicit independent basis."""
 
-    ambient: int
-    basis: Matrix  # ambient x rank, columns are the basis vectors
+    # the __dict__ slot holds the cached elimination
+    __slots__ = ("ambient", "basis", "__dict__")
+
+    def __init__(self, ambient: int, basis: Matrix):
+        # basis: ambient x rank, columns are the basis vectors
+        self._set(ambient, basis)
 
     @property
     def rank(self) -> int:

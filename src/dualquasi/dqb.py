@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Matrix, tensor_index, tensor_unindex
+from .linalg import Matrix, tensor_unindex
 from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Field, Scalar
 
@@ -185,6 +185,28 @@ def _functional_arity(H: DualQuasiBialgebra, f: Matrix, arity: int | None) -> in
     return k
 
 
+def _convolve(H: DualQuasiBialgebra, f, g, k: int) -> list[Scalar]:
+    """Values of f∗g on H^⊗k in flat order, from the values of f and g."""
+    zero = H.field.zero
+    out = []
+    for terms in H.split_table(k):
+        if len(terms) == 1:
+            (lf, rf, c), = terms
+            out.append(f[lf] * g[rf] * c)
+            continue
+        acc = zero
+        for lf, rf, c in terms:
+            fv = f[lf]
+            if not fv:
+                continue
+            gv = g[rf]
+            if not gv:
+                continue
+            acc = acc + fv * gv * c
+        out.append(acc)
+    return out
+
+
 def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
                 arity: int | None = None) -> Matrix:
     """Convolution f∗g of functionals on a common tensor power of H.
@@ -195,21 +217,7 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     k = _functional_arity(H, f, arity)
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
-    zero = H.field.zero
-    fe, ge = f.entries, g.entries
-    out = []
-    for terms in H.split_table(k):
-        acc = zero
-        for lf, rf, c in terms:
-            fv = fe[lf]
-            if not fv:
-                continue
-            gv = ge[rf]
-            if not gv:
-                continue
-            acc = acc + fv * gv * c
-        out.append(acc)
-    return Matrix.row_vector(H.field, out)
+    return Matrix.row_vector(H.field, _convolve(H, f.entries, g.entries, k))
 
 
 def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
@@ -312,59 +320,54 @@ def _unit_counital(H):
     return acc, H.field.one
 
 
-def _entrywise(axiom: str, H, lhs: Matrix, rhs: Matrix, arity: int) -> Check:
-    """Two functionals on H^⊗arity agree at every basis tuple."""
-    n = H.dim
-
-    def sides(*w):
-        flat = tensor_index(w, n)
-        return lhs.entries[flat], rhs.entries[flat]
-
-    return check_identity(axiom, basis_tuples(*[n] * arity), sides)
+def _first_difference(axiom: str, lhs, rhs, n: int, arity: int) -> Check:
+    """Two value lists on H^⊗arity, in flat order, agree at every basis tuple;
+    flat order is the lexicographic order of the tuples."""
+    if lhs != rhs:
+        for flat, (a, b) in enumerate(zip(lhs, rhs)):
+            if a != b:
+                return Check(axiom, False, tensor_unindex(flat, n, arity), str(a), str(b))
+    return Check(axiom, True)
 
 
 def _reassociator_invertible(H) -> Check:
     """ω∗ω⁻¹ = ε⊗ε⊗ε = ω⁻¹∗ω, the first product scanned in full first."""
-    eps3 = H.counit_power(3)
-    for prod in (convolution(H, H.omega, H.omega_inv, arity=3),
-                 convolution(H, H.omega_inv, H.omega, arity=3)):
-        check = _entrywise("reassociator-invertible", H, prod, eps3, 3)
+    eps3 = H.counit_power(3).entries
+    w, w_inv = H.omega.entries, H.omega_inv.entries
+    for f, g in ((w, w_inv), (w_inv, w)):
+        check = _first_difference("reassociator-invertible", _convolve(H, f, g, 3),
+                                  eps3, H.dim, 3)
         if not check.passed:
             break
     return check
 
 
+def _omega_with_product(H, slot: int) -> list[Scalar]:
+    """ω with the product of two factors in slot 0, 1 or 2, as values on H^⊗4
+    in flat order: ω(hk⊗l⊗p), ω(h⊗kl⊗p) or ω(h⊗k⊗lp)."""
+    n = H.dim
+    w = H.omega.entries
+    zero = H.field.zero
+    tail = n ** (2 - slot)
+    out = []
+    for head in range(n ** slot):
+        for terms in H._mul_table:
+            for b in range(tail):
+                acc = zero
+                for t, c in terms:
+                    acc = acc + c * w[(head * n + t) * tail + b]
+                out.append(acc)
+    return out
+
+
 def _cocycle_identity(H) -> Check:
     """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4."""
-    n = H.dim
-    zero = H.field.zero
-    N = n ** 4
-    w_hh_m = [zero] * N
-    w_m_hh = [zero] * N
-    eps_w = [zero] * N
-    w_h_m_h = [zero] * N
-    w_eps = [zero] * N
-    for flat in range(N):
-        h, k, l, p = tensor_unindex(flat, n, 4)
-        acc = zero
-        for t, c in H.mul_terms(l, p):
-            acc = acc + c * H.omega_at(h, k, t)
-        w_hh_m[flat] = acc
-        acc = zero
-        for t, c in H.mul_terms(h, k):
-            acc = acc + c * H.omega_at(t, l, p)
-        w_m_hh[flat] = acc
-        eps_w[flat] = H.eps(h) * H.omega_at(k, l, p)
-        acc = zero
-        for t, c in H.mul_terms(k, l):
-            acc = acc + c * H.omega_at(h, t, p)
-        w_h_m_h[flat] = acc
-        w_eps[flat] = H.omega_at(h, k, l) * H.eps(p)
-    row = lambda vals: Matrix.row_vector(H.field, vals)
-    lhs = convolution(H, row(w_hh_m), row(w_m_hh), arity=4)
-    rhs = convolution(H, convolution(H, row(eps_w), row(w_h_m_h), arity=4),
-                      row(w_eps), arity=4)
-    return _entrywise("cocycle-identity", H, lhs, rhs, 4)
+    eps, w = H.counit.entries, H.omega.entries
+    eps_w = [e * v for e in eps for v in w]
+    w_eps = [v * e for v in w for e in eps]
+    lhs = _convolve(H, _omega_with_product(H, 2), _omega_with_product(H, 0), 4)
+    rhs = _convolve(H, _convolve(H, eps_w, _omega_with_product(H, 1), 4), w_eps, 4)
+    return _first_difference("cocycle-identity", lhs, rhs, H.dim, 4)
 
 
 def _cocycle_normalization(H, slot, j, k):

@@ -10,8 +10,6 @@ preantipode is S(g) = ω(g,g⁻¹,g)⁻¹·g⁻¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dqb import DualQuasiBialgebra, _add
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
@@ -19,6 +17,7 @@ from .preantipode import AntipodeData, _require_square
 from .report import (Check, Report, basis_tuples, check_identity, format_terms,
                      terms_equal)
 from .scalars import Field, Scalar
+from .values import Value
 
 __all__ = [
     "GroupData", "Cocycle", "GroupExample",
@@ -28,14 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(Value):
     """A finite group: index-valued multiplication table, identity, inverses."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
+    __slots__ = ("order", "table", "identity", "inverse")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: tuple[int, ...]):
+        self._set(order, table, identity, inverse)
 
     @classmethod
     def from_table(cls, table) -> "GroupData":
@@ -84,18 +83,16 @@ class GroupData:
         return self.inverse[a]
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Value):
     """A total map G×G×G → nonzero scalars, stored flat (g·N² + h·N + k)."""
 
-    field: Field
-    order: int
-    values: tuple[Scalar, ...]
+    __slots__ = ("field", "order", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.order ** 3:
+    def __init__(self, field: Field, order: int, values: tuple[Scalar, ...]):
+        if len(values) != order ** 3:
             raise ValueError(
-                f"cocycle needs {self.order ** 3} values, got {len(self.values)}")
+                f"cocycle needs {order ** 3} values, got {len(values)}")
+        self._set(field, order, values)
 
     @classmethod
     def from_function(cls, group: GroupData, field: Field, fn) -> "Cocycle":
@@ -262,17 +259,15 @@ def idempotent_monoid_bialgebra(field: Field | None = None) -> DualQuasiBialgebr
     )
 
 
-@dataclass(frozen=True)
-class GroupExample:
+class GroupExample(Value):
     """A bundled cyclic-group example: group, cocycle, algebra, Hopf datum,
     and the closed-form preantipode."""
 
-    name: str
-    group: GroupData
-    cocycle: Cocycle
-    dqb: DualQuasiBialgebra
-    antipode: AntipodeData
-    preantipode: Matrix
+    __slots__ = ("name", "group", "cocycle", "dqb", "antipode", "preantipode")
+
+    def __init__(self, name: str, group: GroupData, cocycle: Cocycle,
+                 dqb: DualQuasiBialgebra, antipode: AntipodeData, preantipode: Matrix):
+        self._set(name, group, cocycle, dqb, antipode, preantipode)
 
 
 def cyclic_group_example(n: int, r: int, field: Field | None = None) -> GroupExample:

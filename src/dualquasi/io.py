@@ -26,14 +26,17 @@ malformed scalar or out-of-range index aborts with its location.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .comodules import HopfBicomodule
 from .dqb import DualQuasiBialgebra
 from .errors import DocumentError, ScalarParseError
 from .linalg import Matrix
-from .preantipode import AntipodeData
 from .report import Report
 from .scalars import Field, Scalar
+
+if TYPE_CHECKING:
+    from .comodules import HopfBicomodule
+    from .preantipode import AntipodeData
 
 FORMAT_VERSION = 1
 # Field set-up builds tables quadratic in the degree φ(order), so a document
@@ -88,13 +91,27 @@ def _field_from_doc(doc: dict, location: str) -> Field:
     raise DocumentError(f"unknown field kind {kind!r}", f"{location}.field.kind")
 
 
-def _scalar(field: Field, text, location: str) -> Scalar:
-    if not isinstance(text, str):
-        raise DocumentError("scalar must be a string", location)
-    try:
-        return field.parse(text)
-    except ScalarParseError as exc:
-        raise DocumentError(f"malformed scalar {text!r}: {exc}", location) from None
+class _ScalarReader:
+    """Parses the scalar strings of one document, each distinct string once.
+
+    A failure is not remembered, so a malformed string raises at its first
+    occurrence, with that location."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self._parsed: dict[str, Scalar] = {}
+
+    def __call__(self, text, location: str) -> Scalar:
+        if not isinstance(text, str):
+            raise DocumentError("scalar must be a string", location)
+        value = self._parsed.get(text)
+        if value is None:
+            try:
+                value = self.field.parse(text)
+            except ScalarParseError as exc:
+                raise DocumentError(f"malformed scalar {text!r}: {exc}", location) from None
+            self._parsed[text] = value
+        return value
 
 
 def _index(value, dim: int, location: str) -> int:
@@ -105,13 +122,13 @@ def _index(value, dim: int, location: str) -> int:
     return value
 
 
-def _dense_row(field: Field, values, length: int, location: str) -> list[Scalar]:
+def _dense_row(read: _ScalarReader, values, length: int, location: str) -> list[Scalar]:
     if not isinstance(values, list) or len(values) != length:
         raise DocumentError(f"expected a list of {length} scalars", location)
-    return [_scalar(field, v, f"{location}[{i}]") for i, v in enumerate(values)]
+    return [read(v, f"{location}[{i}]") for i, v in enumerate(values)]
 
 
-def _sparse_matrix(field: Field, entries, dims: tuple[int, ...], to_rc,
+def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
                    rows: int, cols: int, location: str,
                    allow_duplicates: bool) -> Matrix:
     if not isinstance(entries, list):
@@ -128,10 +145,9 @@ def _sparse_matrix(field: Field, entries, dims: tuple[int, ...], to_rc,
             if idx in seen:
                 raise DocumentError(f"duplicate entry for indices {list(idx)}", here)
             seen.add(idx)
-        value = _scalar(field, entry[-1], here)
         r, c = to_rc(idx)
-        terms.append((r, c, value))
-    return Matrix.from_terms(field, rows, cols, terms)
+        terms.append((r, c, read(entry[-1], here)))
+    return Matrix.from_terms(read.field, rows, cols, terms)
 
 
 # -- dual quasi-bialgebra documents ------------------------------------------------
@@ -146,24 +162,25 @@ def load_dqb(text: str) -> DualQuasiBialgebra:
     n = _require(doc, "dim", int, loc)
     if n < 1:
         raise DocumentError(f"dim must be positive, got {n}", f"{loc}.dim")
+    read = _ScalarReader(field)
     delta = _sparse_matrix(
-        field, _require(doc, "delta", list, loc), (n, n, n),
+        read, _require(doc, "delta", list, loc), (n, n, n),
         lambda idx: (idx[1] * n + idx[2], idx[0]), n * n, n, f"{loc}.delta", True)
     mul = _sparse_matrix(
-        field, _require(doc, "mul", list, loc), (n, n, n),
+        read, _require(doc, "mul", list, loc), (n, n, n),
         lambda idx: (idx[2], idx[0] * n + idx[1]), n, n * n, f"{loc}.mul", True)
     omega = _sparse_matrix(
-        field, _require(doc, "omega", list, loc), (n, n, n),
+        read, _require(doc, "omega", list, loc), (n, n, n),
         lambda idx: (0, (idx[0] * n + idx[1]) * n + idx[2]),
         1, n ** 3, f"{loc}.omega", False)
     counit = Matrix.row_vector(
-        field, _dense_row(field, _require(doc, "counit", list, loc), n, f"{loc}.counit"))
+        field, _dense_row(read, _require(doc, "counit", list, loc), n, f"{loc}.counit"))
     unit = Matrix.column_vector(
-        field, _dense_row(field, _require(doc, "unit", list, loc), n, f"{loc}.unit"))
+        field, _dense_row(read, _require(doc, "unit", list, loc), n, f"{loc}.unit"))
     omega_inv = None
     if "omega_inv" in doc:
         omega_inv = _sparse_matrix(
-            field, _require(doc, "omega_inv", list, loc), (n, n, n),
+            read, _require(doc, "omega_inv", list, loc), (n, n, n),
             lambda idx: (0, (idx[0] * n + idx[1]) * n + idx[2]),
             1, n ** 3, f"{loc}.omega_inv", False)
     return DualQuasiBialgebra(field, n, delta, counit, mul, unit, omega, omega_inv)
@@ -206,6 +223,8 @@ def dump_dqb(H: DualQuasiBialgebra) -> str:
 
 def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
     """Parse a Hopf-bicomodule document over the given algebra."""
+    from .comodules import HopfBicomodule
+
     doc = _parse_json(text)
     loc = "module"
     _check_version(doc, loc)
@@ -213,15 +232,15 @@ def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
     if d < 1:
         raise DocumentError(f"dim must be positive, got {d}", f"{loc}.dim")
     n = H.dim
-    field = H.field
+    read = _ScalarReader(H.field)
     rho_l = _sparse_matrix(
-        field, _require(doc, "rho_l", list, loc), (d, n, d),
+        read, _require(doc, "rho_l", list, loc), (d, n, d),
         lambda idx: (idx[1] * d + idx[2], idx[0]), n * d, d, f"{loc}.rho_l", True)
     rho_r = _sparse_matrix(
-        field, _require(doc, "rho_r", list, loc), (d, d, n),
+        read, _require(doc, "rho_r", list, loc), (d, d, n),
         lambda idx: (idx[1] * n + idx[2], idx[0]), d * n, d, f"{loc}.rho_r", True)
     act = _sparse_matrix(
-        field, _require(doc, "act", list, loc), (d, n, d),
+        read, _require(doc, "act", list, loc), (d, n, d),
         lambda idx: (idx[2], idx[0] * n + idx[1]), d, d * n, f"{loc}.act", True)
     return HopfBicomodule(d, rho_l, rho_r, act)
 
@@ -242,16 +261,18 @@ def dump_bicomodule(M: HopfBicomodule) -> str:
 # -- antipode and preantipode documents ------------------------------------------------
 
 
-def _dense_matrix(field: Field, rows, n: int, location: str) -> Matrix:
+def _dense_matrix(read: _ScalarReader, rows, n: int, location: str) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise DocumentError(f"expected {n} rows", location)
     flat: list[Scalar] = []
     for i, row in enumerate(rows):
-        flat.extend(_dense_row(field, row, n, f"{location}[{i}]"))
-    return Matrix(field, n, n, flat)
+        flat.extend(_dense_row(read, row, n, f"{location}[{i}]"))
+    return Matrix(read.field, n, n, flat)
 
 
 def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
+    from .preantipode import AntipodeData
+
     doc = _parse_json(text)
     loc = "antipode"
     _check_version(doc, loc)
@@ -260,11 +281,12 @@ def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
         raise DocumentError(f"dim {n} disagrees with the algebra dimension {H.dim}",
                             f"{loc}.dim")
     field = H.field
-    s = _dense_matrix(field, _require(doc, "s", list, loc), n, f"{loc}.s")
+    read = _ScalarReader(field)
+    s = _dense_matrix(read, _require(doc, "s", list, loc), n, f"{loc}.s")
     alpha = Matrix.row_vector(
-        field, _dense_row(field, _require(doc, "alpha", list, loc), n, f"{loc}.alpha"))
+        field, _dense_row(read, _require(doc, "alpha", list, loc), n, f"{loc}.alpha"))
     beta = Matrix.row_vector(
-        field, _dense_row(field, _require(doc, "beta", list, loc), n, f"{loc}.beta"))
+        field, _dense_row(read, _require(doc, "beta", list, loc), n, f"{loc}.beta"))
     return AntipodeData(s, alpha, beta)
 
 
@@ -288,7 +310,8 @@ def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
     if n != H.dim:
         raise DocumentError(f"dim {n} disagrees with the algebra dimension {H.dim}",
                             f"{loc}.dim")
-    return _dense_matrix(H.field, _require(doc, "matrix", list, loc), n, f"{loc}.matrix")
+    return _dense_matrix(_ScalarReader(H.field), _require(doc, "matrix", list, loc), n,
+                         f"{loc}.matrix")
 
 
 def dump_preantipode(S: Matrix) -> str:

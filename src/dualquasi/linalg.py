@@ -12,7 +12,6 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -21,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .scalars import Field, Scalar
+from .values import Value
 
 
 class Matrix:
@@ -267,12 +267,14 @@ def tensor_unindex(flat: int, dim: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(Value):
     """The full solution set of a linear system: particular + kernel basis."""
 
-    particular: tuple[Scalar, ...]
-    kernel: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("particular", "kernel")
+
+    def __init__(self, particular: tuple[Scalar, ...],
+                 kernel: tuple[tuple[Scalar, ...], ...]):
+        self._set(particular, kernel)
 
 
 def _rref(rows_data: list[list[Scalar]], width: int, field: Field) -> list[int]:

@@ -18,7 +18,6 @@ from the retraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .comodules import (HopfBicomodule, Subspace, _act_terms, _left_terms,
@@ -28,48 +27,48 @@ from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, solve_affine
 from .report import Check, Report, basis_tuples, check_identity, clean_terms
 from .scalars import Scalar
+from .values import Value
 
 
-@dataclass(frozen=True)
-class AntipodeData:
+class AntipodeData(Value):
     """A candidate antipode triple: coalgebra antimorphism s and functionals α, β."""
 
-    s: Matrix
-    alpha: Matrix
-    beta: Matrix
+    __slots__ = ("s", "alpha", "beta")
 
-    def __post_init__(self):
-        n = self.s.rows
-        if self.s.cols != n:
+    def __init__(self, s: Matrix, alpha: Matrix, beta: Matrix):
+        n = s.rows
+        if s.cols != n:
             raise DimensionMismatch("antipode matrix must be square")
-        if (self.alpha.rows, self.alpha.cols) != (1, n):
+        if (alpha.rows, alpha.cols) != (1, n):
             raise DimensionMismatch("alpha must be a 1xn functional")
-        if (self.beta.rows, self.beta.cols) != (1, n):
+        if (beta.rows, beta.cols) != (1, n):
             raise DimensionMismatch("beta must be a 1xn functional")
+        self._set(s, alpha, beta)
 
 
-@dataclass(frozen=True)
-class PreantipodeFamily:
+class PreantipodeFamily(Value):
     """The affine solution set of the preantipode system."""
 
-    particular: Matrix
-    kernel: tuple[Matrix, ...]
+    __slots__ = ("particular", "kernel")
+
+    def __init__(self, particular: Matrix, kernel: tuple[Matrix, ...]):
+        self._set(particular, kernel)
 
     @property
     def kernel_dimension(self) -> int:
         return len(self.kernel)
 
 
-@dataclass(frozen=True)
-class CoinvariantRetraction:
+class CoinvariantRetraction(Value):
     """The retraction M → M^coH and the inverse of the evaluation map.
 
     ``retraction`` is r×d in coinvariant coordinates; ``counit_inverse`` is
     the (r·n)×d matrix of m ↦ τ(m₀)⊗m₁."""
 
-    coinvariants: Subspace
-    retraction: Matrix
-    counit_inverse: Matrix
+    __slots__ = ("coinvariants", "retraction", "counit_inverse")
+
+    def __init__(self, coinvariants: Subspace, retraction: Matrix, counit_inverse: Matrix):
+        self._set(coinvariants, retraction, counit_inverse)
 
 
 def _require_square(H: DualQuasiBialgebra, S: Matrix) -> None:

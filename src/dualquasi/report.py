@@ -2,31 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
+from .values import Value
 
-@dataclass(frozen=True)
-class Check:
+
+class Check(Value):
     """Outcome of one named identity.
 
     A failing check records the first offending basis tuple in lexicographic
     order together with the two unequal values, rendered canonically.
     """
 
-    axiom: str
-    passed: bool
-    witness: tuple[int, ...] | None = None
-    lhs: str | None = None
-    rhs: str | None = None
+    __slots__ = ("axiom", "passed", "witness", "lhs", "rhs")
+
+    def __init__(self, axiom: str, passed: bool, witness: tuple[int, ...] | None = None,
+                 lhs: str | None = None, rhs: str | None = None):
+        self._set(axiom, passed, witness, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     """An ordered collection of checks; the verdict is their conjunction."""
 
-    checks: tuple[Check, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]):
+        self._set(checks)
 
     @property
     def ok(self) -> bool:

@@ -1,0 +1,46 @@
+"""The immutable record base shared by the package's value classes."""
+
+from __future__ import annotations
+
+
+class Value:
+    """An immutable record whose fields are the names in ``__slots__``.
+
+    Equality, hashing and repr go by the fields in slot order, between
+    instances of the same class.  Assigning or deleting a field raises
+    AttributeError; a subclass's ``__init__`` checks its arguments and then
+    stores them with ``_set``.  A ``__dict__`` slot (room for
+    ``cached_property``) is not a field.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

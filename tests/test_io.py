@@ -78,6 +78,33 @@ def test_malformed_scalar_reports_location():
     assert err.value.location == "dqb.counit[1]"
 
 
+def test_repeated_malformed_scalar_reports_its_first_position():
+    doc = json.loads(dump_dqb(bundled_examples()[1].dqb))
+    doc["omega"][2][-1] = doc["omega"][5][-1] = doc["omega_inv"][1][-1] = "3//4"
+    with pytest.raises(DocumentError) as err:
+        load_dqb(json.dumps(doc))
+    assert err.value.location == "dqb.omega[2]"
+    doc["delta"][1][-1] = ["1"]  # not a string, so never looked up by its text
+    with pytest.raises(DocumentError) as err:
+        load_dqb(json.dumps(doc))
+    assert err.value.location == "dqb.delta[1]"
+    assert "scalar must be a string" in str(err.value)
+
+
+def test_repeated_scalars_round_trip_bit_exact():
+    # cyclic 8 r=1 writes each of its few distinct values many times
+    ex = cyclic_group_example(8, 1)
+    text = dump_dqb(ex.dqb)
+    H = load_dqb(text)
+    assert dump_dqb(H) == text
+    assert H.omega == ex.dqb.omega and H.omega_inv == ex.dqb.omega_inv
+    assert H.delta == ex.dqb.delta and H.mul == ex.dqb.mul
+    for load, dump, value in ((load_antipode, dump_antipode, ex.antipode),
+                              (load_preantipode, dump_preantipode, ex.preantipode)):
+        loaded = load(dump(value), H)
+        assert loaded == value and dump(loaded) == dump(value)
+
+
 def test_json_syntax_error_reports_line_and_column():
     with pytest.raises(DocumentError) as err:
         load_dqb("{\n  broken")

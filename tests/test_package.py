@@ -1,0 +1,202 @@
+"""The package namespace, what each command imports, and the value classes."""
+
+import subprocess
+import sys
+
+import pytest
+
+import dualquasi
+from dualquasi import (AffineSolution, AntipodeData, Bicomodule, Check, Cocycle,
+                       CoinvariantRetraction, DimensionMismatch, GroupData,
+                       GroupExample, HopfBicomodule, LeftComodule, Matrix,
+                       PreantipodeFamily, Report, Subspace, coinvariant_retraction,
+                       coinvariants, cyclic_group_example, dump_dqb, hhat,
+                       regular_bicomodule, solve_affine, solve_preantipode)
+
+# the names the package exported before they were loaded on first use
+EXPORTED = [
+    "AffineSolution", "AntipodeData", "Bicomodule", "Check", "Cocycle",
+    "CoinvariantRetraction", "DimensionMismatch", "DocumentError",
+    "DualQuasiBialgebra", "DualQuasiError", "Field", "GroupData", "GroupExample",
+    "HopfBicomodule", "InvariantViolation", "LeftComodule", "Matrix",
+    "PreantipodeFamily", "Report", "Scalar", "ScalarParseError", "Subspace",
+    "adjunction_counit", "adjunction_unit", "anti_homomorphism_defect",
+    "canonical_group_preantipode", "check_antipode", "check_preantipode",
+    "check_projection_formula", "coinvariant_comodule", "coinvariant_retraction",
+    "coinvariants", "convolution", "convolution_inverse", "cyclic_cocycle",
+    "cyclic_group_example", "dump_antipode", "dump_bicomodule", "dump_dqb",
+    "dump_preantipode", "free_hopf_bicomodule", "group_antipode_data",
+    "group_dqb", "hhat", "idempotent_monoid_bialgebra", "induce_bicomodule",
+    "inverse", "kernel", "load_antipode", "load_bicomodule", "load_dqb",
+    "load_preantipode", "preantipode_from_antipode", "rank",
+    "regular_bicomodule", "retraction_report", "serialize_report",
+    "solve_affine", "solve_preantipode", "structure_isomorphism",
+    "tensor_index", "tensor_unindex", "trivial_cocycle", "trivial_left_coaction",
+    "trivial_right_coaction", "validate_bicomodule", "validate_cocycle",
+    "validate_dqb", "validate_left_comodule",
+]
+
+
+def _imported_modules(*argv):
+    """Modules a fresh interpreter imports while running argv, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True)
+    return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and "|" in line}
+
+
+# -- import path ------------------------------------------------------------------
+
+
+def test_import_loads_no_submodule():
+    proc, modules = _imported_modules("-c", "import dualquasi")
+    assert proc.returncode == 0
+    assert "dualquasi" in modules
+    assert not [m for m in modules if m.startswith("dualquasi.")]
+
+
+def test_verify_loads_only_the_algebra_layers(tmp_path):
+    doc = tmp_path / "c2.dqb.json"
+    doc.write_text(dump_dqb(cyclic_group_example(2, 1).dqb))
+    proc, modules = _imported_modules("-m", "dualquasi", "verify", str(doc))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "OK (15 axioms)"
+    assert "dualquasi.dqb" in modules and "dualquasi.io" in modules
+    for name in ("dataclasses", "dualquasi.comodules", "dualquasi.preantipode",
+                 "dualquasi.groups"):
+        assert name not in modules
+
+
+def test_exported_names_are_unchanged():
+    assert sorted(dualquasi.__all__) == EXPORTED
+    assert len(EXPORTED) == 69
+
+
+def test_each_name_is_the_object_of_its_home_module():
+    for name in EXPORTED:
+        obj = getattr(dualquasi, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("dualquasi.")
+        assert getattr(home, name) is obj, name
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from dualquasi import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == EXPORTED
+    for name in EXPORTED:
+        assert namespace[name] is getattr(dualquasi, name)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        dualquasi.no_such_name
+
+
+# -- value classes ------------------------------------------------------------------
+
+
+def _instances():
+    """One instance of each value class, built by the library."""
+    ex = cyclic_group_example(2, 1)
+    H = ex.dqb
+    M = hhat(H)
+    family = solve_preantipode(H)
+    retraction = coinvariant_retraction(H, family.particular, M)
+    return [
+        Check("unit-left", False, (0, 1), "1", "2"),
+        Report((Check("a", True), Check("b", False, (1,), "0", "1"))),
+        solve_affine(Matrix.identity(H.field, 2), [H.field.one, H.field.zero]),
+        LeftComodule(H.dim, H.delta),
+        regular_bicomodule(H),
+        M,
+        coinvariants(H, M),
+        ex.antipode,
+        family,
+        retraction,
+        ex.group,
+        ex.cocycle,
+        ex,
+    ]
+
+
+VALUE_CLASSES = [Check, Report, AffineSolution, LeftComodule, Bicomodule,
+                 HopfBicomodule, Subspace, AntipodeData, PreantipodeFamily,
+                 CoinvariantRetraction, GroupData, Cocycle, GroupExample]
+
+
+def _fields(value):
+    return [name for name in type(value).__slots__ if name != "__dict__"]
+
+
+def test_equality_hash_and_repr_go_by_fields():
+    values = _instances()
+    assert [type(v) for v in values] == VALUE_CLASSES
+    for value in values:
+        names = _fields(value)
+        copy = type(value)(*(getattr(value, n) for n in names))
+        assert copy == value and not copy != value
+        assert value != object() and value != (getattr(value, names[0]),)
+        fields = ", ".join(f"{n}={getattr(value, n)!r}" for n in names)
+        assert repr(value) == f"{type(value).__name__}({fields})"
+        if not any(isinstance(getattr(value, n), Matrix) for n in names):
+            assert hash(copy) == hash(value)
+
+
+def test_keyword_construction_and_defaults():
+    assert Check(axiom="a", passed=True) == Check("a", True, None, None, None)
+    assert repr(Check("a", True)) == \
+        "Check(axiom='a', passed=True, witness=None, lhs=None, rhs=None)"
+    assert Check("a", False, (0,), "1", "2") != Check("a", False, (1,), "1", "2")
+    assert len({Check("a", True), Check("a", True), Check("b", True)}) == 2
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    for value in _instances():
+        for name in _fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_subspace_caches_its_elimination_outside_its_fields():
+    H = cyclic_group_example(2, 1).dqb
+    first, second = coinvariants(H, hhat(H)), coinvariants(H, hhat(H))
+    vector = first.basis.column_list(0)
+    assert first.coordinates(vector) == second.coordinates(vector)
+    assert "_elimination" in vars(first)
+    assert first == second and repr(first) == repr(second)
+
+
+def test_constructors_reject_inconsistent_shapes():
+    ex = cyclic_group_example(2, 1)
+    H = ex.dqb
+    F = H.field
+    z = lambda r, c: Matrix.zeros(F, r, c)
+    with pytest.raises(DimensionMismatch):
+        LeftComodule(0, z(2, 0))
+    with pytest.raises(DimensionMismatch):
+        LeftComodule(2, z(3, 2))
+    with pytest.raises(DimensionMismatch):
+        Bicomodule(0, z(2, 0), z(2, 0))
+    with pytest.raises(DimensionMismatch):
+        Bicomodule(2, z(3, 2), z(4, 2))
+    with pytest.raises(DimensionMismatch):
+        Bicomodule(2, z(4, 2), z(3, 2))
+    with pytest.raises(DimensionMismatch):
+        Bicomodule(2, z(4, 2), z(6, 2))
+    with pytest.raises(DimensionMismatch):
+        HopfBicomodule(2, z(4, 2), z(6, 2), z(2, 4))
+    with pytest.raises(DimensionMismatch):
+        HopfBicomodule(2, z(4, 2), z(4, 2), z(2, 3))
+    with pytest.raises(DimensionMismatch):
+        AntipodeData(z(2, 3), z(1, 2), z(1, 2))
+    with pytest.raises(DimensionMismatch):
+        AntipodeData(z(2, 2), z(1, 3), z(1, 2))
+    with pytest.raises(DimensionMismatch):
+        AntipodeData(z(2, 2), z(1, 2), z(2, 1))
+    with pytest.raises(ValueError):
+        Cocycle(F, 2, ex.cocycle.values[:-1])
