@@ -332,7 +332,7 @@ def _first_difference(axiom: str, lhs, rhs, n: int, arity: int) -> Check:
 
 def _reassociator_invertible(H) -> Check:
     """ω∗ω⁻¹ = ε⊗ε⊗ε = ω⁻¹∗ω, the first product scanned in full first."""
-    eps3 = H.counit_power(3).entries
+    eps3 = list(H.counit_power(3).entries)
     w, w_inv = H.omega.entries, H.omega_inv.entries
     for f, g in ((w, w_inv), (w_inv, w)):
         check = _first_difference("reassociator-invertible", _convolve(H, f, g, 3),
