@@ -253,15 +253,17 @@ def _reference_cocycle(H):
     return Check("cocycle-identity", True)
 
 
-def _perturbed(m, rng, value):
-    """m with value added at one random position."""
+def _perturbed(m, row, col, value):
+    """m with value added at (row, col)."""
     terms = [(r, c, v) for r in range(m.rows) for c, v in m.row_terms(r)]
-    terms.append((rng.randrange(m.rows), rng.randrange(m.cols), value))
+    terms.append((row, col, value))
     return Matrix.from_terms(m.field, m.rows, m.cols, terms)
 
 
 def _corruptions(H, seed):
-    """H with one seeded entry of ω, ω⁻¹, m or Δ changed, one of each."""
+    """H with one seeded entry of ω, ω⁻¹, m or Δ changed, one at a time.  Δ is
+    changed once at a random position, which usually adds a split term, and
+    once at one of its terms, which changes a coefficient."""
     rng = random.Random(seed)
     field = H.field
     value = field.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
@@ -269,8 +271,12 @@ def _corruptions(H, seed):
         value = value + field.zeta(1) * rng.choice([-1, 0, 1])
     parts = dict(delta=H.delta, counit=H.counit, mul=H.mul, unit=H.unit,
                  omega=H.omega, omega_inv=H.omega_inv)
-    for key in ("omega", "omega_inv", "mul", "delta"):
-        changed = dict(parts, **{key: _perturbed(parts[key], rng, value)})
+    positions = [(key, rng.randrange(parts[key].rows), rng.randrange(parts[key].cols))
+                 for key in ("omega", "omega_inv", "mul", "delta")]
+    positions.append(("delta", *rng.choice([(r, c) for r in range(H.delta.rows)
+                                            for c, _ in H.delta.row_terms(r)])))
+    for key, row, col in positions:
+        changed = dict(parts, **{key: _perturbed(parts[key], row, col, value)})
         yield key, DualQuasiBialgebra(field, H.dim, **changed)
 
 
