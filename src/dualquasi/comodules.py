@@ -55,10 +55,9 @@ class Bicomodule(Value):
     def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix):
         if dim < 1:
             raise DimensionMismatch("bicomodule dimension must be at least 1")
-        d = dim
-        if rho_l.cols != d or rho_l.rows % d:
+        if rho_l.cols != dim or rho_l.rows % dim:
             raise DimensionMismatch("left coaction shape is inconsistent")
-        if rho_r.cols != d or rho_r.rows % d:
+        if rho_r.cols != dim or rho_r.rows % dim:
             raise DimensionMismatch("right coaction shape is inconsistent")
         if rho_l.rows != rho_r.rows:
             raise DimensionMismatch("coactions disagree on the dimension of H")
@@ -75,12 +74,11 @@ class HopfBicomodule(Value):
     __slots__ = ("dim", "rho_l", "rho_r", "act")
 
     def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix, act: Matrix):
-        d = dim
-        Bicomodule(d, rho_l, rho_r)  # reuse the shape checks
-        n = rho_l.rows // d
-        if (act.rows, act.cols) != (d, d * n):
+        Bicomodule(dim, rho_l, rho_r)  # reuse the shape checks
+        n = rho_l.rows // dim
+        if (act.rows, act.cols) != (dim, dim * n):
             raise DimensionMismatch(
-                f"action must be {d}x{d * n}, got {act.rows}x{act.cols}")
+                f"action must be {dim}x{dim * n}, got {act.rows}x{act.cols}")
         self._set(dim, rho_l, rho_r, act)
 
     @property
