@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
-from dualquasi import Field, validate_dqb
+from dualquasi import Check, Field, validate_dqb
 from dualquasi.groups import (Cocycle, GroupData, canonical_group_preantipode,
                               cyclic_cocycle, group_antipode_data, group_dqb,
                               idempotent_monoid_bialgebra, trivial_cocycle,
@@ -144,3 +146,64 @@ def test_cyclotomic_cocycle_values_are_roots_of_unity():
     theta = cyclic_cocycle(6, 1, Field.cyclotomic(6))
     for v in theta.values:
         assert v ** 6 == theta.field.one
+
+
+# -- the G⁴ cocycle identity against a per-quadruple reference ------------------
+
+
+def _reference_cocycle_identity(group, theta):
+    """θ(h,k,l)·θ(g,hk,l)·θ(g,h,k) = θ(g,h,kl)·θ(gh,k,l), evaluated quadruple by
+    quadruple in lexicographic order from ``theta.theta`` and ``group.mul``."""
+    t, mul, n = theta.theta, group.mul, group.order
+    for g, h, k, l in product(range(n), repeat=4):
+        lhs = t(h, k, l) * t(g, mul(h, k), l) * t(g, h, k)
+        rhs = t(g, h, mul(k, l)) * t(mul(g, h), k, l)
+        if lhs != rhs:
+            return Check("cocycle-identity", False, (g, h, k, l), str(lhs), str(rhs))
+    return Check("cocycle-identity", True)
+
+
+def _symmetric_group_with_sign_cocycle():
+    """S₃ from its table, with the ℤ₂ cocycle (a,b,c) ↦ (−1)^(abc) pulled back
+    along the sign map; S₃ is non-abelian, so hk and kh differ."""
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+             for p in perms]
+    group = GroupData.from_table(table)
+    parity = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+              for p in perms]
+    theta = Cocycle.from_function(
+        group, Q, lambda g, h, k: Q.from_fraction((-1) ** (parity[g] * parity[h] * parity[k])))
+    return group, theta
+
+
+def _cocycle_cases():
+    yield "S3", *_symmetric_group_with_sign_cocycle()
+    for n, r in ((4, 1), (6, 5), (8, 3)):
+        yield f"cyclic_{n}_r{r}", GroupData.cyclic(n), cyclic_cocycle(n, r)
+
+
+def _corrupted(theta, seed):
+    """θ with one seeded value changed."""
+    rng = random.Random(seed)
+    field = theta.field
+    value = field.from_fraction(rng.choice([-2, -1, 2, 3]))
+    if field.kind == "cyclotomic":
+        value = value * field.zeta(rng.randrange(field.order))
+    values = list(theta.values)
+    values[rng.randrange(len(values))] = value
+    return Cocycle(field, theta.order, tuple(values))
+
+
+def test_cocycle_identity_matches_the_per_quadruple_reference():
+    failed = 0
+    for index, (name, group, theta) in enumerate(_cocycle_cases()):
+        cases = [theta] + [_corrupted(theta, 10 * index + seed) for seed in range(3)]
+        for label, case in enumerate(cases):
+            got = {c.axiom: c for c in validate_cocycle(group, case).checks}
+            expected = _reference_cocycle_identity(group, case)
+            assert got["cocycle-identity"] == expected, (name, label)
+            failed += not expected.passed
+        assert validate_cocycle(group, theta).ok, name
+    # the reference has to see failures to mean anything
+    assert failed >= 5, failed
