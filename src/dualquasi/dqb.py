@@ -10,12 +10,13 @@ complete.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, tensor_unindex
 from .report import Check, Report, basis_tuples, check_identity
 from .scalars import Field, Scalar
+from .values import Value
 
 
 def _expect_shape(name: str, m: Matrix, rows: int, cols: int, field: Field) -> None:
@@ -24,6 +25,56 @@ def _expect_shape(name: str, m: Matrix, rows: int, cols: int, field: Field) -> N
             f"{name} must be {rows}x{cols}, got {m.rows}x{m.cols}")
     if m.field != field:
         raise DimensionMismatch(f"{name} lives over {m.field!r}, expected {field!r}")
+
+
+class _Codes:
+    """Numbers the distinct scalars of an exhaustive check, so that its n⁴
+    products and sums run on small ints.
+
+    Code 0 is zero and code 1 is one.  Field elements are canonical, so two
+    codes are equal exactly when their values are, and each distinct product
+    or sum of two codes is computed once.
+    """
+
+    __slots__ = ("values", "_index", "_products", "_sums")
+
+    def __init__(self, field: Field):
+        self.values = [field.zero, field.one]
+        self._index = {field.zero: 0, field.one: 1}
+        self._products: dict[tuple[int, int], int] = {}
+        self._sums: dict[tuple[int, int], int] = {}
+
+    def code(self, value: Scalar) -> int:
+        c = self._index.get(value)
+        if c is None:
+            c = self._index[value] = len(self.values)
+            self.values.append(value)
+        return c
+
+    def codes(self, values) -> list[int]:
+        return list(map(self.code, values))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        if not a or not b:
+            return 0
+        c = self._products.get((a, b))
+        if c is None:
+            c = self._products[a, b] = self.code(self.values[a] * self.values[b])
+        return c
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        c = self._sums.get((a, b))
+        if c is None:
+            c = self._sums[a, b] = self.code(self.values[a] + self.values[b])
+        return c
 
 
 class DualQuasiBialgebra:
@@ -103,25 +154,30 @@ class DualQuasiBialgebra:
         self._delta_powers[key] = result
         return result
 
+    @cached_property
+    def _codes(self) -> _Codes:
+        """The value numbering of H's split tables and convolutions."""
+        return _Codes(self.field)
+
     def split_table(self, k: int):
         """Per flat index of H^⊗k: terms (left_flat, right_flat, c) of its
-        codiagonal comultiplication, with Δ applied factorwise.
+        codiagonal comultiplication, with Δ applied factorwise; c is the code
+        of the coefficient in ``H._codes``.
 
-        The table lives as long as H, so equal indices and equal coefficients
-        are stored once each; this halves the table of H^⊗4."""
+        The table lives as long as H, so equal indices are stored once each."""
         cached = self._split_tables.get(k)
         if cached is not None:
             return cached
         if k == 0:
-            result = (((0, 0, self.field.one),),)
+            result = (((0, 0, 1),),)
         else:
             n = self.dim
             flats = list(range(n ** k))
-            coeffs: dict = {}
+            code, mul = self._codes.code, self._codes.mul
+            delta = [[(a, b, code(c)) for a, b, c in terms] for terms in self._delta_terms]
             result = tuple(
-                tuple((flats[lf * n + a], flats[rf * n + b],
-                       coeffs.setdefault(c3 := c * c2, c3))
-                      for lf, rf, c in head for a, b, c2 in self._delta_terms[last])
+                tuple((flats[lf * n + a], flats[rf * n + b], mul(c, c2))
+                      for lf, rf, c in head for a, b, c2 in delta[last])
                 for head in self.split_table(k - 1) for last in range(n))
         self._split_tables[k] = result
         return result
@@ -161,6 +217,30 @@ class DualQuasiBialgebra:
         return f"<DualQuasiBialgebra dim={self.dim} over {self.field!r}>"
 
 
+class AntipodeData(Value):
+    """A candidate antipode triple: coalgebra antimorphism s and functionals α, β."""
+
+    __slots__ = ("s", "alpha", "beta")
+
+    def __init__(self, s: Matrix, alpha: Matrix, beta: Matrix):
+        n = s.rows
+        if s.cols != n:
+            raise DimensionMismatch("antipode matrix must be square")
+        if (alpha.rows, alpha.cols) != (1, n):
+            raise DimensionMismatch("alpha must be a 1xn functional")
+        if (beta.rows, beta.cols) != (1, n):
+            raise DimensionMismatch("beta must be a 1xn functional")
+        self._set(s, alpha, beta)
+
+
+def _require_square(H: DualQuasiBialgebra, S: Matrix) -> None:
+    n = H.dim
+    if (S.rows, S.cols) != (n, n):
+        raise DimensionMismatch(f"S must be {n}x{n}, got {S.rows}x{S.cols}")
+    if S.field != H.field:
+        raise DimensionMismatch("S lives over a different field than H")
+
+
 # -- convolution algebra of functionals on tensor powers ----------------------
 
 
@@ -185,16 +265,17 @@ def _functional_arity(H: DualQuasiBialgebra, f: Matrix, arity: int | None) -> in
     return k
 
 
-def _convolve(H: DualQuasiBialgebra, f, g, k: int) -> list[Scalar]:
-    """Values of f∗g on H^⊗k in flat order, from the values of f and g."""
-    zero = H.field.zero
+def _convolve(H: DualQuasiBialgebra, f, g, k: int) -> list[int]:
+    """Codes of f∗g on H^⊗k in flat order, from the codes of f and g."""
+    mul, add = H._codes.mul, H._codes.add
     out = []
     for terms in H.split_table(k):
         if len(terms) == 1:
             (lf, rf, c), = terms
-            out.append(f[lf] * g[rf] * c)
+            v = mul(f[lf], g[rf])
+            out.append(v if c == 1 else mul(v, c))
             continue
-        acc = zero
+        acc = 0
         for lf, rf, c in terms:
             fv = f[lf]
             if not fv:
@@ -202,7 +283,7 @@ def _convolve(H: DualQuasiBialgebra, f, g, k: int) -> list[Scalar]:
             gv = g[rf]
             if not gv:
                 continue
-            acc = acc + fv * gv * c
+            acc = add(acc, mul(mul(fv, gv), c))
         out.append(acc)
     return out
 
@@ -217,7 +298,9 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     k = _functional_arity(H, f, arity)
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
-    return Matrix.row_vector(H.field, _convolve(H, f.entries, g.entries, k))
+    codes = H._codes
+    out = _convolve(H, codes.codes(f.entries), codes.codes(g.entries), k)
+    return Matrix.row_vector(H.field, [codes.values[c] for c in out])
 
 
 def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
@@ -234,11 +317,12 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
     zero = H.field.zero
     rows = [[zero] * N for _ in range(N)]
     fe = f.entries
+    values = H._codes.values
     for row, terms in zip(rows, H.split_table(k)):
         for lf, rf, c in terms:
             fv = fe[lf]
             if fv:
-                row[rf] = row[rf] + fv * c
+                row[rf] = row[rf] + fv * values[c]
     eps_k = H.counit_power(k)
     sol = solve_affine(Matrix.from_rows(H.field, rows), list(eps_k.entries))
     if sol is None:
@@ -320,54 +404,64 @@ def _unit_counital(H):
     return acc, H.field.one
 
 
-def _first_difference(axiom: str, lhs, rhs, n: int, arity: int) -> Check:
-    """Two value lists on H^⊗arity, in flat order, agree at every basis tuple;
-    flat order is the lexicographic order of the tuples."""
-    if lhs != rhs:
-        for flat, (a, b) in enumerate(zip(lhs, rhs)):
-            if a != b:
-                return Check(axiom, False, tensor_unindex(flat, n, arity), str(a), str(b))
-    return Check(axiom, True)
+def _first_difference(axiom: str, lhs: list[int], rhs: list[int], values,
+                      n: int, arity: int) -> Check:
+    """Two code lists on H^⊗arity, in flat order, agree at every basis tuple;
+    flat order is the lexicographic order of the tuples, and ``values`` maps
+    a code back to its scalar."""
+    if lhs == rhs:
+        return Check(axiom, True)
+    flat = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return Check(axiom, False, tensor_unindex(flat, n, arity),
+                 str(values[lhs[flat]]), str(values[rhs[flat]]))
 
 
 def _reassociator_invertible(H) -> Check:
     """ω∗ω⁻¹ = ε⊗ε⊗ε = ω⁻¹∗ω, the first product scanned in full first."""
-    eps3 = list(H.counit_power(3).entries)
-    w, w_inv = H.omega.entries, H.omega_inv.entries
+    codes = H._codes
+    eps3 = codes.codes(H.counit_power(3).entries)
+    w, w_inv = codes.codes(H.omega.entries), codes.codes(H.omega_inv.entries)
     for f, g in ((w, w_inv), (w_inv, w)):
         check = _first_difference("reassociator-invertible", _convolve(H, f, g, 3),
-                                  eps3, H.dim, 3)
+                                  eps3, codes.values, H.dim, 3)
         if not check.passed:
             break
     return check
 
 
-def _omega_with_product(H, slot: int) -> list[Scalar]:
-    """ω with the product of two factors in slot 0, 1 or 2, as values on H^⊗4
-    in flat order: ω(hk⊗l⊗p), ω(h⊗kl⊗p) or ω(h⊗k⊗lp)."""
+def _omega_with_product(H, w: list[int], slot: int) -> list[int]:
+    """ω with the product of two factors in slot 0, 1 or 2, as codes on H^⊗4
+    in flat order: ω(hk⊗l⊗p), ω(h⊗kl⊗p) or ω(h⊗k⊗lp).  ``w`` holds the
+    codes of ω."""
     n = H.dim
-    w = H.omega.entries
-    zero = H.field.zero
+    code, mul, add = H._codes.code, H._codes.mul, H._codes.add
+    products = [[(t, code(c)) for t, c in terms] for terms in H._mul_table]
     tail = n ** (2 - slot)
     out = []
     for head in range(n ** slot):
-        for terms in H._mul_table:
-            for b in range(tail):
-                acc = zero
-                for t, c in terms:
-                    acc = acc + c * w[(head * n + t) * tail + b]
-                out.append(acc)
+        for terms in products:
+            # the block of a product is Σ c·ω over the blocks of its terms
+            block = [0] * tail
+            for t, c in terms:
+                start = (head * n + t) * tail
+                part = w[start:start + tail]
+                if c != 1:
+                    part = [mul(c, v) for v in part]
+                block = part if len(terms) == 1 else list(map(add, block, part))
+            out.extend(block)
     return out
 
 
 def _cocycle_identity(H) -> Check:
     """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4."""
-    eps, w = H.counit.entries, H.omega.entries
-    eps_w = [e * v for e in eps for v in w]
-    w_eps = [v * e for v in w for e in eps]
-    lhs = _convolve(H, _omega_with_product(H, 2), _omega_with_product(H, 0), 4)
-    rhs = _convolve(H, _convolve(H, eps_w, _omega_with_product(H, 1), 4), w_eps, 4)
-    return _first_difference("cocycle-identity", lhs, rhs, H.dim, 4)
+    codes = H._codes
+    mul = codes.mul
+    eps, w = codes.codes(H.counit.entries), codes.codes(H.omega.entries)
+    eps_w = [mul(e, v) for e in eps for v in w]
+    w_eps = [mul(v, e) for v in w for e in eps]
+    lhs = _convolve(H, _omega_with_product(H, w, 2), _omega_with_product(H, w, 0), 4)
+    rhs = _convolve(H, _convolve(H, eps_w, _omega_with_product(H, w, 1), 4), w_eps, 4)
+    return _first_difference("cocycle-identity", lhs, rhs, codes.values, H.dim, 4)
 
 
 def _cocycle_normalization(H, slot, j, k):

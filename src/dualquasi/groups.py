@@ -10,10 +10,9 @@ preantipode is S(g) = ω(g,g⁻¹,g)⁻¹·g⁻¹.
 
 from __future__ import annotations
 
-from .dqb import DualQuasiBialgebra, _add
+from .dqb import AntipodeData, DualQuasiBialgebra, _add, _Codes, _require_square
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Matrix
-from .preantipode import AntipodeData, _require_square
+from .linalg import Matrix, tensor_unindex
 from .report import (Check, Report, basis_tuples, check_identity, format_terms,
                      terms_equal)
 from .scalars import Field, Scalar
@@ -116,20 +115,39 @@ def validate_cocycle(group: GroupData, theta: Cocycle) -> Report:
         return Report((Check("cocycle-total", False, None,
                              f"defined on a group of order {theta.order}",
                              f"group has order {n}"),))
-    t, mul, e = theta.theta, group.mul, group.identity
-
-    def cocycle_identity(g, h, k, l):
-        return (t(h, k, l) * t(g, mul(h, k), l) * t(g, h, k),
-                t(g, h, mul(k, l)) * t(mul(g, h), k, l))
-
-    zero_at = next((w for w in basis_tuples(n, n, n) if not t(*w)), None)
+    codes = _Codes(theta.field)
+    c = codes.codes(theta.values)
+    e = group.identity
     return Report((
-        Check("cocycle-nonzero", True) if zero_at is None
-        else Check("cocycle-nonzero", False, zero_at, "0", "nonzero"),
+        Check("cocycle-nonzero", True) if 0 not in c
+        else Check("cocycle-nonzero", False, tensor_unindex(c.index(0), n, 3),
+                   "0", "nonzero"),
         check_identity("cocycle-normalized", ((g, e, h) for g, h in basis_tuples(n, n)),
-                       lambda *w: (t(*w), theta.field.one)),
-        check_identity("cocycle-identity", basis_tuples(n, n, n, n), cocycle_identity),
+                       lambda *w: (theta.theta(*w), theta.field.one)),
+        _cocycle_identity(group, codes, c),
     ))
+
+
+def _cocycle_identity(group: GroupData, codes: _Codes, c: list[int]) -> Check:
+    """θ(h,k,l)·θ(g,hk,l)·θ(g,h,k) = θ(g,h,kl)·θ(gh,k,l) on the codes c of θ,
+    all l at once; the first failing quadruple in lexicographic order is the
+    witness."""
+    n, table, mul = group.order, group.table, codes.mul
+
+    def row(g, h):  # θ(g, h, ·)
+        start = (g * n + h) * n
+        return c[start:start + n]
+
+    for g, h, k in basis_tuples(n, n, n):
+        ghk = c[(g * n + h) * n + k]
+        lhs = [mul(mul(a, b), ghk) for a, b in zip(row(h, k), row(g, table[h][k]))]
+        gh_row = row(g, h)
+        rhs = [mul(gh_row[kl], b) for kl, b in zip(table[k], row(table[g][h], k))]
+        if lhs != rhs:
+            l = next(l for l in range(n) if lhs[l] != rhs[l])
+            return Check("cocycle-identity", False, (g, h, k, l),
+                         str(codes.values[lhs[l]]), str(codes.values[rhs[l]]))
+    return Check("cocycle-identity", True)
 
 
 def trivial_cocycle(group: GroupData, field: Field | None = None) -> Cocycle:
@@ -162,8 +180,12 @@ def cyclic_cocycle(n: int, r: int, field: Field | None = None) -> Cocycle:
             raise ValueError(f"need the cyclotomic field of order {n}, got {field.order}")
         root = field.zeta(1)
 
+    powers = [field.one]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * root)
+
     def value(a, b, c):
-        return root ** ((r * a * ((b + c) // n)) % n)
+        return powers[(r * a * ((b + c) // n)) % n]
 
     theta = Cocycle.from_function(group, field, value)
     rep = validate_cocycle(group, theta)
@@ -192,7 +214,8 @@ def group_dqb(group: GroupData, theta: Cocycle) -> DualQuasiBialgebra:
     unit = [zero] * n
     unit[group.identity] = one
     omega = list(theta.values)
-    omega_inv = [v.inverse() for v in theta.values]
+    inverses = {v: v.inverse() for v in dict.fromkeys(theta.values)}
+    omega_inv = [inverses[v] for v in theta.values]
     return DualQuasiBialgebra(
         field, n,
         Matrix(field, n * n, n, delta),

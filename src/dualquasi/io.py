@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .dqb import DualQuasiBialgebra
+from .dqb import AntipodeData, DualQuasiBialgebra
 from .errors import DocumentError, ScalarParseError
 from .linalg import Matrix
 from .report import Report
@@ -36,7 +36,6 @@ from .scalars import Field, Scalar
 
 if TYPE_CHECKING:
     from .comodules import HopfBicomodule
-    from .preantipode import AntipodeData
 
 FORMAT_VERSION = 1
 # Field set-up builds tables quadratic in the degree φ(order), so a document
@@ -271,7 +270,6 @@ def _dense_matrix(read: _ScalarReader, rows, n: int, location: str) -> Matrix:
 
 
 def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
-    from .preantipode import AntipodeData
 
     doc = _parse_json(text)
     loc = "antipode"

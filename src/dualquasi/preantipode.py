@@ -22,28 +22,12 @@ from functools import partial
 
 from .comodules import (HopfBicomodule, Subspace, _act_terms, _left_terms,
                         _right_terms, _sweedler, adjunction_counit, coinvariants)
-from .dqb import DualQuasiBialgebra, _add
+from .dqb import AntipodeData, DualQuasiBialgebra, _add, _require_square
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, solve_affine
 from .report import Check, Report, basis_tuples, check_identity, clean_terms
 from .scalars import Scalar
 from .values import Value
-
-
-class AntipodeData(Value):
-    """A candidate antipode triple: coalgebra antimorphism s and functionals α, β."""
-
-    __slots__ = ("s", "alpha", "beta")
-
-    def __init__(self, s: Matrix, alpha: Matrix, beta: Matrix):
-        n = s.rows
-        if s.cols != n:
-            raise DimensionMismatch("antipode matrix must be square")
-        if (alpha.rows, alpha.cols) != (1, n):
-            raise DimensionMismatch("alpha must be a 1xn functional")
-        if (beta.rows, beta.cols) != (1, n):
-            raise DimensionMismatch("beta must be a 1xn functional")
-        self._set(s, alpha, beta)
 
 
 class PreantipodeFamily(Value):
@@ -69,14 +53,6 @@ class CoinvariantRetraction(Value):
 
     def __init__(self, coinvariants: Subspace, retraction: Matrix, counit_inverse: Matrix):
         self._set(coinvariants, retraction, counit_inverse)
-
-
-def _require_square(H: DualQuasiBialgebra, S: Matrix) -> None:
-    n = H.dim
-    if (S.rows, S.cols) != (n, n):
-        raise DimensionMismatch(f"S must be {n}x{n}, got {S.rows}x{S.cols}")
-    if S.field != H.field:
-        raise DimensionMismatch("S lives over a different field than H")
 
 
 # -- the defining identities as linear forms in S ---------------------------------

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from dualquasi import Matrix, hhat
-from dualquasi.io import dump_bicomodule, dump_dqb, dump_preantipode
+from dualquasi import Matrix, cyclic_group_example, hhat
+from dualquasi.io import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
 
 from helpers import bundled_examples, control_bialgebra
 
@@ -36,10 +36,15 @@ def test_gen_files_verify(workspace):
     assert out.splitlines()[-1] == "OK (15 axioms)"
 
 
-def test_gen_matches_bundled_example(workspace):
-    ex = next(e for e in bundled_examples() if e.name == "cyclic_2_r1")
-    generated = (workspace / "cyclic_2_r1.dqb.json").read_text()
-    assert generated == dump_dqb(ex.dqb)
+def test_gen_matches_bundled_example(tmp_path):
+    # fields of degree 1, 2, 4 and 4: ℚ, ℚ(ζ₃), ℚ(ζ₅) and ℚ(ζ₈)
+    for n, r in ((2, 1), (3, 1), (5, 2), (8, 3)):
+        rc, _, _ = run_cli("gen", "--cyclic", str(n), "--r", str(r), "--out", str(tmp_path))
+        assert rc == 0
+        ex = cyclic_group_example(n, r)
+        assert (tmp_path / f"{ex.name}.dqb.json").read_text() == dump_dqb(ex.dqb)
+        assert (tmp_path / f"{ex.name}.antipode.json").read_text() == \
+            dump_antipode(ex.antipode), ex.name
 
 
 def test_gen_rejects_bad_parameters(tmp_path):

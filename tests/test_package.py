@@ -67,6 +67,22 @@ def test_verify_loads_only_the_algebra_layers(tmp_path):
         assert name not in modules
 
 
+def test_gen_loads_neither_the_preantipode_nor_the_comodule_layer(tmp_path):
+    proc, modules = _imported_modules("-m", "dualquasi", "gen", "--cyclic", "2",
+                                      "--r", "1", "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert "dualquasi.groups" in modules and "dualquasi.dqb" in modules
+    assert "dualquasi.preantipode" not in modules
+    assert "dualquasi.comodules" not in modules
+
+
+def test_antipode_data_is_one_class():
+    import dualquasi.dqb
+    import dualquasi.preantipode
+    assert dualquasi.AntipodeData is dualquasi.preantipode.AntipodeData
+    assert dualquasi.AntipodeData is dualquasi.dqb.AntipodeData
+
+
 def test_exported_names_are_unchanged():
     assert sorted(dualquasi.__all__) == EXPORTED
     assert len(EXPORTED) == 69
