@@ -6,6 +6,11 @@ functional ω on H⊗H⊗H (the reassociator) such that m is associative and
 unital only up to conjugation by ω.  Everything here is checked exactly by
 expanding both sides of each identity on basis tuples; linearity makes that
 complete.
+
+The convolution identities on H⊗H⊗H and H^⊗4 take few distinct values, so
+they run on integer codes of those values (``_Codes``).  The candidate
+antipode triple ``AntipodeData`` is defined here, next to the algebra, so
+building an example loads no preantipode layer.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class _Codes:
             self.values.append(value)
         return c
 
-    def codes(self, values) -> list[int]:
+    def encode(self, values) -> list[int]:
         return list(map(self.code, values))
 
     def mul(self, a: int, b: int) -> int:
@@ -299,7 +304,7 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
     codes = H._codes
-    out = _convolve(H, codes.codes(f.entries), codes.codes(g.entries), k)
+    out = _convolve(H, codes.encode(f.entries), codes.encode(g.entries), k)
     return Matrix.row_vector(H.field, [codes.values[c] for c in out])
 
 
@@ -419,8 +424,8 @@ def _first_difference(axiom: str, lhs: list[int], rhs: list[int], values,
 def _reassociator_invertible(H) -> Check:
     """ω∗ω⁻¹ = ε⊗ε⊗ε = ω⁻¹∗ω, the first product scanned in full first."""
     codes = H._codes
-    eps3 = codes.codes(H.counit_power(3).entries)
-    w, w_inv = codes.codes(H.omega.entries), codes.codes(H.omega_inv.entries)
+    eps3 = codes.encode(H.counit_power(3).entries)
+    w, w_inv = codes.encode(H.omega.entries), codes.encode(H.omega_inv.entries)
     for f, g in ((w, w_inv), (w_inv, w)):
         check = _first_difference("reassociator-invertible", _convolve(H, f, g, 3),
                                   eps3, codes.values, H.dim, 3)
@@ -456,7 +461,7 @@ def _cocycle_identity(H) -> Check:
     """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4."""
     codes = H._codes
     mul = codes.mul
-    eps, w = codes.codes(H.counit.entries), codes.codes(H.omega.entries)
+    eps, w = codes.encode(H.counit.entries), codes.encode(H.omega.entries)
     eps_w = [mul(e, v) for e in eps for v in w]
     w_eps = [mul(v, e) for v in w for e in eps]
     lhs = _convolve(H, _omega_with_product(H, w, 2), _omega_with_product(H, w, 0), 4)

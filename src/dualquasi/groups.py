@@ -116,7 +116,7 @@ def validate_cocycle(group: GroupData, theta: Cocycle) -> Report:
                              f"defined on a group of order {theta.order}",
                              f"group has order {n}"),))
     codes = _Codes(theta.field)
-    c = codes.codes(theta.values)
+    c = codes.encode(theta.values)
     e = group.identity
     return Report((
         Check("cocycle-nonzero", True) if 0 not in c

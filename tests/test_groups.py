@@ -177,8 +177,24 @@ def _symmetric_group_with_sign_cocycle():
     return group, theta
 
 
+def _twisted_by_coboundary(group, theta, seed):
+    """θ·δf for a seeded normalized 2-cochain f, with
+    δf(g,h,k) = f(h,k)·f(gh,k)⁻¹·f(g,hk)·f(g,h)⁻¹; again a normalized cocycle,
+    whose values now depend on the products themselves."""
+    rng = random.Random(seed)
+    n, mul, e, one = group.order, group.mul, group.identity, theta.field.one
+    f = [[one if e in (g, h) else theta.field.from_fraction(rng.choice([2, 3, -1, Fraction(1, 2)]))
+          for h in range(n)] for g in range(n)]
+    return Cocycle.from_function(
+        group, theta.field,
+        lambda g, h, k: theta.theta(g, h, k) * f[h][k] / f[mul(g, h)][k]
+        * f[g][mul(h, k)] / f[g][h])
+
+
 def _cocycle_cases():
-    yield "S3", *_symmetric_group_with_sign_cocycle()
+    group, theta = _symmetric_group_with_sign_cocycle()
+    yield "S3", group, theta
+    yield "S3 twisted", group, _twisted_by_coboundary(group, theta, 5)
     for n, r in ((4, 1), (6, 5), (8, 3)):
         yield f"cyclic_{n}_r{r}", GroupData.cyclic(n), cyclic_cocycle(n, r)
 
