@@ -303,6 +303,11 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     k = _functional_arity(H, f, arity)
     if _functional_arity(H, g, arity) != k:
         raise DimensionMismatch("convolution factors live on different tensor powers")
+    # the codes of H's numbering are scalars of H's field
+    if f.field != H.field:
+        raise ValueError(f"scalars from different fields: {f.field!r} vs {H.field!r}")
+    if g.field != H.field:
+        raise ValueError(f"scalars from different fields: {H.field!r} vs {g.field!r}")
     codes = H._codes
     out = _convolve(H, codes.encode(f.entries), codes.encode(g.entries), k)
     return Matrix.row_vector(H.field, [codes.values[c] for c in out])

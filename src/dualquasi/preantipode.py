@@ -23,7 +23,7 @@ from functools import partial
 from .comodules import (HopfBicomodule, Subspace, _act_terms, _left_terms,
                         _right_terms, _sweedler, adjunction_counit, coinvariants)
 from .dqb import AntipodeData, DualQuasiBialgebra, _add, _require_square
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import InvariantViolation
 from .linalg import Matrix, solve_affine
 from .report import Check, Report, basis_tuples, check_identity, clean_terms
 from .scalars import Scalar

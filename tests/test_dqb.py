@@ -84,6 +84,21 @@ def test_convolution_arity_mismatch():
         convolution(H, H.counit_power(1), H.counit_power(2))
 
 
+def test_convolution_rejects_functionals_over_another_field():
+    ex = next(e for e in bundled_examples() if e.name == "cyclic_4_r1")
+    H, Q = ex.dqb, Field.rationals()
+    foreign = Matrix.row_vector(Q, [Q.one] * H.dim)
+    eps = H.counit_power(1)
+    for f, g, message in ((foreign, eps, "Field.rationals() vs Field.cyclotomic(4)"),
+                          (eps, foreign, "Field.cyclotomic(4) vs Field.rationals()"),
+                          (foreign, foreign, "Field.rationals() vs Field.cyclotomic(4)")):
+        with pytest.raises(ValueError) as info:
+            convolution(H, f, g)
+        assert str(info.value) == f"scalars from different fields: {message}"
+    with pytest.raises(ValueError):
+        convolution_inverse(H, foreign)
+
+
 def test_convolution_inverse_examples():
     H = z2_theta().dqb
     eps2 = H.counit_power(2)
