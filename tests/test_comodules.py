@@ -190,6 +190,15 @@ def test_subspace_coordinates_in_a_general_basis():
     # the elimination is made once and reused
     assert V._elimination is V._elimination
 
+    # a third column b₀ + 2·b₁ = (1, 4, 6, 2) depends on the other two: its
+    # coordinate is free and reads 0
+    dependent = Matrix.from_rows(Q, [[q(1), q(0), q(1)], [q(2), q(1), q(4)],
+                                     [q(0), q(3), q(6)], [q(1), q(Fraction(1, 2)), q(2)]])
+    W = Subspace(4, dependent)
+    assert W.coordinates([q(3), q(4), q(-6), q(2)]) == (q(3), q(-2), Q.zero)
+    assert W.coordinates([q(1), q(4), q(6), q(2)]) == (q(1), q(2), Q.zero)
+    assert W.coordinates([q(3), q(4), q(-6), q(3)]) is None
+
 
 def test_coinvariants_of_shifted_coaction_vanish():
     # ρ(m) = m⊗g with g ≠ 1 grouplike leaves no coinvariants

@@ -4,7 +4,7 @@ import pytest
 
 from dualquasi import (DualQuasiBialgebra, Field, InvariantViolation, Matrix,
                        convolution, convolution_inverse, validate_dqb)
-from dualquasi.groups import GroupData, group_dqb, trivial_cocycle
+from dualquasi.groups import GroupData, cyclic_group_example, group_dqb, trivial_cocycle
 from dualquasi.report import Check, basis_tuples
 
 from helpers import bundled_examples, control_bialgebra
@@ -110,7 +110,10 @@ def test_convolution_inverse_examples():
 
 
 def test_stored_inverse_matches_computed_for_all_bundles():
-    for ex in bundled_examples():
+    # cyclic 8 r=3 and 6 r=5 solve the ω⁻¹ system over ℚ(ζ₈) and ℚ(ζ₆)
+    extra = [cyclic_group_example(8, 3), cyclic_group_example(6, 5)]
+    assert [ex.dqb.field.degree for ex in extra] == [4, 2]
+    for ex in bundled_examples() + extra:
         H = ex.dqb
         assert convolution_inverse(H, H.omega) == H.omega_inv
 

@@ -252,3 +252,96 @@ def test_equality_across_construction_routes(field):
         assert (X1 - Y).is_zero() == (x == y)
 
     run()
+
+
+# -- elimination against sympy's reduced row echelon form -----------------------
+
+
+def _sympy_rref(rows, width):
+    """(pivot columns, reduced rows as Fractions) of sympy's ``Matrix.rref()``."""
+    import sympy
+    R, pivots = sympy.Matrix(len(rows), width,
+                             [sympy.Rational(v.numerator, v.denominator)
+                              for row in rows for v in row]).rref()
+    reduced = [[Fraction(int(R[i, j].p), int(R[i, j].q)) for j in range(width)]
+               for i in range(len(pivots))]
+    return list(pivots), reduced
+
+
+def _reference_solution(a, b, cols):
+    """particular and kernel of A x = b read off the RREF of [A | b], or None:
+    free variables are zero in particular, and each kernel vector has 1 in its
+    own free column."""
+    pivots, reduced = _sympy_rref([row + [v] for row, v in zip(a, b)], cols + 1)
+    if cols in pivots:
+        return None
+    particular = [Fraction(0)] * cols
+    for c, row in zip(pivots, reduced):
+        particular[c] = row[cols]
+    basis = []
+    for f in (f for f in range(cols) if f not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for c, row in zip(pivots, reduced):
+            v[c] = -row[f]
+        basis.append(v)
+    return particular, basis
+
+
+@st.composite
+def systems(draw):
+    """(rows, cols, A as Fraction rows, b): dense, sparse, rank-deficient or
+    all-zero A, with b in A's image or arbitrary (mostly inconsistent when A
+    is rank-deficient)."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    kind = draw(st.sampled_from(["dense", "sparse", "deficient", "zero"]))
+    if kind == "zero":
+        a = [[Fraction(0)] * c for _ in range(r)]
+    elif kind == "deficient":
+        # a product through an inner dimension below min(r, c)
+        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        left = [[draw(coeff) for _ in range(k)] for _ in range(r)]
+        right = [[draw(coeff) for _ in range(c)] for _ in range(k)]
+        a = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+              for j in range(c)] for i in range(r)]
+    else:
+        entry = coeff if kind == "dense" else st.one_of(st.just(Fraction(0)), coeff)
+        a = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if draw(st.booleans()):
+        x = [draw(coeff) for _ in range(c)]
+        b = [sum((row[j] * x[j] for j in range(c)), Fraction(0)) for row in a]
+    else:
+        b = [draw(coeff) for _ in range(r)]
+    return r, c, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.booleans())
+def test_elimination_matches_sympy_rref(system, rhs_as_column):
+    r, c, a, b = system
+    A = Matrix(Q, r, c, [Q.from_fraction(v) for row in a for v in row])
+    rhs = Matrix.column_vector(Q, vec(b)) if rhs_as_column else vec(b)
+
+    want = _reference_solution(a, b, c)
+    sol = solve_affine(A, rhs)
+    if want is None:
+        assert sol is None
+    else:
+        assert as_fractions(sol.particular) == want[0]
+        assert [as_fractions(v) for v in sol.kernel] == want[1]
+
+    pivots, _ = _sympy_rref(a, c)
+    _, basis = _reference_solution(a, [Fraction(0)] * r, c)
+    assert [as_fractions(v) for v in kernel(A)] == basis
+    assert rank(A) == len(pivots)
+
+    if r != c or len(pivots) != r:
+        with pytest.raises(ValueError):
+            inverse(A)
+    else:
+        identity = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        _, reduced = _sympy_rref([row + e for row, e in zip(a, identity)], 2 * r)
+        Ainv = inverse(A)
+        assert [as_fractions(Ainv.row_list(i)) for i in range(r)] == \
+            [row[r:] for row in reduced]
