@@ -101,15 +101,18 @@ class Subspace(Value):
         return self.basis.cols
 
     @cached_property
-    def _elimination(self) -> tuple[list[int], list[int], list[list[Scalar]]]:
-        """Rows I of the basis that span its row space, the pivot columns J,
-        and the inverse of the block basis[I, J]; computed once per subspace."""
+    def _elimination(self) -> list[tuple[int, tuple[tuple[int, Scalar], ...]]]:
+        """Per pivot column j of the basis, the terms (i, c) with coordinate
+        j = Σ c·vector[i]; computed once per subspace.
+
+        Rows I of the basis span its row space, and the inverse of the block
+        basis[I, J] on the pivot columns J maps vector[I] to coordinates J."""
         B = self.basis
-        rows = _rref([B.column_list(j) for j in range(B.cols)], B.rows, B.field)
-        ident = Matrix.identity(B.field, len(rows))
-        block = [B.row_list(i) + ident.row_list(t) for t, i in enumerate(rows)]
-        cols = _rref(block, B.cols + len(rows), B.field)
-        return rows, cols, [row[B.cols:] for row in block]
+        rows = [i for i, _ in _rref([dict(B.column_terms(j)) for j in range(B.cols)])]
+        # [basis[I, :] | identity] reduces to [R | basis[I, J]⁻¹]
+        block = [dict(B.row_terms(i)) | {B.cols + t: B.field.one} for t, i in enumerate(rows)]
+        return [(j, tuple((rows[t - B.cols], v) for t, v in row.items() if t >= B.cols))
+                for j, row in _rref(block)]
 
     def coordinates(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
         """Coordinates of a vector in this basis, or None if it lies outside.
@@ -118,11 +121,10 @@ class Subspace(Value):
         B = self.basis
         if len(vector) != B.rows:
             raise DimensionMismatch(f"vector has {len(vector)} entries, ambient {B.rows}")
-        rows, cols, inv = self._elimination
         zero = B.field.zero
         coords = [zero] * B.cols
-        for j, inv_row in zip(cols, inv):
-            coords[j] = sum((e * vector[i] for e, i in zip(inv_row, rows) if e), zero)
+        for j, terms in self._elimination:
+            coords[j] = sum((e * vector[i] for i, e in terms), zero)
         for terms, target in zip(map(B.row_terms, range(B.rows)), vector):
             if sum((v * coords[j] for j, v in terms), zero) != target:
                 return None

@@ -322,19 +322,15 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
     from .linalg import solve_affine
 
     k = _functional_arity(H, f, arity)
-    n = H.dim
-    N = n ** k
-    zero = H.field.zero
-    rows = [[zero] * N for _ in range(N)]
+    N = H.dim ** k
     fe = f.entries
     values = H._codes.values
-    for row, terms in zip(rows, H.split_table(k)):
-        for lf, rf, c in terms:
-            fv = fe[lf]
-            if fv:
-                row[rf] = row[rf] + fv * values[c]
+    system = Matrix.from_terms(H.field, N, N, (
+        (x, rf, fv * values[c])
+        for x, terms in enumerate(H.split_table(k))
+        for lf, rf, c in terms if (fv := fe[lf])))
     eps_k = H.counit_power(k)
-    sol = solve_affine(Matrix.from_rows(H.field, rows), list(eps_k.entries))
+    sol = solve_affine(system, eps_k.transpose())
     if sol is None:
         return None
     g = Matrix.row_vector(H.field, list(sol.particular))

@@ -1,13 +1,13 @@
 """Exact matrices over a Field, stored as sparse rows, with deterministic
-Gaussian elimination.
+Gauss-Jordan elimination.
 
 Each row keeps only its nonzero entries, so products, Kronecker products,
 sums, equality and zero tests on the very sparse structure-constant matrices
 do no work on zero entries; the dense row-major ``entries`` view and the
 column view are built on first use.
-Elimination works on dense rows, which fill in as it goes.  Pivoting always
-takes the first nonzero entry, so solution sets and kernel bases are
-reproducible.
+Elimination is Gauss-Jordan on the same sparse rows, pivoting on the shortest
+row that uses a column.  The reduced row echelon form is unique, so solution
+sets and kernel bases are reproducible.
 """
 
 from __future__ import annotations
@@ -277,44 +277,46 @@ class AffineSolution(Value):
         self._set(particular, kernel)
 
 
-def _rref(rows_data: list[list[Scalar]], width: int, field: Field) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices.
+def _rref(rows: list[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
+    """In-place reduced row echelon form of rows mapping column → nonzero value.
 
-    First-nonzero pivoting, full (Gauss-Jordan) reduction, pivots scaled to 1.
+    Columns go in increasing order.  A column's pivot is the shortest remaining
+    row that uses it (the first of equals), scaled to 1 and cleared from every
+    other row.  Returns the (column, pivot row) pairs in column order.
     """
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows_data)
-    one = field.one
-    for c in range(width):
-        pr = None
-        for i in range(r, nrows):
-            if rows_data[i][c]:
-                pr = i
-                break
-        if pr is None:
+    users: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            users.setdefault(j, set()).add(i)
+    remaining = set(range(len(rows)))
+    pivots = []
+    for c in sorted(users):
+        candidates = users[c] & remaining
+        if not candidates:
             continue
-        rows_data[r], rows_data[pr] = rows_data[pr], rows_data[r]
-        prow = rows_data[r]
-        if prow[c] != one:
-            inv = prow[c].inverse()
-            for j in range(c, width):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows_data[i][c]
-            if f:
-                row_i = rows_data[i]
-                for j in range(c, width):
-                    pv = prow[j]
-                    if pv:
-                        row_i[j] = row_i[j] - f * pv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        remaining.remove(p)
+        prow = rows[p]
+        lead = prow[c]
+        if lead != lead.field.one:
+            inv = lead.inverse()
+            for j, v in prow.items():
+                prow[j] = v * inv
+        for i in users[c] - {p}:
+            row = rows[i]
+            f = row[c]
+            for j, v in prow.items():
+                if j in row:
+                    w = row[j] - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        users[j].remove(i)
+                else:
+                    row[j] = -(f * v)
+                    users[j].add(i)
+        pivots.append((c, prow))
     return pivots
 
 
@@ -327,45 +329,43 @@ def solve_affine(A: Matrix, b) -> AffineSolution | None:
     if isinstance(b, Matrix):
         if b.cols != 1:
             raise DimensionMismatch("right-hand side must be a column")
-        b = b.column_list(0)
+        size, rhs = b.rows, b.column_terms(0)
     else:
         b = list(b)
-    if len(b) != A.rows:
-        raise DimensionMismatch(f"system has {A.rows} rows but rhs has {len(b)}")
-    field = A.field
-    width = A.cols + 1
-    rows_data = [A.row_list(i) + [b[i]] for i in range(A.rows)]
-    pivots = _rref(rows_data, width, field)
-    if pivots and pivots[-1] == A.cols:
+        size, rhs = len(b), _nonzero_terms(b)
+    if size != A.rows:
+        raise DimensionMismatch(f"system has {A.rows} rows but rhs has {size}")
+    cols = A.cols
+    rows = list(map(dict, A._rows))
+    for i, v in rhs:
+        rows[i][cols] = v
+    pivots = _rref(rows)
+    if pivots and pivots[-1][0] == cols:
         return None
-    pivot_set = set(pivots)
-    zero, one = field.zero, field.one
-    particular = [zero] * A.cols
-    for r_i, c in enumerate(pivots):
-        particular[c] = rows_data[r_i][A.cols]
-    kernel: list[tuple[Scalar, ...]] = []
-    for f in range(A.cols):
-        if f in pivot_set:
-            continue
-        v = [zero] * A.cols
+    zero, one = A.field.zero, A.field.one
+    particular = [zero] * cols
+    pivot_cols = {c for c, _ in pivots}
+    basis = {f: [zero] * cols for f in range(cols) if f not in pivot_cols}
+    for f, v in basis.items():
         v[f] = one
-        for r_i, c in enumerate(pivots):
-            if rows_data[r_i][f]:
-                v[c] = -rows_data[r_i][f]
-        kernel.append(tuple(v))
-    return AffineSolution(tuple(particular), tuple(kernel))
+    for c, row in pivots:
+        for j, v in row.items():
+            if j == cols:
+                particular[c] = v
+            elif j != c:
+                basis[j][c] = -v
+    return AffineSolution(tuple(particular), tuple(map(tuple, basis.values())))
 
 
 def kernel(A: Matrix) -> list[tuple[Scalar, ...]]:
     """Basis of the null space of A (deterministic)."""
-    sol = solve_affine(A, [A.field.zero] * A.rows)
+    sol = solve_affine(A, Matrix.zeros(A.field, A.rows, 1))
     assert sol is not None
     return list(sol.kernel)
 
 
 def rank(A: Matrix) -> int:
-    rows_data = [A.row_list(i) for i in range(A.rows)]
-    return len(_rref(rows_data, A.cols, A.field))
+    return len(_rref(list(map(dict, A._rows))))
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -373,13 +373,10 @@ def inverse(A: Matrix) -> Matrix:
     if A.rows != A.cols:
         raise ValueError("only square matrices can be inverted")
     n = A.rows
-    field = A.field
-    rows_data = []
-    for i in range(n):
-        row = A.row_list(i) + [field.zero] * n
-        row[n + i] = field.one
-        rows_data.append(row)
-    pivots = _rref(rows_data, 2 * n, field)
-    if pivots != list(range(n)):
+    # [A | I] reduces to [I | A⁻¹]
+    rows = [dict(terms) | {n + i: A.field.one} for i, terms in enumerate(A._rows)]
+    pivots = _rref(rows)
+    if [c for c, _ in pivots] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows(field, [rows_data[i][n:] for i in range(n)])
+    return Matrix._of_rows(A.field, n, n, (_sorted_terms({j - n: v for j, v in row.items()
+                                                          if j >= n}) for _, row in pivots))
