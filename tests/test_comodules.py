@@ -279,3 +279,136 @@ def test_counit_morphism_check_fires_on_broken_action():
     bad = HopfBicomodule(4, M.rho_l, M.rho_r, untwisted)
     with _pytest.raises(InvariantViolation):
         adjunction_counit(H, bad)
+
+
+# -- reference evaluation of the three action identities -----------------------------
+
+
+def _reference_action_checks(H, M):
+    """action-left-colinear, action-right-colinear and action-quasi-associativity
+    evaluated one basis tuple at a time from the columns of M's and H's
+    matrices.  The twisted side expands m₋₁⊗m₀⊗m₁ as (H⊗ρ^r)ρ^l and h₁⊗h₂⊗h₃
+    as (H⊗Δ)Δ, the bracketing the suite uses, so a corrupted coaction that
+    breaks bicomodule compatibility is read the same way by both routes."""
+    from dualquasi.report import Check, basis_tuples, format_terms, terms_equal
+
+    d, n = M.dim, H.dim
+    act, rho_l, rho_r = M.act.column_terms, M.rho_l.column_terms, M.rho_r.column_terms
+    delta, mul = H.delta.column_terms, H.mul.column_terms
+    omega, omega_inv = H.omega.entries, H.omega_inv.entries
+
+    def put(acc, key, value):
+        acc[key] = acc[key] + value if key in acc else value
+
+    def left_colinear(j, a):
+        lhs, rhs = {}, {}
+        for j2, c in act(j * n + a):
+            for row, c2 in rho_l(j2):
+                put(lhs, (row // d, row % d), c * c2)
+        for row, c in rho_l(j):
+            x, i = divmod(row, d)
+            for r2, c2 in delta(a):
+                a1, a2 = divmod(r2, n)
+                for y, c3 in mul(x * n + a1):
+                    for i2, c4 in act(i * n + a2):
+                        put(rhs, (y, i2), c * c2 * c3 * c4)
+        return lhs, rhs
+
+    def right_colinear(j, a):
+        lhs, rhs = {}, {}
+        for j2, c in act(j * n + a):
+            for row, c2 in rho_r(j2):
+                put(lhs, (row // n, row % n), c * c2)
+        for row, c in rho_r(j):
+            i, b = divmod(row, n)
+            for r2, c2 in delta(a):
+                a1, a2 = divmod(r2, n)
+                for i2, c3 in act(i * n + a1):
+                    for y, c4 in mul(b * n + a2):
+                        put(rhs, (i2, y), c * c2 * c3 * c4)
+        return lhs, rhs
+
+    def split3(a):
+        for r, c in delta(a):
+            a1, rest = divmod(r, n)
+            for r2, c2 in delta(rest):
+                yield a1, r2 // n, r2 % n, c * c2
+
+    def quasi_associativity(j, a, b):
+        lhs, rhs = {}, {}
+        for j2, c in act(j * n + a):
+            for j3, c2 in act(j2 * n + b):
+                put(lhs, (j3,), c * c2)
+        for row, c in rho_l(j):
+            x, j2 = divmod(row, d)
+            for row2, c2 in rho_r(j2):
+                j3, y = divmod(row2, n)
+                for a1, a2, a3, ca in split3(a):
+                    for b1, b2, b3, cb in split3(b):
+                        coeff = (c * c2 * ca * cb * omega_inv[(x * n + a1) * n + b1]
+                                 * omega[(y * n + a3) * n + b3])
+                        for t, cm in mul(a2 * n + b2):
+                            for j4, c3 in act(j3 * n + t):
+                                put(rhs, (j4,), coeff * cm * c3)
+        return lhs, rhs
+
+    checks = []
+    for axiom, dims, sides in (("action-left-colinear", (d, n), left_colinear),
+                               ("action-right-colinear", (d, n), right_colinear),
+                               ("action-quasi-associativity", (d, n, n),
+                                quasi_associativity)):
+        check = Check(axiom, True)
+        for witness in basis_tuples(*dims):
+            lhs, rhs = sides(*witness)
+            if not terms_equal(lhs, rhs):
+                check = Check(axiom, False, witness, format_terms(lhs), format_terms(rhs))
+                break
+        checks.append(check)
+    return checks
+
+
+def _perturbed(m, row, col, value):
+    terms = [(r, c, v) for r in range(m.rows) for c, v in m.row_terms(r)]
+    terms.append((row, col, value))
+    return Matrix.from_terms(m.field, m.rows, m.cols, terms)
+
+
+def _module_corruptions(H, M, seed):
+    """M with one seeded entry of its action or of a coaction changed, one at
+    a time: once at a random position and once at one of its terms."""
+    rng = random.Random(seed)
+    field = H.field
+    value = field.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
+    if field.kind == "cyclotomic":
+        value = value + field.zeta(1) * rng.choice([-1, 0, 1])
+    parts = dict(rho_l=M.rho_l, rho_r=M.rho_r, act=M.act)
+    for key in ("act", "rho_l", "rho_r"):
+        m = parts[key]
+        positions = [(rng.randrange(m.rows), rng.randrange(m.cols)),
+                     rng.choice([(r, c) for r in range(m.rows) for c, _ in m.row_terms(r)])]
+        for row, col in positions:
+            changed = dict(parts, **{key: _perturbed(m, row, col, value)})
+            yield key, HopfBicomodule(M.dim, **changed)
+
+
+def test_action_identities_match_the_definitions():
+    from helpers import sweedler_four_dim_hopf
+    from dualquasi import cyclic_group_example
+
+    algebras = [("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
+                ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
+                ("sweedler", sweedler_four_dim_hopf()[0])]
+    axioms = ("action-left-colinear", "action-right-colinear", "action-quasi-associativity")
+    failed = dict.fromkeys(axioms, 0)
+    for index, (name, H) in enumerate(algebras):
+        base = hhat(H)
+        cases = [("base", base)]
+        for seed in range(3):
+            cases.extend(_module_corruptions(H, base, 10 * index + seed))
+        for label, M in cases:
+            got = {c.axiom: c for c in validate_bicomodule(H, M).checks}
+            for expected in _reference_action_checks(H, M):
+                assert got[expected.axiom] == expected, (name, label)
+                failed[expected.axiom] += not expected.passed
+    # the reference has to see failures of every identity to mean anything
+    assert min(failed.values()) >= 5, failed

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from dualquasi import (DualQuasiBialgebra, Field, InvariantViolation, Matrix,
                        convolution, convolution_inverse, validate_dqb)
 from dualquasi.groups import GroupData, cyclic_group_example, group_dqb, trivial_cocycle
+from dualquasi.linalg import tensor_index
 from dualquasi.report import Check, basis_tuples
 
 from helpers import bundled_examples, control_bialgebra
@@ -75,6 +77,41 @@ def test_convolution_is_associative_and_unital():
             assert left == right
             assert convolution(H, unit, f, arity=k) == f
             assert convolution(H, f, unit, arity=k) == f
+
+
+def test_convolution_on_four_factors_matches_sweedler_sums():
+    # Δ(x) = x⊗1 + g⊗x on Sweedler's algebra, so a first factor can split in
+    # two terms; arity 5 takes one more factor off the front
+    from helpers import sweedler_four_dim_hopf
+    H = sweedler_four_dim_hopf()[0]
+    n, field = H.dim, H.field
+    rng = random.Random(41)
+    splits = [[(row // n, row % n, c) for row, c in H.delta.column_terms(i)]
+              for i in range(n)]
+
+    def reference(f, g, k):
+        out = []
+        for w in basis_tuples(*[n] * k):
+            acc = field.zero
+            parts = [((), (), field.one)]
+            for i in w:
+                parts = [(left + (a,), right + (b,), c * c2)
+                         for left, right, c in parts for a, b, c2 in splits[i]]
+            for left, right, c in parts:
+                acc = (acc + c * f.entries[tensor_index(left, n)]
+                       * g.entries[tensor_index(right, n)])
+            out.append(acc)
+        return Matrix.row_vector(field, out)
+
+    for k, rounds in ((4, 4), (5, 1)):
+        for _ in range(rounds):
+            f, g = (Matrix.row_vector(field, [
+                field.from_fraction(rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]))
+                for _ in range(n ** k)]) for _ in range(2))
+            assert convolution(H, f, g, arity=k) == reference(f, g, k)
+            assert convolution(H, f, g) == reference(f, g, k)
+            unit = H.counit_power(k)
+            assert convolution(H, unit, f) == f == convolution(H, f, unit)
 
 
 def test_convolution_arity_mismatch():
