@@ -189,21 +189,18 @@ def cmd_structure_theorem(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .groups import GroupData, cyclic_cocycle, group_antipode_data, group_dqb
+    from .groups import cyclic_group_example
 
     n, r = args.cyclic, args.r
     if n < 1 or not 0 <= r < n:
         print(f"error: need N >= 1 and 0 <= r < N, got N={n} r={r}", file=sys.stderr)
         return 2
-    group = GroupData.cyclic(n)
-    theta = cyclic_cocycle(n, r)
-    H = group_dqb(group, theta)
-    data = group_antipode_data(group, theta)
+    ex = cyclic_group_example(n, r)
     args.out.mkdir(parents=True, exist_ok=True)
     dqb_path = args.out / f"cyclic_{n}_r{r}.dqb.json"
     antipode_path = args.out / f"cyclic_{n}_r{r}.antipode.json"
-    dqb_path.write_text(dump_dqb(H), encoding="utf-8")
-    antipode_path.write_text(dump_antipode(data), encoding="utf-8")
+    dqb_path.write_text(dump_dqb(ex.dqb), encoding="utf-8")
+    antipode_path.write_text(dump_antipode(ex.antipode), encoding="utf-8")
     print(dqb_path)
     print(antipode_path)
     return 0

@@ -151,6 +151,11 @@ def _act_terms(act: Matrix, d: int, n: int):
     return tuple(tuple(act.column_terms(c)) for c in range(d * n))
 
 
+def _coded(terms, code):
+    """Per-index terms with the trailing coefficient of each replaced by its code."""
+    return tuple(tuple((*t[:-1], code(t[-1])) for t in row) for row in terms)
+
+
 def _sweedler(H: DualQuasiBialgebra, lterms, rterms, j: int, nleft: int, nright: int):
     """Iterated bicoaction of basis vector j.
 
@@ -274,65 +279,80 @@ def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
                 _add(acc, (j2,), cu * c)
         return acc, {(j,): H.field.one}
 
+    # the action identities run on codes of H's numbering
+    code, mul, add = H._codes.code, H._codes.mul, H._codes.add
+    clt, crt, cat = _coded(lt, code), _coded(rt, code), _coded(at, code)
+    delta, products = H._coded_delta, H._coded_products
+
     def left_colinear(j, a):
         """ρ^l(m·h) = m₋₁h₁ ⊗ m₀·h₂"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in at[j * n + a]:
-            for x, i, c2 in lt[j2]:
-                _add(lhs, (x, i), c * c2)
-        for x, i, c in lt[j]:
-            for a1, a2, c2 in H.delta_terms(a):
-                for y, c3 in H.mul_terms(x, a1):
-                    for i2, c4 in at[i * n + a2]:
-                        _add(rhs, (y, i2), c * c2 * c3 * c4)
+        for j2, c in cat[j * n + a]:
+            for x, i, c2 in clt[j2]:
+                lhs[x, i] = add(lhs.get((x, i), 0), mul(c, c2))
+        for x, i, c in clt[j]:
+            for a1, a2, c2 in delta[a]:
+                c12 = mul(c, c2)
+                for y, c3 in products[x * n + a1]:
+                    c123 = mul(c12, c3)
+                    for i2, c4 in cat[i * n + a2]:
+                        rhs[y, i2] = add(rhs.get((y, i2), 0), mul(c123, c4))
         return lhs, rhs
 
     def right_colinear(j, a):
         """ρ^r(m·h) = m₀·h₁ ⊗ m₁h₂"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in at[j * n + a]:
-            for i, b, c2 in rt[j2]:
-                _add(lhs, (i, b), c * c2)
-        for i, b, c in rt[j]:
-            for a1, a2, c2 in H.delta_terms(a):
-                for i2, c3 in at[i * n + a1]:
-                    for y, c4 in H.mul_terms(b, a2):
-                        _add(rhs, (i2, y), c * c2 * c3 * c4)
+        for j2, c in cat[j * n + a]:
+            for i, b, c2 in crt[j2]:
+                lhs[i, b] = add(lhs.get((i, b), 0), mul(c, c2))
+        for i, b, c in crt[j]:
+            for a1, a2, c2 in delta[a]:
+                c12 = mul(c, c2)
+                for i2, c3 in cat[i * n + a1]:
+                    c123 = mul(c12, c3)
+                    for y, c4 in products[b * n + a2]:
+                        rhs[i2, y] = add(rhs.get((i2, y), 0), mul(c123, c4))
         return lhs, rhs
 
-    sweedlers = [_sweedler(H, lt, rt, j, 1, 1) for j in range(d)]
+    sweedlers = [[(ltup[0], j2, rtup[0], code(c))
+                  for ltup, j2, rtup, c in _sweedler(H, lt, rt, j, 1, 1)] for j in range(d)]
+    splits = [[(tup, code(c)) for tup, c in H.delta_power(a, 3)] for a in range(n)]
+    w, w_inv = H._coded_omega, H._coded_omega_inv
 
     def quasi_associativity(j, a, b):
         """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in at[j * n + a]:
-            for j3, c2 in at[j2 * n + b]:
-                _add(lhs, (j3,), c * c2)
-        for ltup, j2, rtup, c in sweedlers[j]:
-            x, y = ltup[0], rtup[0]
-            for atup, ca in H.delta_power(a, 3):
-                for btup, cb in H.delta_power(b, 3):
-                    w = H.omega_inv_at(x, atup[0], btup[0])
-                    if not w:
+        for j2, c in cat[j * n + a]:
+            for j3, c2 in cat[j2 * n + b]:
+                key = (j3,)
+                lhs[key] = add(lhs.get(key, 0), mul(c, c2))
+        for x, j2, y, c in sweedlers[j]:
+            for (a1, a2, a3), ca in splits[a]:
+                for (b1, b2, b3), cb in splits[b]:
+                    v = w_inv[(x * n + a1) * n + b1]
+                    if not v:
                         continue
-                    w2 = H.omega_at(y, atup[2], btup[2])
-                    if not w2:
+                    v2 = w[(y * n + a3) * n + b3]
+                    if not v2:
                         continue
-                    coeff = c * ca * cb * w * w2
-                    for t, cm in H.mul_terms(atup[1], btup[1]):
-                        for j3, c3 in at[j2 * n + t]:
-                            _add(rhs, (j3,), coeff * cm * c3)
+                    coeff = mul(mul(mul(mul(c, ca), cb), v), v2)
+                    for t, cm in products[a2 * n + b2]:
+                        ccm = mul(coeff, cm)
+                        for j3, c3 in cat[j2 * n + t]:
+                            key = (j3,)
+                            rhs[key] = add(rhs.get(key, 0), mul(ccm, c3))
         return lhs, rhs
 
+    values = H._codes.values
     return Report(tuple(_coaction_checks(H, d, lt, rt) + [
         check_identity("action-unit", basis_tuples(d), action_unit),
-        check_identity("action-left-colinear", basis_tuples(d, n), left_colinear),
-        check_identity("action-right-colinear", basis_tuples(d, n), right_colinear),
+        check_identity("action-left-colinear", basis_tuples(d, n), left_colinear, values),
+        check_identity("action-right-colinear", basis_tuples(d, n), right_colinear, values),
         check_identity("action-quasi-associativity", basis_tuples(d, n, n),
-                       quasi_associativity),
+                       quasi_associativity, values),
     ]))
 
 
@@ -492,8 +512,17 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
                       coinv: Subspace | None = None) -> Matrix:
     """The evaluation map M^coH⊗H → M, x⊗h ↦ x·h, on coinvariant coordinates.
 
-    Verifies that the map intertwines both coactions and the action (it is a
-    morphism of Hopf bicomodules); violations raise InvariantViolation.
+    Verifies that the left coaction restricts to a comodule on the
+    coinvariants and that the map is a morphism of Hopf bicomodules out of
+    the bicomodule induced from it: for every coinvariant basis vector x and
+    basis elements h, l of H,
+
+        x₋₁ ⊗ ρ^r(x₀) = x₋₁ ⊗ x₀ ⊗ 1_H,
+        Δ(x₋₁) ⊗ x₀ = x₋₁ ⊗ ρ^l(x₀),   ε(x₋₁)·x₀ = x,
+        ρ^l(x·h) = x₋₁h₁ ⊗ x₀·h₂,   ρ^r(x·h) = x·h₁ ⊗ h₂,
+        (x·h)·l = ω⁻¹(x₋₁⊗h₁⊗l₁) x₀·(h₂l₂),
+
+    checked in that order; a violation raises InvariantViolation.
     """
     if coinv is None:
         coinv = coinvariants(H, M)
@@ -503,15 +532,116 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
         (j, alpha * n + a, v * c)
         for alpha in range(r) for a in range(n)
         for i, v in coinv.basis.column_terms(alpha) for j, c in at[i * n + a]])
-    if r:
-        source = induce_bicomodule(H, coinvariant_comodule(H, M, coinv))
-        ident = Matrix.identity(H.field, n)
-        if M.rho_l @ eps != ident.kron(eps) @ source.rho_l:
-            raise InvariantViolation("evaluation map is not left colinear")
-        if M.rho_r @ eps != eps.kron(ident) @ source.rho_r:
-            raise InvariantViolation("evaluation map is not right colinear")
-        if eps @ source.act != M.act @ eps.kron(ident):
-            raise InvariantViolation("evaluation map is not right linear")
+
+    # the identities run on codes of H's numbering
+    code, mul, add = H._codes.code, H._codes.mul, H._codes.add
+    cat, clt = _coded(at, code), _coded(_left_terms(M.rho_l, d), code)
+    crt = _coded(_right_terms(M.rho_r, d, n), code)
+    delta, products, w_inv = H._coded_delta, H._coded_products, H._coded_omega_inv
+    xs = [[(i, code(v)) for i, v in coinv.basis.column_terms(alpha)] for alpha in range(r)]
+    acted = []    # per x: x·e_a as {j: code} for every a
+    coacted = []  # per x: the terms (y, i, code) of ρ^l(x)
+    for x in xs:
+        images = []
+        for a in range(n):
+            image: dict = {}
+            for i, v in x:
+                for j, c in cat[i * n + a]:
+                    image[j] = add(image.get(j, 0), mul(v, c))
+            images.append(image)
+        acted.append(images)
+        coaction: dict = {}
+        for i, v in x:
+            for y, i2, c in clt[i]:
+                coaction[y, i2] = add(coaction.get((y, i2), 0), mul(v, c))
+        coacted.append([(y, i, c) for (y, i), c in coaction.items() if c])
+
+    units = [(u, code(c)) for u, c in H.unit_terms()]
+
+    def restricts(alpha):
+        lhs: dict = {}
+        rhs: dict = {}
+        for y, i, v in coacted[alpha]:
+            for i2, b, c in crt[i]:
+                lhs[y, i2, b] = add(lhs.get((y, i2, b), 0), mul(v, c))
+            for u, c in units:
+                rhs[y, i, u] = add(rhs.get((y, i, u), 0), mul(v, c))
+        return lhs, rhs
+
+    def coassociative(alpha):
+        lhs: dict = {}
+        rhs: dict = {}
+        for y, i, v in coacted[alpha]:
+            for y1, y2, c in delta[y]:
+                lhs[y1, y2, i] = add(lhs.get((y1, y2, i), 0), mul(v, c))
+            for y2, i2, c in clt[i]:
+                rhs[y, y2, i2] = add(rhs.get((y, y2, i2), 0), mul(v, c))
+        return lhs, rhs
+
+    counit = H._codes.encode(H.counit.entries)
+
+    def counital(alpha):
+        lhs: dict = {}
+        for y, i, v in coacted[alpha]:
+            key = (i,)
+            lhs[key] = add(lhs.get(key, 0), mul(v, counit[y]))
+        return lhs, {(i,): v for i, v in xs[alpha]}
+
+    def left_colinear(alpha, a):
+        lhs: dict = {}
+        rhs: dict = {}
+        for j, v in acted[alpha][a].items():
+            for y, i, c in clt[j]:
+                lhs[y, i] = add(lhs.get((y, i), 0), mul(v, c))
+        for y, i, v in coacted[alpha]:
+            for a1, a2, c in delta[a]:
+                for t, cm in products[y * n + a1]:
+                    coeff = mul(mul(v, c), cm)
+                    for i2, c2 in cat[i * n + a2]:
+                        rhs[t, i2] = add(rhs.get((t, i2), 0), mul(coeff, c2))
+        return lhs, rhs
+
+    def right_colinear(alpha, a):
+        lhs: dict = {}
+        rhs: dict = {}
+        for j, v in acted[alpha][a].items():
+            for i, b, c in crt[j]:
+                lhs[i, b] = add(lhs.get((i, b), 0), mul(v, c))
+        for a1, a2, c in delta[a]:
+            for j, v in acted[alpha][a1].items():
+                rhs[j, a2] = add(rhs.get((j, a2), 0), mul(v, c))
+        return lhs, rhs
+
+    def right_linear(alpha, a, l):
+        lhs: dict = {}
+        rhs: dict = {}
+        for j, v in acted[alpha][a].items():
+            for j2, c in cat[j * n + l]:
+                key = (j2,)
+                lhs[key] = add(lhs.get(key, 0), mul(v, c))
+        for y, i, v in coacted[alpha]:
+            for a1, a2, ca in delta[a]:
+                for l1, l2, cl in delta[l]:
+                    u = w_inv[(y * n + a1) * n + l1]
+                    if not u:
+                        continue
+                    coeff = mul(mul(mul(v, ca), cl), u)
+                    for t, cm in products[a2 * n + l2]:
+                        ccm = mul(coeff, cm)
+                        for j, c in cat[i * n + t]:
+                            key = (j,)
+                            rhs[key] = add(rhs.get(key, 0), mul(ccm, c))
+        return lhs, rhs
+
+    for message, dims, sides in (
+            ("left coaction does not restrict to the coinvariants", (r,), restricts),
+            ("input comodule invalid: left-coassociativity", (r,), coassociative),
+            ("input comodule invalid: left-counit", (r,), counital),
+            ("evaluation map is not left colinear", (r, n), left_colinear),
+            ("evaluation map is not right colinear", (r, n), right_colinear),
+            ("evaluation map is not right linear", (r, n, n), right_linear)):
+        if not check_identity(message, basis_tuples(*dims), sides, H._codes.values).passed:
+            raise InvariantViolation(message)
     return eps
 
 

@@ -200,6 +200,11 @@ def group_dqb(group: GroupData, theta: Cocycle) -> DualQuasiBialgebra:
     rep = validate_cocycle(group, theta)
     if not rep.ok:
         raise ValueError(f"invalid cocycle: {rep.failures[0].axiom}")
+    return _group_algebra(group, theta)
+
+
+def _group_algebra(group: GroupData, theta: Cocycle) -> DualQuasiBialgebra:
+    """``group_dqb`` for a cocycle that has passed ``validate_cocycle``."""
     field = theta.field
     n = group.order
     zero, one = field.zero, field.one
@@ -295,12 +300,12 @@ class GroupExample(Value):
 
 def cyclic_group_example(n: int, r: int, field: Field | None = None) -> GroupExample:
     group = GroupData.cyclic(n)
-    theta = cyclic_cocycle(n, r, field)
+    theta = cyclic_cocycle(n, r, field)  # validated there
     return GroupExample(
         name=f"cyclic_{n}_r{r}",
         group=group,
         cocycle=theta,
-        dqb=group_dqb(group, theta),
+        dqb=_group_algebra(group, theta),
         antipode=group_antipode_data(group, theta),
         preantipode=canonical_group_preantipode(group, theta),
     )

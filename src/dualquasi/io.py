@@ -94,21 +94,22 @@ class _ScalarReader:
     """Parses the scalar strings of one document, each distinct string once.
 
     A failure is not remembered, so a malformed string raises at its first
-    occurrence, with that location."""
+    occurrence, with that location, ``location[pos]``."""
 
     def __init__(self, field: Field):
         self.field = field
         self._parsed: dict[str, Scalar] = {}
 
-    def __call__(self, text, location: str) -> Scalar:
-        if not isinstance(text, str):
-            raise DocumentError("scalar must be a string", location)
-        value = self._parsed.get(text)
+    def __call__(self, text, location: str, pos: int) -> Scalar:
+        value = self._parsed.get(text) if type(text) is str else None
         if value is None:
+            where = f"{location}[{pos}]"
+            if not isinstance(text, str):
+                raise DocumentError("scalar must be a string", where)
             try:
                 value = self.field.parse(text)
             except ScalarParseError as exc:
-                raise DocumentError(f"malformed scalar {text!r}: {exc}", location) from None
+                raise DocumentError(f"malformed scalar {text!r}: {exc}", where) from None
             self._parsed[text] = value
         return value
 
@@ -124,7 +125,7 @@ def _index(value, dim: int, location: str) -> int:
 def _dense_row(read: _ScalarReader, values, length: int, location: str) -> list[Scalar]:
     if not isinstance(values, list) or len(values) != length:
         raise DocumentError(f"expected a list of {length} scalars", location)
-    return [read(v, f"{location}[{i}]") for i, v in enumerate(values)]
+    return [read(v, location, i) for i, v in enumerate(values)]
 
 
 def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
@@ -134,18 +135,23 @@ def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
         raise DocumentError("expected a list of sparse entries", location)
     terms = []
     seen: set[tuple[int, ...]] = set()
+    width = len(dims) + 1
+    # an entry's location is built only when the entry fails a check
     for pos, entry in enumerate(entries):
-        here = f"{location}[{pos}]"
-        if not isinstance(entry, list) or len(entry) != len(dims) + 1:
+        if not isinstance(entry, list) or len(entry) != width:
             raise DocumentError(
-                f"expected [{len(dims)} indices, scalar]", here)
-        idx = tuple(_index(v, d, here) for v, d in zip(entry[:-1], dims))
+                f"expected [{len(dims)} indices, scalar]", f"{location}[{pos}]")
+        idx = tuple(entry[:-1])
+        for v, d in zip(idx, dims):
+            if type(v) is not int or not 0 <= v < d:
+                _index(v, d, f"{location}[{pos}]")
         if not allow_duplicates:
             if idx in seen:
-                raise DocumentError(f"duplicate entry for indices {list(idx)}", here)
+                raise DocumentError(f"duplicate entry for indices {list(idx)}",
+                                    f"{location}[{pos}]")
             seen.add(idx)
         r, c = to_rc(idx)
-        terms.append((r, c, read(entry[-1], here)))
+        terms.append((r, c, read(entry[-1], location, pos)))
     return Matrix.from_terms(read.field, rows, cols, terms)
 
 

@@ -19,15 +19,19 @@ from the retraction
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
-from .comodules import (HopfBicomodule, Subspace, _act_terms, _left_terms,
-                        _right_terms, _sweedler, adjunction_counit, coinvariants)
 from .dqb import AntipodeData, DualQuasiBialgebra, _add, _require_square
 from .errors import InvariantViolation
 from .linalg import Matrix, solve_affine
 from .report import Check, Report, basis_tuples, check_identity, clean_terms
 from .scalars import Scalar
 from .values import Value
+
+# The retraction functions import the comodule layer when they run, so
+# solving for a preantipode never loads it.
+if TYPE_CHECKING:
+    from .comodules import HopfBicomodule, Subspace
 
 
 class PreantipodeFamily(Value):
@@ -324,6 +328,8 @@ def preantipode_with_report(H: DualQuasiBialgebra,
 def _tau_vectors(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
                  lt, rt, at) -> list[dict]:
     """τ(e_i) = ω[m₋₁ ⊗ S(m₁)₁ ⊗ m₂]·m₀S(m₁)₂ in M coordinates, for every i."""
+    from .comodules import _sweedler
+
     n = H.dim
     out = []
     for i in range(M.dim):
@@ -347,6 +353,8 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
                        coinv: Subspace | None = None):
     """The five retraction verdicts, τ on every basis vector, and the
     coinvariant basis (computed here unless given)."""
+    from .comodules import _act_terms, _left_terms, _right_terms, coinvariants
+
     _require_square(H, S)
     d, n = M.dim, H.dim
     lt = _left_terms(M.rho_l, d)
@@ -455,6 +463,8 @@ def _verified_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, report: Report,
                       tau: list[dict], coinv: Subspace) -> tuple[Matrix, Matrix, Matrix]:
     """(retraction, ψ, ε) once the retraction identities and both composites
     hold; any failure raises InvariantViolation."""
+    from .comodules import adjunction_counit
+
     if not report.ok:
         bad = report.failures[0]
         raise InvariantViolation(
@@ -524,6 +534,8 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     Also reports (as the returned boolean, not as a failure) whether the
     candidate inverse γ(m) = P(m₀)⊗m₁ coincides with the actual inverse ψ;
     the two agree when α = ε and the reassociator twists are trivial."""
+    from .comodules import _act_terms, _left_terms, _right_terms, _sweedler
+
     S = _sandwich(H, data)
     d, n = M.dim, H.dim
     lt = _left_terms(M.rho_l, d)

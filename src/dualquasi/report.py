@@ -77,19 +77,27 @@ def basis_tuples(*dims: int):
     return product(*(range(d) for d in dims))
 
 
-def check_identity(axiom: str, witnesses: Iterable, sides: Callable) -> Check:
+def check_identity(axiom: str, witnesses: Iterable, sides: Callable,
+                   values: list | None = None) -> Check:
     """Check lhs = rhs at every witness, stopping at the first that differs.
 
     ``sides(*witness)`` returns the two sides: sparse vectors (dicts), compared
     with ``terms_equal`` and rendered with ``format_terms``, or scalars,
     compared with ``==`` and rendered with ``str``.  A witness of None stands
-    for an identity without basis arguments and calls ``sides()``.
+    for an identity without basis arguments and calls ``sides()``.  With
+    ``values`` the sides hold integer codes of canonical scalars, code 0 for
+    zero, and ``values[code]`` is the scalar a failure renders.
     """
     for witness in witnesses:
         lhs, rhs = sides(*(witness or ()))
         if isinstance(lhs, dict):
-            if not terms_equal(lhs, rhs):
+            if lhs != rhs and not terms_equal(lhs, rhs):
+                if values is not None:
+                    lhs, rhs = ({key: values[c] for key, c in side.items()}
+                                for side in (lhs, rhs))
                 return Check(axiom, False, witness, format_terms(lhs), format_terms(rhs))
         elif lhs != rhs:
+            if values is not None:
+                lhs, rhs = values[lhs], values[rhs]
             return Check(axiom, False, witness, str(lhs), str(rhs))
     return Check(axiom, True)

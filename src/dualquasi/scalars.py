@@ -389,10 +389,12 @@ class Scalar:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        # a Scalar operand skips the isinstance tests, which go through the ABCs
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = self.field.from_fraction(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return (self.num == other.num and self.den == other.den
                 and (self.field is other.field or self.field == other.field))
 

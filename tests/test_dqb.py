@@ -343,6 +343,12 @@ def _reference_algebras():
             ("sweedler", sweedler_four_dim_hopf()[0])]
 
 
+def test_validation_builds_no_table_on_four_factors():
+    for name, H in _reference_algebras():
+        assert validate_dqb(H).ok, name
+        assert max(H._split_tables) == 3, name
+
+
 def test_convolution_identities_match_the_definitions():
     failed = {"reassociator-invertible": 0, "cocycle-identity": 0}
     for index, (name, base) in enumerate(_reference_algebras()):

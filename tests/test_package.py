@@ -10,8 +10,8 @@ from dualquasi import (AffineSolution, AntipodeData, Bicomodule, Check, Cocycle,
                        CoinvariantRetraction, DimensionMismatch, GroupData,
                        GroupExample, HopfBicomodule, LeftComodule, Matrix,
                        PreantipodeFamily, Report, Subspace, coinvariant_retraction,
-                       coinvariants, cyclic_group_example, dump_dqb, hhat,
-                       regular_bicomodule, solve_affine, solve_preantipode)
+                       coinvariants, cyclic_group_example, dump_antipode, dump_dqb,
+                       hhat, regular_bicomodule, solve_affine, solve_preantipode)
 
 # the names the package exported before they were loaded on first use
 EXPORTED = [
@@ -74,6 +74,20 @@ def test_gen_loads_neither_the_preantipode_nor_the_comodule_layer(tmp_path):
     assert "dualquasi.groups" in modules and "dualquasi.dqb" in modules
     assert "dualquasi.preantipode" not in modules
     assert "dualquasi.comodules" not in modules
+
+
+def test_solving_commands_do_not_load_the_comodule_layer(tmp_path):
+    ex = cyclic_group_example(2, 1)
+    doc = tmp_path / "c2.dqb.json"
+    doc.write_text(dump_dqb(ex.dqb))
+    antipode = tmp_path / "c2.antipode.json"
+    antipode.write_text(dump_antipode(ex.antipode))
+    for argv in (("solve-preantipode", str(doc)),
+                 ("from-antipode", str(doc), str(antipode))):
+        proc, modules = _imported_modules("-m", "dualquasi", *argv)
+        assert proc.returncode == 0, argv
+        assert "dualquasi.preantipode" in modules
+        assert "dualquasi.comodules" not in modules, argv
 
 
 def test_antipode_data_is_one_class():
