@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .dqb import DualQuasiBialgebra, _add
+from .dqb import DualQuasiBialgebra
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, _rref, kernel, rank
 from .report import Check, Report, basis_tuples, check_identity
@@ -124,10 +124,19 @@ class Subspace(Value):
         zero = B.field.zero
         coords = [zero] * B.cols
         for j, terms in self._elimination:
-            coords[j] = sum((e * vector[i] for i, e in terms), zero)
-        for terms, target in zip(map(B.row_terms, range(B.rows)), vector):
-            if sum((v * coords[j] for j, v in terms), zero) != target:
-                return None
+            acc = zero
+            for i, e in terms:
+                if vector[i]:
+                    acc = acc + e * vector[i]
+            coords[j] = acc
+        # the vector lies in the subspace when the basis maps coords back onto it
+        image = [zero] * B.rows
+        for j, c in enumerate(coords):
+            if c:
+                for i, b in B.column_terms(j):
+                    image[i] = image[i] + b * c
+        if image != list(vector):
+            return None
         return tuple(coords)
 
 
@@ -193,51 +202,56 @@ def _dimension_check(H: DualQuasiBialgebra, obj) -> Check | None:
 # -- validation -----------------------------------------------------------------
 
 
-def _left_coaction_checks(H: DualQuasiBialgebra, d: int, lt) -> list[Check]:
-    def coassociativity(j):
+def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
+                rho_r: Matrix | None = None, act: Matrix | None = None) -> list:
+    """The defining identities of a d-dimensional left comodule (ρ^l), bicomodule
+    (and ρ^r) or Hopf bicomodule (and the action), in report order, as
+    (axiom, witness dimensions, sides).  The sides take a basis index of the
+    module first and run on codes of H's numbering."""
+    n = H.dim
+    code, mul, put = H._codes.code, H._codes.mul, H._codes.put
+    delta, products, counit = H._coded_delta, H._coded_products, H._coded_counit
+    scalar_lt = _left_terms(rho_l, d)
+    lt = _coded(scalar_lt, code)
+
+    def left_coassociativity(j):
         lhs: dict = {}
         rhs: dict = {}
         for a, i, c in lt[j]:
-            for a1, a2, c2 in H.delta_terms(a):
-                _add(lhs, (a1, a2, i), c * c2)
+            for a1, a2, c2 in delta[a]:
+                put(lhs, (a1, a2, i), mul(c, c2))
             for b, i2, c2 in lt[i]:
-                _add(rhs, (a, b, i2), c * c2)
+                put(rhs, (a, b, i2), mul(c, c2))
         return lhs, rhs
 
-    def counit(j):
+    def left_counit(j):
         acc: dict = {}
         for a, i, c in lt[j]:
-            _add(acc, (i,), c * H.eps(a))
-        return acc, {(j,): H.field.one}
+            put(acc, (i,), mul(c, counit[a]))
+        return acc, {(j,): 1}
 
-    return [check_identity("left-coassociativity", basis_tuples(d), coassociativity),
-            check_identity("left-counit", basis_tuples(d), counit)]
+    identities = [("left-coassociativity", (d,), left_coassociativity),
+                  ("left-counit", (d,), left_counit)]
+    if rho_r is None:
+        return identities
+    scalar_rt = _right_terms(rho_r, d, n)
+    rt = _coded(scalar_rt, code)
 
-
-def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
-    """Coassociativity and counitality of a left coaction, on every basis vector."""
-    bad = _dimension_check(H, V)
-    if bad:
-        return Report((bad,))
-    return Report(tuple(_left_coaction_checks(H, V.dim, _left_terms(V.rho_l, V.dim))))
-
-
-def _coaction_checks(H: DualQuasiBialgebra, d: int, lt, rt) -> list[Check]:
-    def coassociativity(j):
+    def right_coassociativity(j):
         lhs: dict = {}
         rhs: dict = {}
         for i, a, c in rt[j]:
-            for a1, a2, c2 in H.delta_terms(a):
-                _add(lhs, (i, a1, a2), c * c2)
+            for a1, a2, c2 in delta[a]:
+                put(lhs, (i, a1, a2), mul(c, c2))
             for i2, b, c2 in rt[i]:
-                _add(rhs, (i2, b, a), c * c2)
+                put(rhs, (i2, b, a), mul(c, c2))
         return lhs, rhs
 
-    def counit(j):
+    def right_counit(j):
         acc: dict = {}
         for i, a, c in rt[j]:
-            _add(acc, (i,), c * H.eps(a))
-        return acc, {(j,): H.field.one}
+            put(acc, (i,), mul(c, counit[a]))
+        return acc, {(j,): 1}
 
     def compatibility(j):
         """(H⊗ρ^r)ρ^l = (ρ^l⊗H)ρ^r : M → H⊗M⊗H"""
@@ -245,79 +259,60 @@ def _coaction_checks(H: DualQuasiBialgebra, d: int, lt, rt) -> list[Check]:
         rhs: dict = {}
         for a, i, c in lt[j]:
             for i2, b, c2 in rt[i]:
-                _add(lhs, (a, i2, b), c * c2)
+                put(lhs, (a, i2, b), mul(c, c2))
         for i, b, c in rt[j]:
             for a, i2, c2 in lt[i]:
-                _add(rhs, (a, i2, b), c * c2)
+                put(rhs, (a, i2, b), mul(c, c2))
         return lhs, rhs
 
-    return _left_coaction_checks(H, d, lt) + [
-        check_identity("right-coassociativity", basis_tuples(d), coassociativity),
-        check_identity("right-counit", basis_tuples(d), counit),
-        check_identity("bicomodule-compatibility", basis_tuples(d), compatibility),
-    ]
-
-
-def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
-    """Every defining identity of a right dual quasi-Hopf H-bicomodule.
-
-    Order: dimensions, both coaction axioms, bicomodule compatibility, action
-    unit, left/right colinearity of the action, twisted associativity.
-    """
-    bad = _dimension_check(H, M)
-    if bad:
-        return Report((bad,))
-    d, n = M.dim, H.dim
-    lt = _left_terms(M.rho_l, d)
-    rt = _right_terms(M.rho_r, d, n)
-    at = _act_terms(M.act, d, n)
+    identities += [("right-coassociativity", (d,), right_coassociativity),
+                   ("right-counit", (d,), right_counit),
+                   ("bicomodule-compatibility", (d,), compatibility)]
+    if act is None:
+        return identities
+    at = _coded(_act_terms(act, d, n), code)
+    units = [(u, code(c)) for u, c in H.unit_terms()]
 
     def action_unit(j):
         acc: dict = {}
-        for u, cu in H.unit_terms():
+        for u, cu in units:
             for j2, c in at[j * n + u]:
-                _add(acc, (j2,), cu * c)
-        return acc, {(j,): H.field.one}
-
-    # the action identities run on codes of H's numbering
-    code, mul, add = H._codes.code, H._codes.mul, H._codes.add
-    clt, crt, cat = _coded(lt, code), _coded(rt, code), _coded(at, code)
-    delta, products = H._coded_delta, H._coded_products
+                put(acc, (j2,), mul(cu, c))
+        return acc, {(j,): 1}
 
     def left_colinear(j, a):
         """ρ^l(m·h) = m₋₁h₁ ⊗ m₀·h₂"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in cat[j * n + a]:
-            for x, i, c2 in clt[j2]:
-                lhs[x, i] = add(lhs.get((x, i), 0), mul(c, c2))
-        for x, i, c in clt[j]:
+        for j2, c in at[j * n + a]:
+            for x, i, c2 in lt[j2]:
+                put(lhs, (x, i), mul(c, c2))
+        for x, i, c in lt[j]:
             for a1, a2, c2 in delta[a]:
-                c12 = mul(c, c2)
                 for y, c3 in products[x * n + a1]:
-                    c123 = mul(c12, c3)
-                    for i2, c4 in cat[i * n + a2]:
-                        rhs[y, i2] = add(rhs.get((y, i2), 0), mul(c123, c4))
+                    c123 = mul(mul(c, c2), c3)
+                    for i2, c4 in at[i * n + a2]:
+                        put(rhs, (y, i2), mul(c123, c4))
         return lhs, rhs
 
     def right_colinear(j, a):
         """ρ^r(m·h) = m₀·h₁ ⊗ m₁h₂"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in cat[j * n + a]:
-            for i, b, c2 in crt[j2]:
-                lhs[i, b] = add(lhs.get((i, b), 0), mul(c, c2))
-        for i, b, c in crt[j]:
+        for j2, c in at[j * n + a]:
+            for i, b, c2 in rt[j2]:
+                put(lhs, (i, b), mul(c, c2))
+        for i, b, c in rt[j]:
             for a1, a2, c2 in delta[a]:
-                c12 = mul(c, c2)
-                for i2, c3 in cat[i * n + a1]:
-                    c123 = mul(c12, c3)
+                for i2, c3 in at[i * n + a1]:
+                    c123 = mul(mul(c, c2), c3)
                     for y, c4 in products[b * n + a2]:
-                        rhs[i2, y] = add(rhs.get((i2, y), 0), mul(c123, c4))
+                        put(rhs, (i2, y), mul(c123, c4))
         return lhs, rhs
 
     sweedlers = [[(ltup[0], j2, rtup[0], code(c))
-                  for ltup, j2, rtup, c in _sweedler(H, lt, rt, j, 1, 1)] for j in range(d)]
+                  for ltup, j2, rtup, c in _sweedler(H, scalar_lt, scalar_rt, j, 1, 1)]
+                 for j in range(d)]
     splits = [[(tup, code(c)) for tup, c in H.delta_power(a, 3)] for a in range(n)]
     w, w_inv = H._coded_omega, H._coded_omega_inv
 
@@ -325,10 +320,9 @@ def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
         """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in cat[j * n + a]:
-            for j3, c2 in cat[j2 * n + b]:
-                key = (j3,)
-                lhs[key] = add(lhs.get(key, 0), mul(c, c2))
+        for j2, c in at[j * n + a]:
+            for j3, c2 in at[j2 * n + b]:
+                put(lhs, (j3,), mul(c, c2))
         for x, j2, y, c in sweedlers[j]:
             for (a1, a2, a3), ca in splits[a]:
                 for (b1, b2, b3), cb in splits[b]:
@@ -341,19 +335,41 @@ def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
                     coeff = mul(mul(mul(mul(c, ca), cb), v), v2)
                     for t, cm in products[a2 * n + b2]:
                         ccm = mul(coeff, cm)
-                        for j3, c3 in cat[j2 * n + t]:
-                            key = (j3,)
-                            rhs[key] = add(rhs.get(key, 0), mul(ccm, c3))
+                        for j3, c3 in at[j2 * n + t]:
+                            put(rhs, (j3,), mul(ccm, c3))
         return lhs, rhs
 
+    return identities + [
+        ("action-unit", (d,), action_unit),
+        ("action-left-colinear", (d, n), left_colinear),
+        ("action-right-colinear", (d, n), right_colinear),
+        ("action-quasi-associativity", (d, n, n), quasi_associativity)]
+
+
+def _report(H: DualQuasiBialgebra, identities) -> Report:
     values = H._codes.values
-    return Report(tuple(_coaction_checks(H, d, lt, rt) + [
-        check_identity("action-unit", basis_tuples(d), action_unit),
-        check_identity("action-left-colinear", basis_tuples(d, n), left_colinear, values),
-        check_identity("action-right-colinear", basis_tuples(d, n), right_colinear, values),
-        check_identity("action-quasi-associativity", basis_tuples(d, n, n),
-                       quasi_associativity, values),
-    ]))
+    return Report(tuple(check_identity(axiom, basis_tuples(*dims), sides, values)
+                        for axiom, dims, sides in identities))
+
+
+def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
+    """Coassociativity and counitality of a left coaction, on every basis vector."""
+    bad = _dimension_check(H, V)
+    if bad:
+        return Report((bad,))
+    return _report(H, _identities(H, V.dim, V.rho_l))
+
+
+def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
+    """Every defining identity of a right dual quasi-Hopf H-bicomodule.
+
+    Order: dimensions, both coaction axioms, bicomodule compatibility, action
+    unit, left/right colinearity of the action, twisted associativity.
+    """
+    bad = _dimension_check(H, M)
+    if bad:
+        return Report((bad,))
+    return _report(H, _identities(H, M.dim, M.rho_l, M.rho_r, M.act))
 
 
 # -- constructions --------------------------------------------------------------
@@ -363,8 +379,7 @@ def _require_valid_coactions(H: DualQuasiBialgebra, M: Bicomodule) -> None:
     bad = _dimension_check(H, M)
     if bad is not None:
         raise DimensionMismatch(bad.lhs or "inconsistent dimensions")
-    rep = Report(tuple(_coaction_checks(
-        H, M.dim, _left_terms(M.rho_l, M.dim), _right_terms(M.rho_r, M.dim, H.dim))))
+    rep = _report(H, _identities(H, M.dim, M.rho_l, M.rho_r))
     if not rep.ok:
         raise InvariantViolation(f"input coactions invalid: {rep.failures[0].axiom}")
 
@@ -514,15 +529,13 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
 
     Verifies that the left coaction restricts to a comodule on the
     coinvariants and that the map is a morphism of Hopf bicomodules out of
-    the bicomodule induced from it: for every coinvariant basis vector x and
-    basis elements h, l of H,
-
-        x₋₁ ⊗ ρ^r(x₀) = x₋₁ ⊗ x₀ ⊗ 1_H,
-        Δ(x₋₁) ⊗ x₀ = x₋₁ ⊗ ρ^l(x₀),   ε(x₋₁)·x₀ = x,
-        ρ^l(x·h) = x₋₁h₁ ⊗ x₀·h₂,   ρ^r(x·h) = x·h₁ ⊗ h₂,
-        (x·h)·l = ω⁻¹(x₋₁⊗h₁⊗l₁) x₀·(h₂l₂),
-
-    checked in that order; a violation raises InvariantViolation.
+    the bicomodule induced from it: left and right colinear and right
+    linear.  Each is M's own identity summed over a coinvariant basis
+    vector x: ρ^r(x) = x⊗1_H turns bicomodule compatibility into
+    x₋₁ ⊗ ρ^r(x₀) = x₋₁ ⊗ x₀ ⊗ 1_H, the right colinearity of the action
+    into ρ^r(x·h) = x·h₁ ⊗ h₂, and its twisted associativity into
+    (x·h)·l = ω⁻¹(x₋₁⊗h₁⊗l₁) x₀·(h₂l₂) once the coaction restricts.
+    Violations raise InvariantViolation.
     """
     if coinv is None:
         coinv = coinvariants(H, M)
@@ -533,114 +546,33 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
         for alpha in range(r) for a in range(n)
         for i, v in coinv.basis.column_terms(alpha) for j, c in at[i * n + a]])
 
-    # the identities run on codes of H's numbering
-    code, mul, add = H._codes.code, H._codes.mul, H._codes.add
-    cat, clt = _coded(at, code), _coded(_left_terms(M.rho_l, d), code)
-    crt = _coded(_right_terms(M.rho_r, d, n), code)
-    delta, products, w_inv = H._coded_delta, H._coded_products, H._coded_omega_inv
+    code, mul, put = H._codes.code, H._codes.mul, H._codes.put
     xs = [[(i, code(v)) for i, v in coinv.basis.column_terms(alpha)] for alpha in range(r)]
-    acted = []    # per x: x·e_a as {j: code} for every a
-    coacted = []  # per x: the terms (y, i, code) of ρ^l(x)
-    for x in xs:
-        images = []
-        for a in range(n):
-            image: dict = {}
-            for i, v in x:
-                for j, c in cat[i * n + a]:
-                    image[j] = add(image.get(j, 0), mul(v, c))
-            images.append(image)
-        acted.append(images)
-        coaction: dict = {}
-        for i, v in x:
-            for y, i2, c in clt[i]:
-                coaction[y, i2] = add(coaction.get((y, i2), 0), mul(v, c))
-        coacted.append([(y, i, c) for (y, i), c in coaction.items() if c])
+    identities = {axiom: (dims, sides) for axiom, dims, sides
+                  in _identities(H, d, M.rho_l, M.rho_r, M.act)}
 
-    units = [(u, code(c)) for u, c in H.unit_terms()]
+    def at_coinvariants(sides):
+        """sides at the α-th coinvariant vector: Σ v·sides(i, …) over its terms (i, v)."""
+        def summed(alpha, *rest):
+            lhs: dict = {}
+            rhs: dict = {}
+            for i, v in xs[alpha]:
+                for acc, side in zip((lhs, rhs), sides(i, *rest)):
+                    for key, c in side.items():
+                        put(acc, key, mul(v, c))
+            return lhs, rhs
+        return summed
 
-    def restricts(alpha):
-        lhs: dict = {}
-        rhs: dict = {}
-        for y, i, v in coacted[alpha]:
-            for i2, b, c in crt[i]:
-                lhs[y, i2, b] = add(lhs.get((y, i2, b), 0), mul(v, c))
-            for u, c in units:
-                rhs[y, i, u] = add(rhs.get((y, i, u), 0), mul(v, c))
-        return lhs, rhs
-
-    def coassociative(alpha):
-        lhs: dict = {}
-        rhs: dict = {}
-        for y, i, v in coacted[alpha]:
-            for y1, y2, c in delta[y]:
-                lhs[y1, y2, i] = add(lhs.get((y1, y2, i), 0), mul(v, c))
-            for y2, i2, c in clt[i]:
-                rhs[y, y2, i2] = add(rhs.get((y, y2, i2), 0), mul(v, c))
-        return lhs, rhs
-
-    counit = H._codes.encode(H.counit.entries)
-
-    def counital(alpha):
-        lhs: dict = {}
-        for y, i, v in coacted[alpha]:
-            key = (i,)
-            lhs[key] = add(lhs.get(key, 0), mul(v, counit[y]))
-        return lhs, {(i,): v for i, v in xs[alpha]}
-
-    def left_colinear(alpha, a):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, v in acted[alpha][a].items():
-            for y, i, c in clt[j]:
-                lhs[y, i] = add(lhs.get((y, i), 0), mul(v, c))
-        for y, i, v in coacted[alpha]:
-            for a1, a2, c in delta[a]:
-                for t, cm in products[y * n + a1]:
-                    coeff = mul(mul(v, c), cm)
-                    for i2, c2 in cat[i * n + a2]:
-                        rhs[t, i2] = add(rhs.get((t, i2), 0), mul(coeff, c2))
-        return lhs, rhs
-
-    def right_colinear(alpha, a):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, v in acted[alpha][a].items():
-            for i, b, c in crt[j]:
-                lhs[i, b] = add(lhs.get((i, b), 0), mul(v, c))
-        for a1, a2, c in delta[a]:
-            for j, v in acted[alpha][a1].items():
-                rhs[j, a2] = add(rhs.get((j, a2), 0), mul(v, c))
-        return lhs, rhs
-
-    def right_linear(alpha, a, l):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, v in acted[alpha][a].items():
-            for j2, c in cat[j * n + l]:
-                key = (j2,)
-                lhs[key] = add(lhs.get(key, 0), mul(v, c))
-        for y, i, v in coacted[alpha]:
-            for a1, a2, ca in delta[a]:
-                for l1, l2, cl in delta[l]:
-                    u = w_inv[(y * n + a1) * n + l1]
-                    if not u:
-                        continue
-                    coeff = mul(mul(mul(v, ca), cl), u)
-                    for t, cm in products[a2 * n + l2]:
-                        ccm = mul(coeff, cm)
-                        for j, c in cat[i * n + t]:
-                            key = (j,)
-                            rhs[key] = add(rhs.get(key, 0), mul(ccm, c))
-        return lhs, rhs
-
-    for message, dims, sides in (
-            ("left coaction does not restrict to the coinvariants", (r,), restricts),
-            ("input comodule invalid: left-coassociativity", (r,), coassociative),
-            ("input comodule invalid: left-counit", (r,), counital),
-            ("evaluation map is not left colinear", (r, n), left_colinear),
-            ("evaluation map is not right colinear", (r, n), right_colinear),
-            ("evaluation map is not right linear", (r, n, n), right_linear)):
-        if not check_identity(message, basis_tuples(*dims), sides, H._codes.values).passed:
+    for axiom, message in (
+            ("bicomodule-compatibility", "left coaction does not restrict to the coinvariants"),
+            ("left-coassociativity", "input comodule invalid: left-coassociativity"),
+            ("left-counit", "input comodule invalid: left-counit"),
+            ("action-left-colinear", "evaluation map is not left colinear"),
+            ("action-right-colinear", "evaluation map is not right colinear"),
+            ("action-quasi-associativity", "evaluation map is not right linear")):
+        dims, sides = identities[axiom]
+        witnesses = basis_tuples(r, *dims[1:])
+        if not check_identity(axiom, witnesses, at_coinvariants(sides), H._codes.values).passed:
             raise InvariantViolation(message)
     return eps
 

@@ -81,6 +81,10 @@ class _Codes:
             c = self._sums[a, b] = self.code(self.values[a] + self.values[b])
         return c
 
+    def put(self, acc: dict, key, value: int) -> None:
+        """Add the code ``value`` into ``acc[key]`` of a sparse vector of codes."""
+        acc[key] = self.add(acc.get(key, 0), value)
+
 
 class DualQuasiBialgebra:
     """Structure constants of a finite-dimensional dual quasi-bialgebra.
@@ -178,6 +182,10 @@ class DualQuasiBialgebra:
         """Per flat index a·n+b: terms (t, code) of e_a·e_b."""
         code = self._codes.code
         return tuple(tuple((t, code(c)) for t, c in terms) for terms in self._mul_table)
+
+    @cached_property
+    def _coded_counit(self) -> list[int]:
+        return self._codes.encode(self.counit.entries)
 
     @cached_property
     def _coded_omega(self) -> list[int]:
@@ -480,19 +488,29 @@ def _omega_with_product(H, w: list[int], slot: int) -> list[int]:
     codes of ω."""
     n = H.dim
     mul, add = H._codes.mul, H._codes.add
-    tail = n ** (2 - slot)
-    out = []
-    for head in range(n ** slot):
-        for terms in H._coded_products:
-            # the block of a product is Σ c·ω over the blocks of its terms
-            block = [0] * tail
+    heads, tail = n ** slot, n ** (2 - slot)
+    # ω(head⊗t⊗x) sits at in + t·tail and the value at a⊗b in the slot at
+    # out + (a·n + b)·tail, where (in, out) = (head·n·tail + x, head·n²·tail + x);
+    # each product is copied in runs along the longer of the head and x axes
+    if heads <= tail:
+        runs = [(h * n * tail, h * n * n * tail) for h in range(heads)]
+        length, in_step, out_step = tail, 1, 1
+    else:
+        runs = [(x, x) for x in range(tail)]
+        length, in_step, out_step = heads, n * tail, n * n * tail
+    out = [0] * n ** 4
+    for ab, terms in enumerate(H._coded_products):
+        for start, target in runs:
+            # the run of a product is Σ c·ω over the runs of its terms
+            run = [0] * length
             for t, c in terms:
-                start = (head * n + t) * tail
-                part = w[start:start + tail]
+                i = start + t * tail
+                part = w[i:i + length * in_step:in_step]
                 if c != 1:
                     part = [mul(c, v) for v in part]
-                block = part if len(terms) == 1 else list(map(add, block, part))
-            out.extend(block)
+                run = part if len(terms) == 1 else list(map(add, run, part))
+            o = target + ab * tail
+            out[o:o + length * out_step:out_step] = run
     return out
 
 
@@ -500,7 +518,7 @@ def _cocycle_identity(H) -> Check:
     """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4."""
     codes = H._codes
     mul = codes.mul
-    eps, w = codes.encode(H.counit.entries), H._coded_omega
+    eps, w = H._coded_counit, H._coded_omega
     eps_w = [mul(e, v) for e in eps for v in w]
     w_eps = [mul(v, e) for v in w for e in eps]
     lhs = _convolve(H, _omega_with_product(H, w, 2), _omega_with_product(H, w, 0), 4)
@@ -521,7 +539,7 @@ def _cocycle_normalization(H, slot, j, k):
 def _quasi_associativity(H, i, j, k):
     """h₁(k₁l₁)·ω(h₂⊗k₂⊗l₂) = ω(h₁⊗k₁⊗l₁)·(h₂k₂)l₂ on basis triples, as codes."""
     n = H.dim
-    mul, add = H._codes.mul, H._codes.add
+    mul, put = H._codes.mul, H._codes.put
     delta, products, w = H._coded_delta, H._coded_products, H._coded_omega
     lhs: dict = {}
     rhs: dict = {}
@@ -535,15 +553,13 @@ def _quasi_associativity(H, i, j, k):
                     v = mul(coeff, v)
                     for t, cm in products[b1 * n + c1]:
                         for t2, cm2 in products[a1 * n + t]:
-                            key = (t2,)
-                            lhs[key] = add(lhs.get(key, 0), mul(mul(v, cm), cm2))
+                            put(lhs, (t2,), mul(mul(v, cm), cm2))
                 v = w[(a1 * n + b1) * n + c1]
                 if v:
                     v = mul(coeff, v)
                     for t, cm in products[a2 * n + b2]:
                         for t2, cm2 in products[t * n + c2]:
-                            key = (t2,)
-                            rhs[key] = add(rhs.get(key, 0), mul(mul(v, cm), cm2))
+                            put(rhs, (t2,), mul(mul(v, cm), cm2))
     return lhs, rhs
 
 
