@@ -85,8 +85,8 @@ def check_identity(axiom: str, witnesses: Iterable, sides: Callable,
     with ``terms_equal`` and rendered with ``format_terms``, or scalars,
     compared with ``==`` and rendered with ``str``.  A witness of None stands
     for an identity without basis arguments and calls ``sides()``.  With
-    ``values`` the sides hold integer codes of canonical scalars, code 0 for
-    zero, and ``values[code]`` is the scalar a failure renders.
+    ``values`` the sparse vectors hold integer codes of canonical scalars,
+    code 0 for zero, and ``values[code]`` is the scalar a failure renders.
     """
     for witness in witnesses:
         lhs, rhs = sides(*(witness or ()))
@@ -97,7 +97,5 @@ def check_identity(axiom: str, witnesses: Iterable, sides: Callable,
                                 for side in (lhs, rhs))
                 return Check(axiom, False, witness, format_terms(lhs), format_terms(rhs))
         elif lhs != rhs:
-            if values is not None:
-                lhs, rhs = values[lhs], values[rhs]
             return Check(axiom, False, witness, str(lhs), str(rhs))
     return Check(axiom, True)
