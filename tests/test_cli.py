@@ -47,6 +47,16 @@ def test_gen_matches_bundled_example(tmp_path):
             dump_antipode(ex.antipode), ex.name
 
 
+def test_gen_checks_its_cocycle_once(tmp_path, monkeypatch, capsys):
+    from dualquasi import cli, groups
+    calls = []
+    check = groups.validate_cocycle
+    monkeypatch.setattr(groups, "validate_cocycle",
+                        lambda *args: calls.append(args) or check(*args))
+    assert cli.main(["gen", "--cyclic", "3", "--r", "1", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_gen_rejects_bad_parameters(tmp_path):
     rc, _, err = run_cli("gen", "--cyclic", "3", "--r", "5", "--out", str(tmp_path))
     assert rc == 2
