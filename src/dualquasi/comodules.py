@@ -208,6 +208,10 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
     (and ρ^r) or Hopf bicomodule (and the action), in report order, as
     (axiom, witness dimensions, sides).  The sides take a basis index of the
     module first and run on codes of H's numbering."""
+    # a code of 0 or 1 skips the arithmetic, which would reject a foreign scalar
+    for m in (rho_l, rho_r, act):
+        if m is not None and m.field != H.field:
+            raise ValueError(f"scalars from different fields: {H.field!r} vs {m.field!r}")
     n = H.dim
     code, mul, put = H._codes.code, H._codes.mul, H._codes.put
     delta, products, counit = H._coded_delta, H._coded_products, H._coded_counit

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dualquasi import (Bicomodule, DualQuasiBialgebra, Field,
                        HopfBicomodule, LeftComodule, Matrix, Subspace,
                        adjunction_counit, adjunction_unit, coinvariants,
@@ -60,6 +62,25 @@ def test_untwisted_action_fails_quasi_associativity():
     failing = {c.axiom: c for c in report.failures}
     assert set(failing) == {"action-quasi-associativity"}
     assert failing["action-quasi-associativity"].witness is not None
+
+
+def test_structure_over_another_field_is_rejected():
+    # ℚ(i) copies of Ĥ's coaction or action against cyclic 3 r=0 over ℚ, whose
+    # structure constants are all 0 or 1
+    H = example("cyclic_3_r0").dqb
+    M = hhat(H)
+    F = Field.cyclotomic(4)
+    for key in ("rho_l", "rho_r", "act"):
+        parts = dict(rho_l=M.rho_l, rho_r=M.rho_r, act=M.act)
+        m = parts[key]
+        parts[key] = Matrix.from_terms(F, m.rows, m.cols, [
+            (r, c, F.from_fraction(v.coeffs[0])) for r in range(m.rows) for c, v in m.row_terms(r)])
+        bad = HopfBicomodule(M.dim, **parts)
+        if key != "rho_l":  # a foreign left coaction is a "dimensions" failure
+            with pytest.raises(ValueError, match="scalars from different fields"):
+                validate_bicomodule(H, bad)
+        with pytest.raises(ValueError, match="scalars from different fields"):
+            adjunction_counit(H, bad)
 
 
 def test_dimension_mismatch_is_a_distinct_failure():
