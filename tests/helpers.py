@@ -176,3 +176,64 @@ def sympy_grouplike_preantipode(group: GroupData, theta_fraction):
         return [sympy.simplify(eq.subs(subs)) for eq in eqs]
 
     return particular, len(free), residual
+
+
+def twist(H: DualQuasiBialgebra, gamma: Matrix) -> DualQuasiBialgebra:
+    """The gauge twist of H by a normalized, convolution invertible γ on H⊗H.
+
+    The coalgebra stays the same, and
+
+        m^γ(x⊗y) = γ(x₁,y₁)·x₂y₂·γ⁻¹(x₃,y₃),
+        ω^γ = (ε⊗γ) ∗ γ(id⊗m) ∗ ω ∗ γ⁻¹(m⊗id) ∗ (γ⁻¹⊗ε)  on H⊗H⊗H.
+    """
+    from dualquasi import convolution, convolution_inverse
+
+    n, field = H.dim, H.field
+    gamma_inv = convolution_inverse(H, gamma, arity=2)
+    assert gamma_inv is not None, "γ is not convolution invertible"
+    g, gi, eps = gamma.entries, gamma_inv.entries, H.counit.entries
+    mul_terms = []
+    for x in range(n):
+        for y in range(n):
+            for (x1, x2, x3), cx in H.delta_power(x, 3):
+                for (y1, y2, y3), cy in H.delta_power(y, 3):
+                    coeff = cx * cy * g[x1 * n + y1] * gi[x3 * n + y3]
+                    if coeff:
+                        mul_terms.extend((t, x * n + y, coeff * c)
+                                         for t, c in H.mul_terms(x2, y2))
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+
+    def functional(value):
+        return Matrix.row_vector(field, [value(*t) for t in triples])
+
+    def on_product(f, x, y, z, left):
+        """f(xy⊗z) when ``left``, else f(x⊗yz), for a functional f on H⊗H."""
+        if left:
+            return sum((c * f[t * n + z] for t, c in H.mul_terms(x, y)), field.zero)
+        return sum((c * f[x * n + t] for t, c in H.mul_terms(y, z)), field.zero)
+
+    factors = [functional(lambda x, y, z: eps[x] * g[y * n + z]),
+               functional(lambda x, y, z: on_product(g, x, y, z, False)),
+               H.omega,
+               functional(lambda x, y, z: on_product(gi, x, y, z, True)),
+               functional(lambda x, y, z: gi[x * n + y] * eps[z])]
+    omega = factors[0]
+    for f in factors[1:]:
+        omega = convolution(H, omega, f, arity=3)
+    return DualQuasiBialgebra(field, n, H.delta, H.counit,
+                              Matrix.from_terms(field, n, n * n, mul_terms), H.unit, omega)
+
+
+def twisted_sweedler() -> DualQuasiBialgebra:
+    """Sweedler's algebra twisted by γ = ε⊗ε except γ(x,gx) = 3, γ(gx,x) = −1:
+    a non-grouplike Δ together with a nontrivial ω."""
+    if "twisted_sweedler" not in _example_cache:
+        H, _ = sweedler_four_dim_hopf()
+        Q = H.field
+        eps = H.counit.entries
+        special = {(2, 3): 3, (3, 2): -1}
+        gamma = Matrix.row_vector(Q, [
+            Q.from_fraction(special[a, b]) if (a, b) in special else eps[a] * eps[b]
+            for a in range(4) for b in range(4)])
+        _example_cache["twisted_sweedler"] = twist(H, gamma)
+    return _example_cache["twisted_sweedler"]

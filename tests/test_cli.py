@@ -275,3 +275,16 @@ def test_from_antipode_checks_each_report_once(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert any(line.startswith("OK (") for line in capsys.readouterr().out.splitlines())
     assert calls == {"check_antipode": 1, "check_preantipode": 1}
+
+
+def test_structure_theorem_module_form_on_twisted_sweedler(tmp_path):
+    # a non-grouplike Δ together with a nontrivial ω, through the CLI
+    from helpers import twisted_sweedler
+    H = twisted_sweedler()
+    dqb, module, S = (tmp_path / name for name in ("tw.dqb.json", "tw.module.json", "S.json"))
+    dqb.write_text(dump_dqb(H))
+    module.write_text(dump_bicomodule(hhat(H)))
+    assert run_cli("solve-preantipode", str(dqb), "--out", str(S))[0] == 0
+    rc, out, _ = run_cli("structure-theorem", str(dqb), str(module), "--preantipode", str(S))
+    assert rc == 0, out
+    assert out.splitlines()[-1] == "OK (14 axioms)"

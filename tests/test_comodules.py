@@ -413,12 +413,14 @@ def _module_corruptions(H, M, seed):
 
 
 def test_action_identities_match_the_definitions():
-    from helpers import sweedler_four_dim_hopf
+    from helpers import sweedler_four_dim_hopf, twisted_sweedler
     from dualquasi import cyclic_group_example
 
+    # twisted Sweedler last, so the seeds of the others stay as they were
     algebras = [("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
                 ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
-                ("sweedler", sweedler_four_dim_hopf()[0])]
+                ("sweedler", sweedler_four_dim_hopf()[0]),
+                ("twisted_sweedler", twisted_sweedler())]
     axioms = ("action-left-colinear", "action-right-colinear", "action-quasi-associativity")
     failed = dict.fromkeys(axioms, 0)
     for index, (name, H) in enumerate(algebras):
