@@ -354,3 +354,154 @@ def test_retraction_report_with_evaluation_map_adds_composites():
     zero = Matrix.zeros(H.field, 3, 3)
     assert (retraction_report(H, zero, M, coinv=coinv, eps=eps)
             == retraction_report(H, zero, M))
+
+
+# -- reference evaluation of the five retraction identities ---------------------------
+
+
+def _reference_retraction_checks(H, S, M):
+    """The five retraction identities evaluated one basis tuple at a time from
+    the columns of M's, S's and H's matrices, in scalars.  τ expands
+    m₋₁⊗m₀⊗m₁⊗m₂ as (H⊗ρ^r)ρ^l followed by Δ on the last leg, the bracketing
+    the library uses, so a corrupted module is read the same way by both."""
+    from dualquasi.report import Check, basis_tuples, format_terms, terms_equal
+
+    d, n = M.dim, H.dim
+    act, rho_l, rho_r = M.act.column_terms, M.rho_l.column_terms, M.rho_r.column_terms
+    delta, mul, s_col = H.delta.column_terms, H.mul.column_terms, S.column_terms
+    omega, omega_inv = H.omega.entries, H.omega_inv.entries
+    eps, unit = H.counit.entries, H.unit.column_terms(0)
+
+    def put(acc, key, value):
+        acc[key] = acc[key] + value if key in acc else value
+
+    def tau_of(i):
+        acc = {}
+        for row, c in rho_l(i):
+            x, j = divmod(row, d)
+            for row2, c2 in rho_r(j):
+                j2, b = divmod(row2, n)
+                for r3, c3 in delta(b):
+                    b1, b2 = divmod(r3, n)
+                    for q, sq in s_col(b1):
+                        for r4, cq in delta(q):
+                            q1, q2 = divmod(r4, n)
+                            w = omega[(x * n + q1) * n + b2]
+                            for j3, ca in act(j2 * n + q2):
+                                put(acc, j3, c * c2 * c3 * sq * cq * w * ca)
+        return {j: v for j, v in acc.items() if v}
+
+    tau = [tau_of(i) for i in range(d)]
+    basis = coinvariants(H, M).basis
+
+    def into_coinvariants(i):
+        lhs, rhs = {}, {}
+        for j, v in tau[i].items():
+            for row, c in rho_r(j):
+                put(lhs, divmod(row, n), v * c)
+            for u, cu in unit:
+                put(rhs, (j, u), v * cu)
+        return lhs, rhs
+
+    def module_identity(i, a):
+        lhs, rhs = {}, {}
+        for j, c in act(i * n + a):
+            for j2, v in tau[j].items():
+                put(lhs, (j2,), c * v)
+        for row, c in rho_r(i):
+            j, b = divmod(row, n)
+            for j2, v in tau[j].items():
+                for row2, c2 in rho_l(j2):
+                    x, j3 = divmod(row2, d)
+                    put(rhs, (j3,), c * v * c2 * omega_inv[(x * n + b) * n + a])
+        return lhs, rhs
+
+    def left_colinearity(i):
+        lhs, rhs = {}, {}
+        for row, c in rho_l(i):
+            x, j = divmod(row, d)
+            for j2, v in tau[j].items():
+                put(lhs, (x, j2), c * v)
+        for row, c in rho_r(i):
+            j, b = divmod(row, n)
+            for j2, v in tau[j].items():
+                for row2, c2 in rho_l(j2):
+                    y, j3 = divmod(row2, d)
+                    for t, cm in mul(y * n + b):
+                        put(rhs, (t, j3), c * v * c2 * cm)
+        return lhs, rhs
+
+    def splits_counit(i):
+        acc = {}
+        for row, c in rho_r(i):
+            j, b = divmod(row, n)
+            for j2, v in tau[j].items():
+                for j3, c3 in act(j2 * n + b):
+                    put(acc, (j3,), c * v * c3)
+        return acc, {(i,): H.field.one}
+
+    def fixes_coinvariants(alpha, a):
+        lhs, rhs = {}, {}
+        for i, v in basis.column_terms(alpha):
+            for j, c in act(i * n + a):
+                for j2, v2 in tau[j].items():
+                    put(lhs, (j2,), v * c * v2)
+            put(rhs, (i,), v * eps[a])
+        return lhs, rhs
+
+    checks = []
+    for axiom, dims, sides in (
+            ("retraction-into-coinvariants", (d,), into_coinvariants),
+            ("retraction-module-identity", (d, n), module_identity),
+            ("retraction-left-colinearity", (d,), left_colinearity),
+            ("retraction-splits-counit", (d,), splits_counit),
+            ("retraction-fixes-coinvariants", (basis.cols, n), fixes_coinvariants)):
+        check = Check(axiom, True)
+        for witness in basis_tuples(*dims):
+            lhs, rhs = sides(*witness)
+            if not terms_equal(lhs, rhs):
+                check = Check(axiom, False, witness, format_terms(lhs), format_terms(rhs))
+                break
+        checks.append(check)
+    return checks
+
+
+def _map_corruptions(S, seed):
+    """S with one seeded entry changed: once at a random position and once at
+    one of its terms."""
+    rng = random.Random(seed)
+    field = S.field
+    value = field.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
+    terms = [(r, c, v) for r in range(S.rows) for c, v in S.row_terms(r)]
+    positions = [(rng.randrange(S.rows), rng.randrange(S.cols)),
+                 rng.choice([(r, c) for r, c, _ in terms])]
+    for row, col in positions:
+        yield Matrix.from_terms(field, S.rows, S.cols, terms + [(row, col, value)])
+
+
+def test_retraction_identities_match_the_definitions():
+    from dualquasi import cyclic_group_example
+    from helpers import sweedler_four_dim_hopf, twisted_sweedler
+    from test_comodules import _module_corruptions
+
+    algebras = [("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
+                ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
+                ("sweedler", sweedler_four_dim_hopf()[0]),
+                ("twisted_sweedler", twisted_sweedler())]
+    failed = {}
+    for index, (name, H) in enumerate(algebras):
+        S = solve_preantipode(H).particular
+        base = hhat(H)
+        cases = [("base", S, base)]
+        for seed in range(3):
+            cases.extend(("S", bad, base) for bad in _map_corruptions(S, 10 * index + seed))
+            cases.extend((key, S, M) for key, M in
+                         _module_corruptions(H, base, 10 * index + seed))
+        for label, S_case, M in cases:
+            got = retraction_report(H, S_case, M).checks
+            expected = _reference_retraction_checks(H, S_case, M)
+            assert list(got) == expected, (name, label)
+            for check in expected:
+                failed[check.axiom] = failed.get(check.axiom, 0) + (not check.passed)
+    # the reference has to see failures of every identity to mean anything
+    assert len(failed) == 5 and min(failed.values()) >= 5, failed
