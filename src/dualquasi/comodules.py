@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .dqb import DualQuasiBialgebra
+from .dqb import DualQuasiBialgebra, _Codes
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix, _rref, kernel, rank
 from .report import Check, Report, basis_tuples, check_identity
@@ -31,7 +31,8 @@ from .values import Value
 class LeftComodule(Value):
     """A left H-comodule: coassociative, counital left coaction."""
 
-    __slots__ = ("dim", "rho_l")
+    # the __dict__ slot holds the coded view (``_view``)
+    __slots__ = ("dim", "rho_l", "__dict__")
 
     def __init__(self, dim: int, rho_l: Matrix):
         if dim < 1:
@@ -50,7 +51,7 @@ class LeftComodule(Value):
 class Bicomodule(Value):
     """An H-bicomodule (object with compatible left and right coactions)."""
 
-    __slots__ = ("dim", "rho_l", "rho_r")
+    __slots__ = ("dim", "rho_l", "rho_r", "__dict__")
 
     def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix):
         if dim < 1:
@@ -71,7 +72,7 @@ class Bicomodule(Value):
 class HopfBicomodule(Value):
     """A right dual quasi-Hopf H-bicomodule: bicomodule plus right action."""
 
-    __slots__ = ("dim", "rho_l", "rho_r", "act")
+    __slots__ = ("dim", "rho_l", "rho_r", "act", "__dict__")
 
     def __init__(self, dim: int, rho_l: Matrix, rho_r: Matrix, act: Matrix):
         Bicomodule(dim, rho_l, rho_r)  # reuse the shape checks
@@ -140,52 +141,89 @@ class Subspace(Value):
         return tuple(coords)
 
 
-# -- sparse structure-constant views ------------------------------------------
+# -- the coded view of a module ---------------------------------------------------
 
 
-def _left_terms(rho_l: Matrix, d: int):
-    """Per basis j: terms (a, i, c) with ρ(e_j) = Σ c·(e_a ⊗ e_i)."""
-    return tuple(tuple((row // d, row % d, v) for row, v in rho_l.column_terms(j))
-                 for j in range(d))
+class _View:
+    """A comodule M (left, bi- or Hopf) against H on value codes: M's terms,
+    the Sweedler lists and the identity table.  The numbering starts as a copy
+    of H's, taken after H's coded structure constants are read, so M's scalars
+    and those of maps checked against M stay out of H's numbering."""
+
+    def __init__(self, H: DualQuasiBialgebra, M):
+        rho_r, act = getattr(M, "rho_r", None), getattr(M, "act", None)
+        # a code of 0 or 1 skips the arithmetic, which would reject a foreign scalar
+        for m in (M.rho_l, rho_r, act):
+            if m is not None and m.field != H.field:
+                raise ValueError(f"scalars from different fields: {H.field!r} vs {m.field!r}")
+        self.H, self.dim = H, M.dim
+        self.delta, self.products, self.counit = H._coded_delta, H._coded_products, H._coded_counit
+        self.omega, self.omega_inv = H._coded_omega, H._coded_omega_inv
+        self.codes = _Codes(H._codes.values)
+        code = self.codes.code
+        d, n = M.dim, H.dim
+        # ρ^l(e_j) = Σ c·e_a⊗e_i as lt[j] ∋ (a, i, c); ρ^r(e_j) = Σ c·e_i⊗e_a as
+        # rt[j] ∋ (i, a, c); e_i·e_a = Σ c·e_j as at[i·n+a] ∋ (j, c)
+        self.lt = tuple(tuple((row // d, row % d, code(v)) for row, v in M.rho_l.column_terms(j))
+                        for j in range(d))
+        self.rt = None if rho_r is None else tuple(
+            tuple((row // n, row % n, code(v)) for row, v in rho_r.column_terms(j))
+            for j in range(d))
+        self.at = None if act is None else tuple(
+            tuple((j, code(v)) for j, v in act.column_terms(c)) for c in range(d * n))
+        self.units = tuple((u, code(c)) for u, c in H.unit_terms())
+        self.identities = _identities(self)
+
+    def encode(self, terms):
+        """(index, scalar) terms with each scalar replaced by its code."""
+        return [(i, self.codes.code(v)) for i, v in terms]
+
+    def power(self, a: int, k: int) -> list:
+        """Terms (index_tuple, code) of the k-fold comultiplication of e_a."""
+        return [(tup, self.codes.code(c)) for tup, c in self.H.delta_power(a, k)]
+
+    def sweedler(self, nleft: int, nright: int) -> list:
+        """Per basis j of M: terms (left_tuple, mid, right_tuple, code) of
+        m₋ₗ⊗…⊗m₋₁ ⊗ m₀ ⊗ m₁⊗…⊗m_r at m = e_j, as (H⊗ρ^r)ρ^l, nright ≥ 1."""
+        mul, power = self.codes.mul, self.power
+        out = []
+        for j in range(self.dim):
+            mids = ([((), j, 1)] if nleft == 0 else
+                    [(tup, j2, mul(c, c2)) for a, j2, c in self.lt[j]
+                     for tup, c2 in power(a, nleft)])
+            out.append([(ltup, j3, rtup, mul(mul(c, c2), c3))
+                        for ltup, j2, c in mids for j3, b, c2 in self.rt[j2]
+                        for rtup, c3 in power(b, nright)])
+        return out
+
+    @cached_property
+    def splits(self) -> list:
+        """Per basis a of H: terms ((a₁, a₂, a₃), code) of Δ²(e_a)."""
+        return [self.power(a, 3) for a in range(self.H.dim)]
+
+    @cached_property
+    def heads(self) -> list:
+        """Per j·n+a, the (j, a) half of ω⁻¹(m₋₁⊗a₁⊗b₁) m₀⊗a₂b₂ ω(m₁⊗a₃⊗b₃)
+        at m = e_j: the Sweedler terms of e_j times Δ²(a), as (ω⁻¹ index head,
+        ω index head, a₂ head, m₀, code)."""
+        n, mul = self.H.dim, self.codes.mul
+        return [[((x * n + a1) * n, (y * n + a3) * n, a2 * n, j2, mul(c, ca))
+                 for (x,), j2, (y,), c in terms for (a1, a2, a3), ca in self.splits[a]]
+                for terms in self.sweedler(1, 1) for a in range(n)]
+
+    def matrix(self, rows: int, cols: int, terms) -> Matrix:
+        """The matrix whose entry (i, j) sums the values of the codes given at (i, j)."""
+        values = self.codes.values
+        return Matrix.from_terms(self.H.field, rows, cols,
+                                 ((i, j, values[c]) for i, j, c in terms))
 
 
-def _right_terms(rho_r: Matrix, d: int, n: int):
-    """Per basis j: terms (i, a, c) with ρ(e_j) = Σ c·(e_i ⊗ e_a)."""
-    return tuple(tuple((row // n, row % n, v) for row, v in rho_r.column_terms(j))
-                 for j in range(d))
-
-
-def _act_terms(act: Matrix, d: int, n: int):
-    """Per (i, a): terms (j, c) with e_i·e_a = Σ c·e_j."""
-    return tuple(tuple(act.column_terms(c)) for c in range(d * n))
-
-
-def _coded(terms, code):
-    """Per-index terms with the trailing coefficient of each replaced by its code."""
-    return tuple(tuple((*t[:-1], code(t[-1])) for t in row) for row in terms)
-
-
-def _sweedler(H: DualQuasiBialgebra, lterms, rterms, j: int, nleft: int, nright: int):
-    """Iterated bicoaction of basis vector j.
-
-    Yields (left_tuple, mid, right_tuple, coeff) for
-    m₋ₗ⊗…⊗m₋₁ ⊗ m₀ ⊗ m₁⊗…⊗m_r; well-defined on valid bicomodules."""
-    if nleft == 0:
-        mids = [((), j, H.field.one)]
-    else:
-        mids = []
-        for a, j2, c in lterms[j]:
-            for tup, c2 in H.delta_power(a, nleft):
-                mids.append((tup, j2, c * c2))
-    out = []
-    for ltup, j2, c in mids:
-        if nright == 0:
-            out.append((ltup, j2, (), c))
-            continue
-        for j3, b, c2 in rterms[j2]:
-            for tupr, c3 in H.delta_power(b, nright):
-                out.append((ltup, j3, tupr, c * c2 * c3))
-    return out
+def _view(H: DualQuasiBialgebra, M) -> _View:
+    """M's coded view against H, built on first use and kept on M."""
+    view = M.__dict__.get("_view")
+    if view is None or view.H is not H:
+        view = M.__dict__["_view"] = _View(H, M)
+    return view
 
 
 def _dimension_check(H: DualQuasiBialgebra, obj) -> Check | None:
@@ -202,21 +240,15 @@ def _dimension_check(H: DualQuasiBialgebra, obj) -> Check | None:
 # -- validation -----------------------------------------------------------------
 
 
-def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
-                rho_r: Matrix | None = None, act: Matrix | None = None) -> list:
-    """The defining identities of a d-dimensional left comodule (ρ^l), bicomodule
+def _identities(view: _View) -> list:
+    """The defining identities of the view's left comodule (ρ^l), bicomodule
     (and ρ^r) or Hopf bicomodule (and the action), in report order, as
     (axiom, witness dimensions, sides).  The sides take a basis index of the
-    module first and run on codes of H's numbering."""
-    # a code of 0 or 1 skips the arithmetic, which would reject a foreign scalar
-    for m in (rho_l, rho_r, act):
-        if m is not None and m.field != H.field:
-            raise ValueError(f"scalars from different fields: {H.field!r} vs {m.field!r}")
-    n = H.dim
-    code, mul, put = H._codes.code, H._codes.mul, H._codes.put
-    delta, products, counit = H._coded_delta, H._coded_products, H._coded_counit
-    scalar_lt = _left_terms(rho_l, d)
-    lt = _coded(scalar_lt, code)
+    module first and run on the view's codes."""
+    d, n = view.dim, view.H.dim
+    mul, put = view.codes.mul, view.codes.put
+    delta, products, counit = view.delta, view.products, view.counit
+    lt, rt, at = view.lt, view.rt, view.at
 
     def left_coassociativity(j):
         lhs: dict = {}
@@ -236,10 +268,8 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
 
     identities = [("left-coassociativity", (d,), left_coassociativity),
                   ("left-counit", (d,), left_counit)]
-    if rho_r is None:
+    if rt is None:
         return identities
-    scalar_rt = _right_terms(rho_r, d, n)
-    rt = _coded(scalar_rt, code)
 
     def right_coassociativity(j):
         lhs: dict = {}
@@ -272,14 +302,12 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
     identities += [("right-coassociativity", (d,), right_coassociativity),
                    ("right-counit", (d,), right_counit),
                    ("bicomodule-compatibility", (d,), compatibility)]
-    if act is None:
+    if at is None:
         return identities
-    at = _coded(_act_terms(act, d, n), code)
-    units = [(u, code(c)) for u, c in H.unit_terms()]
 
     def action_unit(j):
         acc: dict = {}
-        for u, cu in units:
+        for u, cu in view.units:
             for j2, c in at[j * n + u]:
                 put(acc, (j2,), mul(cu, c))
         return acc, {(j,): 1}
@@ -314,11 +342,7 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
                         put(rhs, (i2, y), mul(c123, c4))
         return lhs, rhs
 
-    sweedlers = [[(ltup[0], j2, rtup[0], code(c))
-                  for ltup, j2, rtup, c in _sweedler(H, scalar_lt, scalar_rt, j, 1, 1)]
-                 for j in range(d)]
-    splits = [[(tup, code(c)) for tup, c in H.delta_power(a, 3)] for a in range(n)]
-    w, w_inv = H._coded_omega, H._coded_omega_inv
+    heads, splits, w, w_inv = view.heads, view.splits, view.omega, view.omega_inv
 
     def quasi_associativity(j, a, b):
         """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
@@ -327,20 +351,19 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
         for j2, c in at[j * n + a]:
             for j3, c2 in at[j2 * n + b]:
                 put(lhs, (j3,), mul(c, c2))
-        for x, j2, y, c in sweedlers[j]:
-            for (a1, a2, a3), ca in splits[a]:
-                for (b1, b2, b3), cb in splits[b]:
-                    v = w_inv[(x * n + a1) * n + b1]
-                    if not v:
-                        continue
-                    v2 = w[(y * n + a3) * n + b3]
-                    if not v2:
-                        continue
-                    coeff = mul(mul(mul(mul(c, ca), cb), v), v2)
-                    for t, cm in products[a2 * n + b2]:
-                        ccm = mul(coeff, cm)
-                        for j3, c3 in at[j2 * n + t]:
-                            put(rhs, (j3,), mul(ccm, c3))
+        for inv_head, w_head, a2_head, j2, c in heads[j * n + a]:
+            for (b1, b2, b3), cb in splits[b]:
+                v = w_inv[inv_head + b1]
+                if not v:
+                    continue
+                v2 = w[w_head + b3]
+                if not v2:
+                    continue
+                coeff = mul(mul(mul(c, cb), v), v2)
+                for t, cm in products[a2_head + b2]:
+                    ccm = mul(coeff, cm)
+                    for j3, c3 in at[j2 * n + t]:
+                        put(rhs, (j3,), mul(ccm, c3))
         return lhs, rhs
 
     return identities + [
@@ -350,18 +373,23 @@ def _identities(H: DualQuasiBialgebra, d: int, rho_l: Matrix,
         ("action-quasi-associativity", (d, n, n), quasi_associativity)]
 
 
-def _report(H: DualQuasiBialgebra, identities) -> Report:
-    values = H._codes.values
+def _report(view: _View, identities) -> Report:
+    values = view.codes.values
     return Report(tuple(check_identity(axiom, basis_tuples(*dims), sides, values)
                         for axiom, dims, sides in identities))
 
 
-def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
-    """Coassociativity and counitality of a left coaction, on every basis vector."""
-    bad = _dimension_check(H, V)
+def _validate(H: DualQuasiBialgebra, M) -> Report:
+    bad = _dimension_check(H, M)
     if bad:
         return Report((bad,))
-    return _report(H, _identities(H, V.dim, V.rho_l))
+    view = _view(H, M)
+    return _report(view, view.identities)
+
+
+def validate_left_comodule(H: DualQuasiBialgebra, V: LeftComodule) -> Report:
+    """Coassociativity and counitality of a left coaction, on every basis vector."""
+    return _validate(H, V)
 
 
 def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
@@ -370,22 +398,21 @@ def validate_bicomodule(H: DualQuasiBialgebra, M: HopfBicomodule) -> Report:
     Order: dimensions, both coaction axioms, bicomodule compatibility, action
     unit, left/right colinearity of the action, twisted associativity.
     """
-    bad = _dimension_check(H, M)
-    if bad:
-        return Report((bad,))
-    return _report(H, _identities(H, M.dim, M.rho_l, M.rho_r, M.act))
+    return _validate(H, M)
 
 
 # -- constructions --------------------------------------------------------------
 
 
-def _require_valid_coactions(H: DualQuasiBialgebra, M: Bicomodule) -> None:
+def _require_valid_coactions(H: DualQuasiBialgebra, M: Bicomodule) -> _View:
     bad = _dimension_check(H, M)
     if bad is not None:
         raise DimensionMismatch(bad.lhs or "inconsistent dimensions")
-    rep = _report(H, _identities(H, M.dim, M.rho_l, M.rho_r))
+    view = _view(H, M)
+    rep = _report(view, view.identities[:5])  # the coaction identities come first
     if not rep.ok:
         raise InvariantViolation(f"input coactions invalid: {rep.failures[0].axiom}")
+    return view
 
 
 def free_hopf_bicomodule(H: DualQuasiBialgebra, M: Bicomodule) -> HopfBicomodule:
@@ -397,49 +424,25 @@ def free_hopf_bicomodule(H: DualQuasiBialgebra, M: Bicomodule) -> HopfBicomodule
         ρ^r(m⊗h) = (m₀⊗h₁) ⊗ m₁h₂
         (m⊗h)·l = ω⁻¹(m₋₁⊗h₁⊗l₁) m₀⊗h₂l₂ ω(m₁⊗h₃⊗l₃)
     """
-    _require_valid_coactions(H, M)
+    view = _require_valid_coactions(H, M)
     d, n = M.dim, H.dim
     D = d * n
-    lt = _left_terms(M.rho_l, d)
-    rt = _right_terms(M.rho_r, d, n)
-
-    # (row, column, value) terms; equal positions add up in from_terms
-    rho_l, rho_r, act = [], [], []
-    for i in range(d):
-        for a in range(n):
-            col = i * n + a
-            for x, j, c1 in lt[i]:
-                for (a1, a2), c2 in H.delta_power(a, 2):
-                    for y, c3 in H.mul_terms(x, a1):
-                        rho_l.append((y * D + (j * n + a2), col, c1 * c2 * c3))
-            for j, b, c1 in rt[i]:
-                for (a1, a2), c2 in H.delta_power(a, 2):
-                    for y, c3 in H.mul_terms(b, a2):
-                        rho_r.append(((j * n + a1) * n + y, col, c1 * c2 * c3))
-    sweedlers = [_sweedler(H, lt, rt, i, 1, 1) for i in range(d)]
-    for i in range(d):
-        for a in range(n):
-            for l in range(n):
-                col = (i * n + a) * n + l
-                for ltup, j, rtup, c in sweedlers[i]:
-                    x, y = ltup[0], rtup[0]
-                    for atup, ca in H.delta_power(a, 3):
-                        for ltup2, cl in H.delta_power(l, 3):
-                            w = H.omega_inv_at(x, atup[0], ltup2[0])
-                            if not w:
-                                continue
-                            w2 = H.omega_at(y, atup[2], ltup2[2])
-                            if not w2:
-                                continue
-                            coeff = c * ca * cl * w * w2
-                            for t, cm in H.mul_terms(atup[1], ltup2[1]):
-                                act.append((j * n + t, col, coeff * cm))
-    return HopfBicomodule(
-        D,
-        Matrix.from_terms(H.field, n * D, D, rho_l),
-        Matrix.from_terms(H.field, D * n, D, rho_r),
-        Matrix.from_terms(H.field, D, D * n, act),
-    )
+    mul, delta, products = view.codes.mul, view.delta, view.products
+    rho_l = ((y * D + j * n + a2, i * n + a, mul(mul(c1, c2), c3))
+             for i in range(d) for a in range(n) for x, j, c1 in view.lt[i]
+             for a1, a2, c2 in delta[a] for y, c3 in products[x * n + a1])
+    rho_r = (((j * n + a1) * n + y, i * n + a, mul(mul(c1, c2), c3))
+             for i in range(d) for a in range(n) for j, b, c1 in view.rt[i]
+             for a1, a2, c2 in delta[a] for y, c3 in products[b * n + a2])
+    # (m⊗h)·l completes the (m, h) halves of the twisted product over l
+    act = ((j * n + t, col * n + l, mul(mul(mul(mul(c, cl), v), v2), cm))
+           for col, heads in enumerate(view.heads)
+           for inv_head, w_head, a2_head, j, c in heads
+           for l in range(n) for (l1, l2, l3), cl in view.splits[l]
+           if (v := view.omega_inv[inv_head + l1]) and (v2 := view.omega[w_head + l3])
+           for t, cm in products[a2_head + l2])
+    return HopfBicomodule(D, view.matrix(n * D, D, rho_l), view.matrix(D * n, D, rho_r),
+                          view.matrix(D, D * n, act))
 
 
 def trivial_right_coaction(H: DualQuasiBialgebra, dim: int) -> Matrix:
@@ -508,16 +511,16 @@ def coinvariant_comodule(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule,
     d, n, r = M.dim, H.dim, coinv.rank
     if r == 0:
         raise ValueError("the coinvariants are zero; there is no comodule to build")
-    lt = _left_terms(M.rho_l, d)
-    zero = H.field.zero
-    entries = [zero] * (n * r * r)
+    view = _view(H, M)
+    mul, put, values = view.codes.mul, view.codes.put, view.codes.values
+    entries = [H.field.zero] * (n * r * r)
     for col in range(r):
-        image = [zero] * (n * d)
-        for i, v in coinv.basis.column_terms(col):
-            for a, i2, c in lt[i]:
-                image[a * d + i2] = image[a * d + i2] + v * c
+        image: dict = {}
+        for i, v in view.encode(coinv.basis.column_terms(col)):
+            for a, i2, c in view.lt[i]:
+                put(image, a * d + i2, mul(v, c))
         for a in range(n):
-            coords = coinv.coordinates(image[a * d:(a + 1) * d])
+            coords = coinv.coordinates([values[image.get(a * d + i, 0)] for i in range(d)])
             if coords is None:
                 raise InvariantViolation(
                     "left coaction does not restrict to the coinvariants")
@@ -544,16 +547,14 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
     if coinv is None:
         coinv = coinvariants(H, M)
     d, n, r = M.dim, H.dim, coinv.rank
-    at = _act_terms(M.act, d, n)
-    eps = Matrix.from_terms(H.field, d, r * n, [
-        (j, alpha * n + a, v * c)
+    view = _view(H, M)
+    mul, put = view.codes.mul, view.codes.put
+    xs = [view.encode(coinv.basis.column_terms(alpha)) for alpha in range(r)]
+    eps = view.matrix(d, r * n, (
+        (j, alpha * n + a, mul(v, c))
         for alpha in range(r) for a in range(n)
-        for i, v in coinv.basis.column_terms(alpha) for j, c in at[i * n + a]])
-
-    code, mul, put = H._codes.code, H._codes.mul, H._codes.put
-    xs = [[(i, code(v)) for i, v in coinv.basis.column_terms(alpha)] for alpha in range(r)]
-    identities = {axiom: (dims, sides) for axiom, dims, sides
-                  in _identities(H, d, M.rho_l, M.rho_r, M.act)}
+        for i, v in xs[alpha] for j, c in view.at[i * n + a]))
+    identities = {axiom: (dims, sides) for axiom, dims, sides in view.identities}
 
     def at_coinvariants(sides):
         """sides at the α-th coinvariant vector: Σ v·sides(i, …) over its terms (i, v)."""
@@ -576,7 +577,7 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
             ("action-quasi-associativity", "evaluation map is not right linear")):
         dims, sides = identities[axiom]
         witnesses = basis_tuples(r, *dims[1:])
-        if not check_identity(axiom, witnesses, at_coinvariants(sides), H._codes.values).passed:
+        if not check_identity(axiom, witnesses, at_coinvariants(sides), view.codes.values).passed:
             raise InvariantViolation(message)
     return eps
 

@@ -36,16 +36,16 @@ class _Codes:
     """Numbers the distinct scalars of an exhaustive check, so that its n⁴
     products and sums run on small ints.
 
-    Code 0 is zero and code 1 is one.  Field elements are canonical, so two
-    codes are equal exactly when their values are, and each distinct product
-    or sum of two codes is computed once.
+    It starts from a list of values, code 0 zero and code 1 one.  Field
+    elements are canonical, so two codes are equal exactly when their values
+    are, and each distinct product or sum of two codes is computed once.
     """
 
     __slots__ = ("values", "_index", "_products", "_sums")
 
-    def __init__(self, field: Field):
-        self.values = [field.zero, field.one]
-        self._index = {field.zero: 0, field.one: 1}
+    def __init__(self, values):
+        self.values = list(values)
+        self._index = {v: c for c, v in enumerate(self.values)}
         self._products: dict[tuple[int, int], int] = {}
         self._sums: dict[tuple[int, int], int] = {}
 
@@ -166,7 +166,7 @@ class DualQuasiBialgebra:
     @cached_property
     def _codes(self) -> _Codes:
         """The value numbering of H's coded identities and convolutions."""
-        return _Codes(self.field)
+        return _Codes((self.field.zero, self.field.one))
 
     # H's structure constants with each coefficient replaced by its code
 

@@ -115,7 +115,7 @@ def validate_cocycle(group: GroupData, theta: Cocycle) -> Report:
         return Report((Check("cocycle-total", False, None,
                              f"defined on a group of order {theta.order}",
                              f"group has order {n}"),))
-    codes = _Codes(theta.field)
+    codes = _Codes((theta.field.zero, theta.field.one))
     c = codes.encode(theta.values)
     e = group.identity
     return Report((

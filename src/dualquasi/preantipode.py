@@ -325,44 +325,35 @@ def preantipode_with_report(H: DualQuasiBialgebra,
 # -- the retraction τ and the structure isomorphism ------------------------------
 
 
-def _tau_vectors(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
-                 lt, rt, at) -> list[dict]:
-    """τ(e_i) = ω[m₋₁ ⊗ S(m₁)₁ ⊗ m₂]·m₀S(m₁)₂ in M coordinates, for every i."""
-    from .comodules import _sweedler
-
-    n = H.dim
-    out = []
-    for i in range(M.dim):
-        acc: dict = {}
-        for ltup, j, rtup, c in _sweedler(H, lt, rt, i, 1, 2):
-            x = ltup[0]
-            b1, b2 = rtup
-            for q, sq in S.column_terms(b1):
-                for q1, q2, cq in H.delta_terms(q):
-                    w = H.omega_at(x, q1, b2)
-                    if not w:
-                        continue
-                    coeff = c * sq * cq * w
-                    for j2, ca in at[j * n + q2]:
-                        _add(acc, (j2,), coeff * ca)
-        out.append(clean_terms(acc))
-    return out
-
-
 def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
                        coinv: Subspace | None = None):
-    """The five retraction verdicts, τ on every basis vector, and the
-    coinvariant basis (computed here unless given)."""
-    from .comodules import _act_terms, _left_terms, _right_terms, coinvariants
+    """The five retraction verdicts, τ on every basis vector (as codes of M's
+    view) and the coinvariant basis (computed here unless given)."""
+    from .comodules import _view, coinvariants
 
     _require_square(H, S)
     d, n = M.dim, H.dim
-    lt = _left_terms(M.rho_l, d)
-    rt = _right_terms(M.rho_r, d, n)
-    at = _act_terms(M.act, d, n)
+    view = _view(H, M)
+    mul, put = view.codes.mul, view.codes.put
+    lt, rt, at = view.lt, view.rt, view.at
     if coinv is None:
         coinv = coinvariants(H, M)
-    tau = _tau_vectors(H, S, M, lt, rt, at)
+
+    # τ(e_i) = ω[m₋₁ ⊗ S(m₁)₁ ⊗ m₂]·m₀S(m₁)₂ in M coordinates, for every i
+    s_cols = [view.encode(S.column_terms(b)) for b in range(n)]
+    tau = []
+    for terms in view.sweedler(1, 2):
+        acc: dict = {}
+        for (x,), j, (b1, b2), c in terms:
+            for q, sq in s_cols[b1]:
+                for q1, q2, cq in view.delta[q]:
+                    w = view.omega[(x * n + q1) * n + b2]
+                    if not w:
+                        continue
+                    coeff = mul(mul(mul(c, sq), cq), w)
+                    for j2, ca in at[j * n + q2]:
+                        put(acc, (j2,), mul(coeff, ca))
+        tau.append(clean_terms(acc))
 
     def into_coinvariants(i):
         """ρ^r(τ(m)) = τ(m)⊗1"""
@@ -370,9 +361,9 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
         rhs: dict = {}
         for (j,), v in tau[i].items():
             for j2, b, c in rt[j]:
-                _add(lhs, (j2, b), v * c)
-            for u, cu in H.unit_terms():
-                _add(rhs, (j, u), v * cu)
+                put(lhs, (j2, b), mul(v, c))
+            for u, cu in view.units:
+                put(rhs, (j, u), mul(v, cu))
         return lhs, rhs
 
     def module_identity(i, a):
@@ -381,13 +372,13 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
         rhs: dict = {}
         for j, c in at[i * n + a]:
             for key, v in tau[j].items():
-                _add(lhs, key, c * v)
+                put(lhs, key, mul(c, v))
         for j, b, c in rt[i]:
             for (j2,), v in tau[j].items():
                 for x, j3, c3 in lt[j2]:
-                    w = H.omega_inv_at(x, b, a)
+                    w = view.omega_inv[(x * n + b) * n + a]
                     if w:
-                        _add(rhs, (j3,), c * v * c3 * w)
+                        put(rhs, (j3,), mul(mul(mul(c, v), c3), w))
         return lhs, rhs
 
     def left_colinearity(i):
@@ -396,12 +387,12 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
         rhs: dict = {}
         for x, j, c in lt[i]:
             for (j2,), v in tau[j].items():
-                _add(lhs, (x, j2), c * v)
+                put(lhs, (x, j2), mul(c, v))
         for j, b, c in rt[i]:
             for (j2,), v in tau[j].items():
                 for y, j3, c3 in lt[j2]:
-                    for t, cm in H.mul_terms(y, b):
-                        _add(rhs, (t, j3), c * v * c3 * cm)
+                    for t, cm in view.products[y * n + b]:
+                        put(rhs, (t, j3), mul(mul(mul(c, v), c3), cm))
         return lhs, rhs
 
     def splits_counit(i):
@@ -410,41 +401,44 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
         for j, b, c in rt[i]:
             for (j2,), v in tau[j].items():
                 for j3, c3 in at[j2 * n + b]:
-                    _add(acc, (j3,), c * v * c3)
-        return acc, {(i,): H.field.one}
+                    put(acc, (j3,), mul(mul(c, v), c3))
+        return acc, {(i,): 1}
 
     def fixes_coinvariants(alpha, a):
         """τ(mh) = m·ε(h) on coinvariant m"""
         lhs: dict = {}
         rhs: dict = {}
-        for i, v in coinv.basis.column_terms(alpha):
+        for i, v in view.encode(coinv.basis.column_terms(alpha)):
             for j, c in at[i * n + a]:
                 for key, v2 in tau[j].items():
-                    _add(lhs, key, v * c * v2)
-            _add(rhs, (i,), v * H.eps(a))
+                    put(lhs, key, mul(mul(v, c), v2))
+            put(rhs, (i,), mul(v, view.counit[a]))
         return lhs, rhs
 
-    report = Report((
-        check_identity("retraction-into-coinvariants", basis_tuples(d), into_coinvariants),
-        check_identity("retraction-module-identity", basis_tuples(d, n), module_identity),
-        check_identity("retraction-left-colinearity", basis_tuples(d), left_colinearity),
-        check_identity("retraction-splits-counit", basis_tuples(d), splits_counit),
-        check_identity("retraction-fixes-coinvariants", basis_tuples(coinv.rank, n),
-                       fixes_coinvariants),
-    ))
+    report = Report(tuple(
+        check_identity(axiom, basis_tuples(*dims), sides, view.codes.values)
+        for axiom, dims, sides in (
+            ("retraction-into-coinvariants", (d,), into_coinvariants),
+            ("retraction-module-identity", (d, n), module_identity),
+            ("retraction-left-colinearity", (d,), left_colinearity),
+            ("retraction-splits-counit", (d,), splits_counit),
+            ("retraction-fixes-coinvariants", (coinv.rank, n), fixes_coinvariants))))
     return report, tau, coinv
 
 
 def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, coinv: Subspace,
                         tau: list[dict]) -> tuple[Matrix, Matrix]:
     """τ in coinvariant coordinates (r×d) and ψ(m) = τ(m₀)⊗m₁ ((r·n)×d)."""
+    from .comodules import _view
+
     d, r = M.dim, coinv.rank
     zero = H.field.zero
+    values = _view(H, M).codes.values
     entries = [zero] * (r * d)
     for i in range(d):
         vec = [zero] * d
         for (j,), v in tau[i].items():
-            vec[j] = v
+            vec[j] = values[v]
         coords = coinv.coordinates(vec)
         assert coords is not None  # guaranteed by retraction-into-coinvariants
         for beta, v in enumerate(coords):
@@ -534,51 +528,52 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     Also reports (as the returned boolean, not as a failure) whether the
     candidate inverse γ(m) = P(m₀)⊗m₁ coincides with the actual inverse ψ;
     the two agree when α = ε and the reassociator twists are trivial."""
-    from .comodules import _act_terms, _left_terms, _right_terms, _sweedler
+    from .comodules import _view
 
     S = _sandwich(H, data)
     d, n = M.dim, H.dim
-    lt = _left_terms(M.rho_l, d)
-    rt = _right_terms(M.rho_r, d, n)
-    at = _act_terms(M.act, d, n)
     retraction_checks, tau, coinv = _retraction_pieces(H, S, M)
-    alpha = data.alpha.entries
-    beta = data.beta.entries
+    view = _view(H, M)
+    mul, put = view.codes.mul, view.codes.put
+    s_cols = [view.encode(data.s.column_terms(b)) for b in range(n)]
+    alpha = view.codes.encode(data.alpha.entries)
+    beta = view.codes.encode(data.beta.entries)
 
     # P(e_i) = Σ β(m₁)·m₀·s(m₂)
     proj = []
-    for i in range(d):
+    for terms in view.sweedler(0, 2):
         acc: dict = {}
-        for _, j, (b1, b2), c in _sweedler(H, lt, rt, i, 0, 2):
-            coeff = c * beta[b1]
+        for _, j, (b1, b2), c in terms:
+            coeff = mul(c, beta[b1])
             if not coeff:
                 continue
-            for q, sq in data.s.column_terms(b2):
-                for j2, ca in at[j * n + q]:
-                    _add(acc, (j2,), coeff * sq * ca)
+            for q, sq in s_cols[b2]:
+                for j2, ca in view.at[j * n + q]:
+                    put(acc, (j2,), mul(mul(coeff, sq), ca))
         proj.append(clean_terms(acc))
+
+    sweedlers = view.sweedler(1, 3)
 
     def projection_formula(i):
         rhs: dict = {}
-        for ltup, j, (b1, b2, b3), c in _sweedler(H, lt, rt, i, 1, 3):
-            x = ltup[0]
-            coeff = c * alpha[b2]
+        for (x,), j, (b1, b2, b3), c in sweedlers[i]:
+            coeff = mul(c, alpha[b2])
             if not coeff:
                 continue
-            for q, sq in data.s.column_terms(b1):
-                w = H.omega_at(x, q, b3)
+            for q, sq in s_cols[b1]:
+                w = view.omega[(x * n + q) * n + b3]
                 if not w:
                     continue
                 for key, v in proj[j].items():
-                    _add(rhs, key, coeff * sq * w * v)
+                    put(rhs, key, mul(mul(mul(coeff, sq), w), v))
         return tau[i], rhs
 
     report = Report((check_identity("retraction-projection-formula", basis_tuples(d),
-                                    projection_formula),))
+                                    projection_formula, view.codes.values),))
 
     _, psi, _ = _verified_inverse(H, M, retraction_checks, tau, coinv)
-    gamma_matrix = Matrix.from_terms(H.field, d * n, d, [
-        (j2 * n + b, i, c * v)
-        for i in range(d) for j, b, c in rt[i] for (j2,), v in proj[j].items()])
+    gamma_matrix = view.matrix(d * n, d, (
+        (j2 * n + b, i, mul(c, v))
+        for i in range(d) for j, b, c in view.rt[i] for (j2,), v in proj[j].items()))
     embedded_psi = coinv.basis.kron(Matrix.identity(H.field, n)) @ psi
     return report, gamma_matrix == embedded_psi

@@ -288,3 +288,20 @@ def test_structure_theorem_module_form_on_twisted_sweedler(tmp_path):
     rc, out, _ = run_cli("structure-theorem", str(dqb), str(module), "--preantipode", str(S))
     assert rc == 0, out
     assert out.splitlines()[-1] == "OK (14 axioms)"
+
+
+def test_module_form_builds_the_identity_table_once(tmp_path, monkeypatch, capsys):
+    import dualquasi.cli as cli
+    import dualquasi.comodules as comodules
+    ex = cyclic_group_example(3, 1)
+    dqb, module, S = (tmp_path / name for name in ("c3.dqb.json", "c3.module.json", "S.json"))
+    dqb.write_text(dump_dqb(ex.dqb))
+    module.write_text(dump_bicomodule(hhat(ex.dqb)))
+    S.write_text(dump_preantipode(ex.preantipode))
+    calls = []
+    build = comodules._identities
+    monkeypatch.setattr(comodules, "_identities",
+                        lambda *args: calls.append(args) or build(*args))
+    assert cli.main(["structure-theorem", str(dqb), str(module), "--preantipode", str(S)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK (14 axioms)"
+    assert len(calls) == 1

@@ -435,3 +435,18 @@ def test_action_identities_match_the_definitions():
                 failed[expected.axiom] += not expected.passed
     # the reference has to see failures of every identity to mean anything
     assert min(failed.values()) >= 5, failed
+
+
+def test_module_checks_leave_the_algebra_numbering_alone():
+    from dualquasi import cyclic_group_example, validate_dqb
+
+    ex = cyclic_group_example(4, 1)
+    H = ex.dqb
+    assert validate_dqb(H).ok
+    before = len(H._codes.values)
+    rng = random.Random(29)
+    for _ in range(40):
+        M = induce_bicomodule(H, random_left_comodule(H, ex.group, rng))
+        assert validate_bicomodule(H, M).ok
+        adjunction_counit(H, M)
+    assert len(H._codes.values) == before
