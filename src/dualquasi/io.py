@@ -26,6 +26,7 @@ malformed scalar or out-of-range index aborts with its location.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra
@@ -191,36 +192,74 @@ def load_dqb(text: str) -> DualQuasiBialgebra:
     return DualQuasiBialgebra(field, n, delta, counit, mul, unit, omega, omega_inv)
 
 
-def _field_doc(field: Field) -> dict:
-    if field.kind == "rationals":
-        return {"kind": "rationals"}
-    return {"kind": "cyclotomic", "order": field.order}
+# Documents are written in the layout of json.dumps(doc, indent=2), whose
+# pure-Python encoder (the only one that indents) is several times slower.
 
 
-def _sparse_entries(matrix: Matrix, from_rc) -> list[list]:
-    out = []
-    for r in range(matrix.rows):
-        for c, v in matrix.row_terms(r):
-            out.append(list(from_rc(r, c)) + [str(v)])
-    out.sort(key=lambda e: e[:-1])
-    return out
+def _json_list(items: list[str], depth: int) -> str:
+    """The JSON list of rendered items as json.dumps(..., indent=2) lays it
+    out at nesting depth ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(fields, depth: int = 0) -> str:
+    """The JSON object of (key, rendered value) pairs, laid out likewise."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(f"{_quote(key)}: {value}" for key, value in fields)
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+class _Texts(dict):
+    """Each distinct scalar's JSON string, rendered once per document."""
+
+    def __missing__(self, value: Scalar) -> str:
+        text = self[value] = _quote(str(value))
+        return text
+
+
+def _field_doc(field: Field) -> str:
+    fields = [("kind", _quote(field.kind))]
+    if field.kind == "cyclotomic":
+        fields.append(("order", str(field.order)))
+    return _json_object(fields, 1)
+
+
+def _sparse_entries(texts: _Texts, matrix: Matrix, from_rc) -> str:
+    """Entries [indices…, scalar] sorted by their indices."""
+    entries = sorted(((from_rc(r, c), v) for r in range(matrix.rows)
+                      for c, v in matrix.row_terms(r)), key=lambda e: e[0])
+    return _json_list([_json_list([*map(str, idx), texts[v]], 2) for idx, v in entries], 1)
+
+
+def _json_row(texts: _Texts, values) -> str:
+    return _json_list([texts[v] for v in values], 1)
+
+
+def _json_rows(texts: _Texts, matrix: Matrix) -> str:
+    return _json_list([_json_list([texts[v] for v in matrix.row_list(i)], 2)
+                       for i in range(matrix.rows)], 1)
 
 
 def dump_dqb(H: DualQuasiBialgebra) -> str:
     """Canonical serialization; inserts omega_inv when it was computed."""
     n = H.dim
-    doc = {
-        "version": FORMAT_VERSION,
-        "field": _field_doc(H.field),
-        "dim": n,
-        "delta": _sparse_entries(H.delta, lambda r, c: (c, r // n, r % n)),
-        "counit": [str(v) for v in H.counit.entries],
-        "mul": _sparse_entries(H.mul, lambda r, c: (c // n, c % n, r)),
-        "unit": [str(v) for v in H.unit.entries],
-        "omega": _sparse_entries(H.omega, lambda r, c: ((c // n) // n, (c // n) % n, c % n)),
-        "omega_inv": _sparse_entries(H.omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n)),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    texts = _Texts()
+    return _json_object([
+        ("version", str(FORMAT_VERSION)),
+        ("field", _field_doc(H.field)),
+        ("dim", str(n)),
+        ("delta", _sparse_entries(texts, H.delta, lambda r, c: (c, r // n, r % n))),
+        ("counit", _json_row(texts, H.counit.entries)),
+        ("mul", _sparse_entries(texts, H.mul, lambda r, c: (c // n, c % n, r))),
+        ("unit", _json_row(texts, H.unit.entries)),
+        ("omega", _sparse_entries(
+            texts, H.omega, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
+        ("omega_inv", _sparse_entries(
+            texts, H.omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
+    ]) + "\n"
 
 
 # -- module documents ---------------------------------------------------------------
@@ -253,14 +292,14 @@ def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
 def dump_bicomodule(M: HopfBicomodule) -> str:
     d = M.dim
     n = M.hopf_dim
-    doc = {
-        "version": FORMAT_VERSION,
-        "dim": d,
-        "rho_l": _sparse_entries(M.rho_l, lambda r, c: (c, r // d, r % d)),
-        "rho_r": _sparse_entries(M.rho_r, lambda r, c: (c, r // n, r % n)),
-        "act": _sparse_entries(M.act, lambda r, c: (c // n, c % n, r)),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    texts = _Texts()
+    return _json_object([
+        ("version", str(FORMAT_VERSION)),
+        ("dim", str(d)),
+        ("rho_l", _sparse_entries(texts, M.rho_l, lambda r, c: (c, r // d, r % d))),
+        ("rho_r", _sparse_entries(texts, M.rho_r, lambda r, c: (c, r // n, r % n))),
+        ("act", _sparse_entries(texts, M.act, lambda r, c: (c // n, c % n, r))),
+    ]) + "\n"
 
 
 # -- antipode and preantipode documents ------------------------------------------------
@@ -295,15 +334,14 @@ def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
 
 
 def dump_antipode(data: AntipodeData) -> str:
-    n = data.s.rows
-    doc = {
-        "version": FORMAT_VERSION,
-        "dim": n,
-        "s": [[str(data.s[i, j]) for j in range(n)] for i in range(n)],
-        "alpha": [str(v) for v in data.alpha.entries],
-        "beta": [str(v) for v in data.beta.entries],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    texts = _Texts()
+    return _json_object([
+        ("version", str(FORMAT_VERSION)),
+        ("dim", str(data.s.rows)),
+        ("s", _json_rows(texts, data.s)),
+        ("alpha", _json_row(texts, data.alpha.entries)),
+        ("beta", _json_row(texts, data.beta.entries)),
+    ]) + "\n"
 
 
 def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
@@ -319,13 +357,11 @@ def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
 
 
 def dump_preantipode(S: Matrix) -> str:
-    n = S.rows
-    doc = {
-        "version": FORMAT_VERSION,
-        "dim": n,
-        "matrix": [[str(S[i, j]) for j in range(n)] for i in range(n)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_object([
+        ("version", str(FORMAT_VERSION)),
+        ("dim", str(S.rows)),
+        ("matrix", _json_rows(_Texts(), S)),
+    ]) + "\n"
 
 
 # -- report rendering -------------------------------------------------------------------

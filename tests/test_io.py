@@ -205,3 +205,60 @@ def test_report_serialization_json_lines():
                           "lhs": None, "rhs": None}
     assert records[1] == {"axiom": "beta", "pass": False, "witness": [3],
                           "lhs": "x", "rhs": "y"}
+
+
+# -- document layout -------------------------------------------------------------------
+
+
+def _reference_document(kind, value):
+    """The document as a dict, for json.dumps(doc, indent=2) + "\\n"."""
+    def sparse(matrix, from_rc):
+        return sorted((list(from_rc(r, c)) + [str(v)] for r in range(matrix.rows)
+                       for c, v in matrix.row_terms(r)), key=lambda e: e[:-1])
+
+    def dense(matrix):
+        return [[str(v) for v in matrix.row_list(i)] for i in range(matrix.rows)]
+
+    if kind == "dqb":
+        n = value.dim
+        triple = lambda r, c: (c // n // n, c // n % n, c % n)
+        field = ({"kind": "rationals"} if value.field.kind == "rationals"
+                 else {"kind": "cyclotomic", "order": value.field.order})
+        return {"version": 1, "field": field, "dim": n,
+                "delta": sparse(value.delta, lambda r, c: (c, r // n, r % n)),
+                "counit": dense(value.counit)[0],
+                "mul": sparse(value.mul, lambda r, c: (c // n, c % n, r)),
+                "unit": [row[0] for row in dense(value.unit)],
+                "omega": sparse(value.omega, triple),
+                "omega_inv": sparse(value.omega_inv, triple)}
+    if kind == "module":
+        d, n = value.dim, value.hopf_dim
+        return {"version": 1, "dim": d,
+                "rho_l": sparse(value.rho_l, lambda r, c: (c, r // d, r % d)),
+                "rho_r": sparse(value.rho_r, lambda r, c: (c, r // n, r % n)),
+                "act": sparse(value.act, lambda r, c: (c // n, c % n, r))}
+    if kind == "antipode":
+        return {"version": 1, "dim": value.s.rows, "s": dense(value.s),
+                "alpha": dense(value.alpha)[0], "beta": dense(value.beta)[0]}
+    return {"version": 1, "dim": value.rows, "matrix": dense(value)}
+
+
+def test_documents_are_laid_out_as_json_dumps_with_indent():
+    from dualquasi import HopfBicomodule, Matrix
+    from helpers import sweedler_four_dim_hopf
+
+    examples = {(n, r): cyclic_group_example(n, r) for n, r in ((2, 1), (8, 1), (12, 5))}
+    sweedler, sweedler_data = sweedler_four_dim_hopf()
+    H3 = cyclic_group_example(3, 2).dqb
+    zero = lambda r, c: Matrix.zeros(H3.field, r, c)
+    cases = [("dqb", ex.dqb, dump_dqb) for ex in examples.values()] + [
+        ("dqb", sweedler, dump_dqb),
+        ("dqb", control_bialgebra(), dump_dqb),
+        ("module", hhat(H3), dump_bicomodule),
+        # empty sparse sections
+        ("module", HopfBicomodule(1, zero(3, 1), zero(3, 1), zero(1, 3)), dump_bicomodule),
+        ("antipode", examples[8, 1].antipode, dump_antipode),
+        ("antipode", sweedler_data, dump_antipode),
+        ("preantipode", examples[12, 5].preantipode, dump_preantipode)]
+    for kind, value, dump in cases:
+        assert dump(value) == json.dumps(_reference_document(kind, value), indent=2) + "\n"
