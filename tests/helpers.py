@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from dualquasi import (Bicomodule, DualQuasiBialgebra, Field, LeftComodule,
                        Matrix, inverse)
-from dualquasi.groups import (GroupData, cyclic_group_example,
+from dualquasi.groups import (Cocycle, GroupData, GroupExample,
+                              canonical_group_preantipode, cyclic_group_example,
+                              group_antipode_data, group_dqb,
                               idempotent_monoid_bialgebra)
 
 CYCLIC_PARAMS = [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)]
@@ -30,6 +33,50 @@ def control_bialgebra() -> DualQuasiBialgebra:
     if "control" not in _example_cache:
         _example_cache["control"] = idempotent_monoid_bialgebra()
     return _example_cache["control"]
+
+
+def symmetric_group_with_sign_cocycle():
+    """S₃ from its table, with the ℤ₂ cocycle (a,b,c) ↦ (−1)^(abc) pulled back
+    along the sign map; S₃ is non-abelian, so hk and kh differ."""
+    Q = Field.rationals()
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+             for p in perms]
+    group = GroupData.from_table(table)
+    parity = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+              for p in perms]
+    theta = Cocycle.from_function(
+        group, Q, lambda g, h, k: Q.from_fraction((-1) ** (parity[g] * parity[h] * parity[k])))
+    return group, theta
+
+
+def twisted_by_coboundary(group, theta, seed):
+    """θ·δf for a seeded normalized 2-cochain f, with
+    δf(g,h,k) = f(h,k)·f(gh,k)⁻¹·f(g,hk)·f(g,h)⁻¹; again a normalized cocycle,
+    whose values now depend on the products themselves."""
+    rng = random.Random(seed)
+    n, mul, e, one = group.order, group.mul, group.identity, theta.field.one
+    f = [[one if e in (g, h) else theta.field.from_fraction(rng.choice([2, 3, -1, Fraction(1, 2)]))
+          for h in range(n)] for g in range(n)]
+    return Cocycle.from_function(
+        group, theta.field,
+        lambda g, h, k: theta.theta(g, h, k) * f[h][k] / f[mul(g, h)][k]
+        * f[g][mul(h, k)] / f[g][h])
+
+
+def symmetric_group_examples():
+    """The algebra of S₃, the only non-abelian group in the suite, once with
+    the sign cocycle and once with its coboundary twist: algebra, antipode
+    datum and closed-form preantipode, each built by the library."""
+    if "S3" not in _example_cache:
+        group, theta = symmetric_group_with_sign_cocycle()
+        _example_cache["S3"] = [
+            GroupExample(name, group, cocycle, group_dqb(group, cocycle),
+                         group_antipode_data(group, cocycle),
+                         canonical_group_preantipode(group, cocycle))
+            for name, cocycle in (("S3", theta),
+                                  ("S3 twisted", twisted_by_coboundary(group, theta, 5)))]
+    return _example_cache["S3"]
 
 
 def random_conjugator(field: Field, d: int, rng: random.Random) -> Matrix:

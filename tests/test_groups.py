@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -9,6 +9,8 @@ from dualquasi.groups import (Cocycle, GroupData, canonical_group_preantipode,
                               cyclic_cocycle, group_antipode_data, group_dqb,
                               idempotent_monoid_bialgebra, trivial_cocycle,
                               validate_cocycle)
+
+from helpers import symmetric_group_examples
 
 Q = Field.rationals()
 
@@ -98,6 +100,17 @@ def test_group_dqb_structures():
                if (g, h, k) != (1, 1, 1))
 
 
+def test_group_dqb_product_follows_a_non_abelian_table():
+    # S₃ is the only non-abelian table in the suite, so only it shows whether
+    # a builder transposes the product
+    for ex in symmetric_group_examples():
+        G, H = ex.group, ex.dqb
+        assert any(G.mul(g, h) != G.mul(h, g) for g, h in product(range(6), repeat=2))
+        for g, h in product(range(G.order), repeat=2):
+            assert H.mul_terms(g, h) == ((G.mul(g, h), 1),), (ex.name, g, h)
+        assert validate_dqb(H).ok, ex.name
+
+
 def test_group_dqb_rejects_invalid_cocycle():
     G = GroupData.cyclic(2)
     values = [Q.one] * 8
@@ -163,38 +176,9 @@ def _reference_cocycle_identity(group, theta):
     return Check("cocycle-identity", True)
 
 
-def _symmetric_group_with_sign_cocycle():
-    """S₃ from its table, with the ℤ₂ cocycle (a,b,c) ↦ (−1)^(abc) pulled back
-    along the sign map; S₃ is non-abelian, so hk and kh differ."""
-    perms = list(permutations(range(3)))
-    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
-             for p in perms]
-    group = GroupData.from_table(table)
-    parity = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
-              for p in perms]
-    theta = Cocycle.from_function(
-        group, Q, lambda g, h, k: Q.from_fraction((-1) ** (parity[g] * parity[h] * parity[k])))
-    return group, theta
-
-
-def _twisted_by_coboundary(group, theta, seed):
-    """θ·δf for a seeded normalized 2-cochain f, with
-    δf(g,h,k) = f(h,k)·f(gh,k)⁻¹·f(g,hk)·f(g,h)⁻¹; again a normalized cocycle,
-    whose values now depend on the products themselves."""
-    rng = random.Random(seed)
-    n, mul, e, one = group.order, group.mul, group.identity, theta.field.one
-    f = [[one if e in (g, h) else theta.field.from_fraction(rng.choice([2, 3, -1, Fraction(1, 2)]))
-          for h in range(n)] for g in range(n)]
-    return Cocycle.from_function(
-        group, theta.field,
-        lambda g, h, k: theta.theta(g, h, k) * f[h][k] / f[mul(g, h)][k]
-        * f[g][mul(h, k)] / f[g][h])
-
-
 def _cocycle_cases():
-    group, theta = _symmetric_group_with_sign_cocycle()
-    yield "S3", group, theta
-    yield "S3 twisted", group, _twisted_by_coboundary(group, theta, 5)
+    for ex in symmetric_group_examples():
+        yield ex.name, ex.group, ex.cocycle
     for n, r in ((4, 1), (6, 5), (8, 3)):
         yield f"cyclic_{n}_r{r}", GroupData.cyclic(n), cyclic_cocycle(n, r)
 

@@ -12,7 +12,8 @@ from dualquasi import (AntipodeData, Field, Matrix,
                        structure_isomorphism)
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
-                     random_left_comodule, sympy_grouplike_preantipode, rational)
+                     random_left_comodule, sympy_grouplike_preantipode, rational,
+                     symmetric_group_examples)
 
 Q = Field.rationals()
 
@@ -60,7 +61,8 @@ def test_derived_scalar_identities_follow():
 
 
 def test_solver_finds_the_formula_solution():
-    for ex in bundled_examples():
+    # the kernel dimension is 0 on every valid algebra: a preantipode is unique
+    for ex in bundled_examples() + symmetric_group_examples():
         family = solve_preantipode(ex.dqb)
         assert family is not None
         assert family.particular == ex.preantipode
@@ -126,9 +128,8 @@ def test_zero_reassociator_has_no_preantipode():
 
 def test_solver_agrees_with_independent_parametric_oracle():
     # exhaustive symbolic substitution into the grouplike equations (sympy)
-    for name in ("cyclic_2_r0", "cyclic_2_r1"):
-        ex = example(name)
-        theta = ex.cocycle
+    for ex in [example("cyclic_2_r0"), example("cyclic_2_r1"), *symmetric_group_examples()]:
+        theta, n = ex.cocycle, ex.group.order
 
         def theta_fraction(g, h, k):
             return rational(theta.theta(g, h, k))
@@ -138,7 +139,7 @@ def test_solver_agrees_with_independent_parametric_oracle():
         particular, free_count, residual = oracle
         family = solve_preantipode(ex.dqb)
         assert family.kernel_dimension == free_count == 0
-        ours = [rational(family.particular[i, j]) for i in range(2) for j in range(2)]
+        ours = [rational(family.particular[i, j]) for i in range(n) for j in range(n)]
         assert ours == particular
         assert all(v == 0 for v in residual(ours))
 
@@ -162,7 +163,7 @@ def test_control_oracle_is_inconsistent_too():
 
 
 def test_antipode_data_checks():
-    for ex in bundled_examples():
+    for ex in bundled_examples() + symmetric_group_examples():
         assert check_antipode(ex.dqb, ex.antipode).ok
 
 
@@ -179,7 +180,7 @@ def test_beta_must_compensate_the_cocycle():
 
 
 def test_preantipode_from_antipode_matches_formula():
-    for ex in bundled_examples():
+    for ex in bundled_examples() + symmetric_group_examples():
         S = preantipode_from_antipode(ex.dqb, ex.antipode)
         assert S == ex.preantipode
         assert check_preantipode(ex.dqb, S).ok
@@ -235,7 +236,7 @@ def test_tau_values_on_twisted_hhat():
 
 def test_retraction_report_all_identities():
     rng = random.Random(31)
-    for ex in bundled_examples():
+    for ex in bundled_examples() + symmetric_group_examples():
         H = ex.dqb
         for M in (hhat(H),
                   induce_bicomodule(H, random_left_comodule(H, ex.group, rng)),
@@ -251,14 +252,15 @@ def test_retraction_report_all_identities():
 
 
 def test_structure_isomorphism_exact_inverse():
-    ex = example("cyclic_2_r1")
-    M = hhat(ex.dqb)
-    eps, psi = structure_isomorphism(ex.dqb, ex.preantipode, M)
-    assert eps.rows == eps.cols == 4
-    assert eps @ psi == Matrix.identity(ex.dqb.field, 4)
-    assert psi @ eps == Matrix.identity(ex.dqb.field, 4)
-    # independent route: invert the evaluation matrix directly
-    assert inverse(eps) == psi
+    for ex in [example("cyclic_2_r1"), *symmetric_group_examples()]:
+        M = hhat(ex.dqb)
+        d = M.dim
+        eps, psi = structure_isomorphism(ex.dqb, ex.preantipode, M)
+        assert eps.rows == eps.cols == d == ex.dqb.dim ** 2
+        assert eps @ psi == Matrix.identity(ex.dqb.field, d)
+        assert psi @ eps == Matrix.identity(ex.dqb.field, d)
+        # independent route: invert the evaluation matrix directly
+        assert inverse(eps) == psi
 
 
 def test_counit_fixed_points_under_unit_element():
