@@ -88,7 +88,11 @@ class HopfBicomodule(Value):
 
 
 class Subspace(Value):
-    """A subspace of a coordinate space, by an explicit independent basis."""
+    """A subspace of a coordinate space, spanned by the columns of ``basis``.
+
+    The columns may be dependent.  ``rank`` is their number, the dimension
+    only when they are independent (as the coinvariant kernel bases are), and
+    ``coordinates`` reads the free coordinates of a dependent basis as zero."""
 
     # the __dict__ slot holds the cached elimination
     __slots__ = ("ambient", "basis", "__dict__")
@@ -491,29 +495,22 @@ def hhat(H: DualQuasiBialgebra) -> HopfBicomodule:
 
 def coinvariants(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule) -> Subspace:
     """The subspace {m : ρ^r(m) = m⊗1_H}, via an exact kernel computation."""
-    A = M.rho_r - trivial_right_coaction(H, M.dim)
-    basis_vectors = kernel(A)
-    d = M.dim
-    entries = [H.field.zero] * (d * len(basis_vectors))
-    for col, vec in enumerate(basis_vectors):
-        for i, v in enumerate(vec):
-            entries[i * len(basis_vectors) + col] = v
-    return Subspace(d, Matrix(H.field, d, len(basis_vectors), entries))
+    basis_vectors = kernel(M.rho_r - trivial_right_coaction(H, M.dim))
+    return Subspace(M.dim, Matrix.from_terms(H.field, M.dim, len(basis_vectors), (
+        (i, col, v) for col, vec in enumerate(basis_vectors) for i, v in enumerate(vec) if v)))
 
 
-def coinvariant_comodule(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule,
-                         coinv: Subspace | None = None) -> LeftComodule:
+def coinvariant_comodule(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule) -> LeftComodule:
     """The coinvariants as a left comodule, in coinvariant coordinates.
 
     Raises InvariantViolation when the left coaction fails to restrict."""
-    if coinv is None:
-        coinv = coinvariants(H, M)
+    coinv = coinvariants(H, M)
     d, n, r = M.dim, H.dim, coinv.rank
     if r == 0:
         raise ValueError("the coinvariants are zero; there is no comodule to build")
     view = _view(H, M)
     mul, put, values = view.codes.mul, view.codes.put, view.codes.values
-    entries = [H.field.zero] * (n * r * r)
+    terms = []
     for col in range(r):
         image: dict = {}
         for i, v in view.encode(coinv.basis.column_terms(col)):
@@ -524,10 +521,8 @@ def coinvariant_comodule(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule,
             if coords is None:
                 raise InvariantViolation(
                     "left coaction does not restrict to the coinvariants")
-            for beta, v in enumerate(coords):
-                if v:
-                    entries[(a * r + beta) * r + col] = v
-    return LeftComodule(r, Matrix(H.field, n * r, r, entries))
+            terms.extend((a * r + beta, col, v) for beta, v in enumerate(coords) if v)
+    return LeftComodule(r, Matrix.from_terms(H.field, n * r, r, terms))
 
 
 def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
@@ -588,23 +583,17 @@ def adjunction_unit(H: DualQuasiBialgebra, V: LeftComodule) -> Matrix:
     Always bijective; a rank defect raises InvariantViolation."""
     FV = induce_bicomodule(H, V)
     coinv = coinvariants(H, FV)
-    d, n = V.dim, H.dim
-    zero = H.field.zero
-    columns = []
+    d, n, r = V.dim, H.dim, coinv.rank
+    terms = []
     for i in range(d):
-        vec = [zero] * (d * n)
+        vec = [H.field.zero] * (d * n)
         for u, cu in H.unit_terms():
             vec[i * n + u] = cu
         coords = coinv.coordinates(vec)
         if coords is None:
             raise InvariantViolation("v⊗1 is not coinvariant; upstream data is corrupt")
-        columns.append(coords)
-    r = coinv.rank
-    entries = [zero] * (r * d)
-    for col, coords in enumerate(columns):
-        for beta, v in enumerate(coords):
-            entries[beta * d + col] = v
-    eta = Matrix(H.field, r, d, entries)
+        terms.extend((beta, i, v) for beta, v in enumerate(coords) if v)
+    eta = Matrix.from_terms(H.field, r, d, terms)
     if r != d or rank(eta) != d:
         raise InvariantViolation(
             f"unit of the adjunction is not bijective (rank {rank(eta)}, dim {d})")

@@ -18,14 +18,6 @@ from .report import (Check, Report, basis_tuples, check_identity, format_terms,
 from .scalars import Field, Scalar
 from .values import Value
 
-__all__ = [
-    "GroupData", "Cocycle", "GroupExample",
-    "validate_cocycle", "trivial_cocycle", "cyclic_cocycle",
-    "group_dqb", "group_antipode_data", "canonical_group_preantipode",
-    "idempotent_monoid_bialgebra", "cyclic_group_example", "anti_homomorphism_defect",
-]
-
-
 class GroupData(Value):
     """A finite group: index-valued multiplication table, identity, inverses."""
 
@@ -200,35 +192,25 @@ def group_dqb(group: GroupData, theta: Cocycle) -> DualQuasiBialgebra:
     rep = validate_cocycle(group, theta)
     if not rep.ok:
         raise ValueError(f"invalid cocycle: {rep.failures[0].axiom}")
-    return _group_algebra(group, theta)
+    return _table_algebra(theta.field, group.table, group.identity, theta.values)
 
 
-def _group_algebra(group: GroupData, theta: Cocycle) -> DualQuasiBialgebra:
-    """``group_dqb`` for a cocycle that has passed ``validate_cocycle``."""
-    field = theta.field
-    n = group.order
-    zero, one = field.zero, field.one
-    delta = [zero] * (n * n * n)
-    for g in range(n):
-        delta[(g * n + g) * n + g] = one
-    counit = Matrix.row_vector(field, [one] * n)
-    mul = [zero] * (n * n * n)
-    for g in range(n):
-        for h in range(n):
-            mul[group.mul(g, h) * n * n + (g * n + h)] = one
-    unit = [zero] * n
-    unit[group.identity] = one
-    omega = list(theta.values)
-    inverses = {v: v.inverse() for v in dict.fromkeys(theta.values)}
-    omega_inv = [inverses[v] for v in theta.values]
+def _table_algebra(field: Field, table, identity: int, omega) -> DualQuasiBialgebra:
+    """The algebra of a finite multiplication table with identity: grouplike
+    basis, all-ones counit, product e_g·e_h = e_{table[g][h]}, and the
+    reassociator with values ω (flat, g·N² + h·N + k) and ω⁻¹ pointwise."""
+    n = len(table)
+    one = field.one
+    inverses = {v: v.inverse() for v in dict.fromkeys(omega)}
     return DualQuasiBialgebra(
         field, n,
-        Matrix(field, n * n, n, delta),
-        counit,
-        Matrix(field, n, n * n, mul),
-        Matrix.column_vector(field, unit),
+        Matrix.from_terms(field, n * n, n, ((g * n + g, g, one) for g in range(n))),
+        Matrix.row_vector(field, [one] * n),
+        Matrix.from_terms(field, n, n * n, ((table[g][h], g * n + h, one)
+                                            for g in range(n) for h in range(n))),
+        Matrix.from_terms(field, n, 1, ((identity, 0, one),)),
         Matrix.row_vector(field, omega),
-        Matrix.row_vector(field, omega_inv),
+        Matrix.row_vector(field, [inverses[v] for v in omega]),
     )
 
 
@@ -237,24 +219,18 @@ def group_antipode_data(group: GroupData, theta: Cocycle) -> AntipodeData:
     β(g) = ω(g,g⁻¹,g)⁻¹."""
     field = theta.field
     n = group.order
-    zero, one = field.zero, field.one
-    s = [zero] * (n * n)
-    for g in range(n):
-        s[group.inv(g) * n + g] = one
-    alpha = Matrix.row_vector(field, [one] * n)
+    s = Matrix.from_terms(field, n, n, ((group.inv(g), g, field.one) for g in range(n)))
+    alpha = Matrix.row_vector(field, [field.one] * n)
     beta = Matrix.row_vector(
         field, [theta.theta(g, group.inv(g), g).inverse() for g in range(n)])
-    return AntipodeData(Matrix(field, n, n, s), alpha, beta)
+    return AntipodeData(s, alpha, beta)
 
 
 def canonical_group_preantipode(group: GroupData, theta: Cocycle) -> Matrix:
     """S(g) = ω(g,g⁻¹,g)⁻¹·g⁻¹, written down directly from the closed formula."""
-    field = theta.field
-    n = group.order
-    entries = [field.zero] * (n * n)
-    for g in range(n):
-        entries[group.inv(g) * n + g] = theta.theta(g, group.inv(g), g).inverse()
-    return Matrix(field, n, n, entries)
+    return Matrix.from_terms(theta.field, group.order, group.order, (
+        (group.inv(g), g, theta.theta(g, group.inv(g), g).inverse())
+        for g in range(group.order)))
 
 
 def idempotent_monoid_bialgebra(field: Field | None = None) -> DualQuasiBialgebra:
@@ -265,26 +241,8 @@ def idempotent_monoid_bialgebra(field: Field | None = None) -> DualQuasiBialgebr
     and the evaluation map on the free bicomodule is rank-deficient."""
     if field is None:
         field = Field.rationals()
-    zero, one = field.zero, field.one
-    n = 2
-    delta = [zero] * (n * n * n)
-    for g in range(n):
-        delta[(g * n + g) * n + g] = one
-    table = ((0, 1), (1, 1))  # index 0 is the unit, index 1 is the idempotent
-    mul = [zero] * (n * n * n)
-    for g in range(n):
-        for h in range(n):
-            mul[table[g][h] * n * n + (g * n + h)] = one
-    omega = [one] * (n ** 3)
-    return DualQuasiBialgebra(
-        field, n,
-        Matrix(field, n * n, n, delta),
-        Matrix.row_vector(field, [one, one]),
-        Matrix(field, n, n * n, mul),
-        Matrix.column_vector(field, [one, zero]),
-        Matrix.row_vector(field, omega),
-        Matrix.row_vector(field, list(omega)),
-    )
+    # index 0 is the unit, index 1 is the idempotent
+    return _table_algebra(field, ((0, 1), (1, 1)), 0, (field.one,) * 8)
 
 
 class GroupExample(Value):
@@ -305,7 +263,7 @@ def cyclic_group_example(n: int, r: int, field: Field | None = None) -> GroupExa
         name=f"cyclic_{n}_r{r}",
         group=group,
         cocycle=theta,
-        dqb=_group_algebra(group, theta),
+        dqb=_table_algebra(theta.field, group.table, group.identity, theta.values),
         antipode=group_antipode_data(group, theta),
         preantipode=canonical_group_preantipode(group, theta),
     )

@@ -434,16 +434,15 @@ def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, coinv: Subspac
     d, r = M.dim, coinv.rank
     zero = H.field.zero
     values = _view(H, M).codes.values
-    entries = [zero] * (r * d)
+    terms = []
     for i in range(d):
         vec = [zero] * d
         for (j,), v in tau[i].items():
             vec[j] = values[v]
         coords = coinv.coordinates(vec)
         assert coords is not None  # guaranteed by retraction-into-coinvariants
-        for beta, v in enumerate(coords):
-            entries[beta * d + i] = v
-    retraction = Matrix(H.field, r, d, entries)
+        terms.extend((beta, i, v) for beta, v in enumerate(coords) if v)
+    retraction = Matrix.from_terms(H.field, r, d, terms)
     return retraction, retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
 
 
