@@ -284,3 +284,37 @@ def test_equal_values_hash_equal(field, value):
         assert s == other and hash(s) == hash(other)
     assert {value: 1}.get(s) == 1
     assert len({s, value, Fraction(value)}) == 1
+
+
+numerators = st.integers(0, 10**30)
+denominators = st.integers(1, 10**30)
+
+
+@pytest.mark.parametrize("field", [Q, QI, Q12], ids=["Q", "Q(i)", "Q(zeta12)"])
+def test_parse_of_a_ratio_matches_the_fraction(field):
+    @settings(max_examples=60, deadline=None)
+    @given(numerators, denominators, st.integers(0, 30), st.sampled_from(["", "0", "00"]))
+    def run(p, q, k, pad):
+        want = field.from_fraction(Fraction(p, q))
+        assert field.parse(f"{pad}{p}/{pad}{q}") == want
+        assert field.parse(f"-{p}/{q}") == -want
+        assert field.parse(f" - {p}/{q} ") == -want
+        if field.kind == "cyclotomic":
+            assert field.parse(f"{p}/{q}*z^{k}") == want * field.zeta(k)
+            assert field.parse(f"-{p}/{q} * z^{k}") == -want * field.zeta(k)
+
+    run()
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1/0", 0), ("-3/0", 1), ("2 - 5/00", 4), ("0/0", 0), ("7/0*z", 0), ("z + 1/0*z^2", 4),
+])
+def test_zero_denominator_is_located(text, position):
+    with pytest.raises(ScalarParseError, match="zero denominator") as err:
+        QI.parse(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,value", [("٣/٤", Fraction(3, 4)), ("-１２/５", Fraction(-12, 5))])
+def test_parse_reads_any_decimal_digits(text, value):
+    assert Q.parse(text) == Q.from_fraction(value)
