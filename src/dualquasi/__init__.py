@@ -19,8 +19,9 @@ _EXPORTS = {
                   "induce_bicomodule", "regular_bicomodule",
                   "trivial_left_coaction", "trivial_right_coaction",
                   "validate_bicomodule", "validate_left_comodule"),
-    "dqb": ("DualQuasiBialgebra", "convolution", "convolution_inverse",
-            "validate_dqb"),
+    "antipode": ("check_antipode", "preantipode_from_antipode"),
+    "dqb": ("AntipodeData", "DualQuasiBialgebra", "convolution",
+            "convolution_inverse", "validate_dqb"),
     "errors": ("DimensionMismatch", "DocumentError", "DualQuasiError",
                "InvariantViolation", "ScalarParseError"),
     "groups": ("Cocycle", "GroupData", "GroupExample", "anti_homomorphism_defect",
@@ -33,13 +34,12 @@ _EXPORTS = {
            "serialize_report"),
     "linalg": ("AffineSolution", "Matrix", "inverse", "kernel", "rank",
                "solve_affine", "tensor_index", "tensor_unindex"),
-    "preantipode": ("AntipodeData", "CoinvariantRetraction", "PreantipodeFamily",
-                    "check_antipode", "check_preantipode",
-                    "check_projection_formula", "coinvariant_retraction",
-                    "preantipode_from_antipode", "retraction_report",
-                    "solve_preantipode", "structure_isomorphism"),
+    "preantipode": ("PreantipodeFamily", "check_preantipode", "solve_preantipode"),
     "report": ("Check", "Report"),
     "scalars": ("Field", "Scalar"),
+    "structure": ("CoinvariantRetraction", "check_projection_formula",
+                  "coinvariant_retraction", "retraction_report",
+                  "structure_isomorphism"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,0 +1,136 @@
+"""Antipode data (s, α, β) of a dual quasi-Hopf algebra: the checks of its
+defining conditions and the preantipode β∗s∗α built from it."""
+
+from __future__ import annotations
+
+from .dqb import AntipodeData, DualQuasiBialgebra, _add, _require_square
+from .errors import InvariantViolation
+from .linalg import Matrix
+from .preantipode import _counit_scalar, check_preantipode
+from .report import Report, basis_tuples, check_identity
+
+
+def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
+    """Evaluate all defining conditions of a dual quasi-Hopf antipode triple:
+
+        Δs(h) = s(h₂)⊗s(h₁),  εs = ε,
+        h₁β(h₂)s(h₃) = β(h)1_H,  s(h₁)α(h₂)h₃ = α(h)1_H,
+        ω(h₁ ⊗ β(h₂)s(h₃)α(h₄) ⊗ h₅) = ε(h) = ω⁻¹(s(h₁) ⊗ α(h₂)h₃β(h₄) ⊗ s(h₅)).
+    """
+    _require_square(H, data.s)
+    s = data.s
+    alpha = data.alpha.entries
+    beta = data.beta.entries
+
+    def comultiplication(p):
+        lhs: dict = {}
+        rhs: dict = {}
+        for q, sq in s.column_terms(p):
+            for x, y, c in H.delta_terms(q):
+                _add(lhs, (x, y), sq * c)
+        for a, b, c0 in H.delta_terms(p):
+            for q1, s1 in s.column_terms(b):
+                for q2, s2 in s.column_terms(a):
+                    _add(rhs, (q1, q2), c0 * s1 * s2)
+        return lhs, rhs
+
+    def left_contraction(p):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (a, b, c), c0 in H.delta_power(p, 3):
+            coeff = c0 * beta[b]
+            if not coeff:
+                continue
+            for q, sq in s.column_terms(c):
+                for w, cm in H.mul_terms(a, q):
+                    _add(lhs, (w,), coeff * sq * cm)
+        for u, cu in H.unit_terms():
+            _add(rhs, (u,), beta[p] * cu)
+        return lhs, rhs
+
+    def right_contraction(p):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (a, b, c), c0 in H.delta_power(p, 3):
+            coeff = c0 * alpha[b]
+            if not coeff:
+                continue
+            for q, sq in s.column_terms(a):
+                for w, cm in H.mul_terms(q, c):
+                    _add(lhs, (w,), coeff * sq * cm)
+        for u, cu in H.unit_terms():
+            _add(rhs, (u,), alpha[p] * cu)
+        return lhs, rhs
+
+    def reassociator(p):
+        acc = H.field.zero
+        for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
+            coeff = c0 * beta[h2] * alpha[h4]
+            if not coeff:
+                continue
+            for q, sq in s.column_terms(h3):
+                acc = acc + coeff * sq * H.omega_at(h1, q, h5)
+        return acc, H.eps(p)
+
+    def reassociator_inverse(p):
+        acc = H.field.zero
+        for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
+            coeff = c0 * alpha[h2] * beta[h4]
+            if not coeff:
+                continue
+            for q1, s1 in s.column_terms(h1):
+                for q2, s2 in s.column_terms(h5):
+                    acc = acc + coeff * s1 * s2 * H.omega_inv_at(q1, h3, q2)
+        return acc, H.eps(p)
+
+    n = H.dim
+    return Report((
+        check_identity("antipode-comultiplication", basis_tuples(n), comultiplication),
+        check_identity("antipode-counit", basis_tuples(n),
+                       lambda p: (_counit_scalar(H, s, p), H.eps(p))),
+        check_identity("antipode-left-contraction", basis_tuples(n), left_contraction),
+        check_identity("antipode-right-contraction", basis_tuples(n), right_contraction),
+        check_identity("antipode-reassociator", basis_tuples(n), reassociator),
+        check_identity("antipode-reassociator-inverse", basis_tuples(n),
+                       reassociator_inverse),
+    ))
+
+
+def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
+    """The convolution β∗s∗α as a matrix: S(h) = β(h₁)·s(h₂)·α(h₃)."""
+    n = H.dim
+    alpha = data.alpha.entries
+    beta = data.beta.entries
+    terms = []
+    for p in range(n):
+        for (a, b, c), c0 in H.delta_power(p, 3):
+            coeff = c0 * beta[a] * alpha[c]
+            if not coeff:
+                continue
+            for q, sq in data.s.column_terms(b):
+                terms.append((q, p, coeff * sq))
+    return Matrix.from_terms(H.field, n, n, terms)
+
+
+def preantipode_from_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
+    """Build the preantipode β∗s∗α from verified antipode data.
+
+    Raises ValueError when the antipode data fails its own axioms, and
+    InvariantViolation should the constructed map fail the preantipode
+    axioms (which would contradict the construction's guarantee)."""
+    rep = check_antipode(H, data)
+    if not rep.ok:
+        raise ValueError(f"antipode data invalid: {rep.failures[0].axiom}")
+    return preantipode_with_report(H, data)[0]
+
+
+def preantipode_with_report(H: DualQuasiBialgebra,
+                            data: AntipodeData) -> tuple[Matrix, Report]:
+    """β∗s∗α and its preantipode report, for antipode data that already
+    passed ``check_antipode``; raises InvariantViolation when the report fails."""
+    S = _sandwich(H, data)
+    rep_s = check_preantipode(H, S)
+    if not rep_s.ok:
+        raise InvariantViolation(
+            f"convolution of valid antipode data failed {rep_s.failures[0].axiom}")
+    return S, rep_s

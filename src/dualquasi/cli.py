@@ -19,7 +19,8 @@ from .io import (dump_antipode, dump_dqb, dump_preantipode, load_antipode,
 from .report import Check, Report
 
 # Each command imports the layers above the algebra itself when it runs, so
-# `verify` never loads the comodule, preantipode or group modules.
+# `verify` never loads the comodule, preantipode or group modules, and only
+# `from-antipode` loads the antipode module.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +109,7 @@ def cmd_solve_preantipode(args) -> int:
 
 
 def cmd_from_antipode(args) -> int:
-    from .preantipode import check_antipode, preantipode_with_report
+    from .antipode import check_antipode, preantipode_with_report
 
     H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
@@ -129,7 +130,8 @@ def cmd_from_antipode(args) -> int:
 def cmd_structure_theorem(args) -> int:
     from .comodules import adjunction_counit, coinvariants, hhat, validate_bicomodule
     from .linalg import rank
-    from .preantipode import check_preantipode, retraction_report, solve_preantipode
+    from .preantipode import check_preantipode, solve_preantipode
+    from .structure import retraction_report
 
     if args.use_hhat == (args.module is not None):
         print("error: provide exactly one of a module document or --use-hhat",

@@ -141,7 +141,7 @@ def sweedler_four_dim_hopf():
     if "sweedler" in _example_cache:
         return _example_cache["sweedler"]
     from dualquasi import DualQuasiBialgebra
-    from dualquasi.preantipode import AntipodeData
+    from dualquasi.dqb import AntipodeData
 
     Q = Field.rationals()
     one, zero = Q.one, Q.zero

@@ -95,7 +95,7 @@ def test_criterion_03_antipode_gives_preantipode():
         if not check_antipode(ex.dqb, ex.antipode).ok:
             continue
         total += 1
-        from dualquasi.preantipode import _sandwich
+        from dualquasi.antipode import _sandwich
         S = _sandwich(ex.dqb, ex.antipode)
         if not check_preantipode(ex.dqb, S).ok:
             failures += 1

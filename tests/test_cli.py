@@ -257,16 +257,17 @@ def test_structure_theorem_invalid_module_file(workspace, tmp_path):
 
 
 def test_from_antipode_checks_each_report_once(tmp_path, monkeypatch, capsys):
+    import dualquasi.antipode as anti
     import dualquasi.cli as cli
     import dualquasi.preantipode as pre
     calls = {"check_antipode": 0, "check_preantipode": 0}
-    for name in calls:
-        original = getattr(pre, name)
+    for name, home in (("check_antipode", anti), ("check_preantipode", pre)):
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _f=original):
             calls[_name] += 1
             return _f(*args)
-        for module in (cli, pre):
+        for module in (cli, pre, anti):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert cli.main(["gen", "--cyclic", "4", "--r", "1", "--out", str(tmp_path)]) == 0

@@ -16,7 +16,7 @@ from dualquasi import (DualQuasiBialgebra, HopfBicomodule, LeftComodule, Matrix,
                        coinvariant_comodule, hhat, retraction_report,
                        serialize_report, validate_bicomodule, validate_dqb, validate_left_comodule)
 from dualquasi.groups import Cocycle, cyclic_group_example, validate_cocycle
-from dualquasi.preantipode import AntipodeData
+from dualquasi.dqb import AntipodeData
 
 from helpers import sweedler_four_dim_hopf
 
