@@ -213,10 +213,17 @@ def _json_object(fields, depth: int = 0) -> str:
 
 
 class _Texts(dict):
-    """Each distinct scalar's JSON string, rendered once per document."""
+    """Each distinct scalar's JSON string, rendered once per document.
 
-    def __missing__(self, value: Scalar) -> str:
-        text = self[value] = _quote(str(value))
+    A document's scalars share one field, so (num, den) names each of them,
+    and looking it up hashes a tuple in C instead of calling the Python
+    ``Scalar.__hash__``."""
+
+    def __call__(self, value: Scalar) -> str:
+        key = value.num, value.den
+        text = self.get(key)
+        if text is None:
+            text = self[key] = _quote(str(value))
         return text
 
 
@@ -231,15 +238,15 @@ def _sparse_entries(texts: _Texts, matrix: Matrix, from_rc) -> str:
     """Entries [indices…, scalar] sorted by their indices."""
     entries = sorted(((from_rc(r, c), v) for r in range(matrix.rows)
                       for c, v in matrix.row_terms(r)), key=lambda e: e[0])
-    return _json_list([_json_list([*map(str, idx), texts[v]], 2) for idx, v in entries], 1)
+    return _json_list([_json_list([*map(str, idx), texts(v)], 2) for idx, v in entries], 1)
 
 
 def _json_row(texts: _Texts, values) -> str:
-    return _json_list([texts[v] for v in values], 1)
+    return _json_list(list(map(texts, values)), 1)
 
 
 def _json_rows(texts: _Texts, matrix: Matrix) -> str:
-    return _json_list([_json_list([texts[v] for v in matrix.row_list(i)], 2)
+    return _json_list([_json_list(list(map(texts, matrix.row_list(i))), 2)
                        for i in range(matrix.rows)], 1)
 
 

@@ -12,9 +12,9 @@ sets and kernel bases are reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from numbers import Rational
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -75,15 +75,16 @@ class Matrix:
     @classmethod
     def from_terms(cls, field: Field, rows: int, cols: int,
                    terms: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
-        """The matrix whose entry (i, j) is the sum of the values given at (i, j)."""
+        """The matrix whose entry (i, j) is the sum of the values given at (i, j),
+        each a scalar of ``field``."""
         _check_shape(rows, cols)
-        zero = field.zero
         acc: list[dict[int, Scalar]] = [{} for _ in range(rows)]
         for i, j, v in terms:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"({i}, {j}) out of range for {rows}x{cols}")
             row = acc[i]
-            row[j] = row.get(j, zero) + v
+            # a position's first term is stored as it is
+            row[j] = row[j] + v if j in row else v
         return cls._of_rows(field, rows, cols, map(_sorted_terms, acc))
 
     @classmethod
@@ -199,7 +200,7 @@ class Matrix:
     def __mul__(self, other) -> "Matrix":
         if isinstance(other, Matrix):
             raise TypeError("use @ for matrix composition, * for scalars")
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = self.field.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented

@@ -19,17 +19,19 @@ cyclotomic elements are polynomials in ``z`` such as ``1/2*z^3 - 1``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from itertools import compress, count
 from math import gcd, lcm
+from numbers import Rational
 from operator import add, sub
 
 from .errors import ScalarParseError
 
-_ONE = Fraction(1)
+# ``fractions`` (which loads the ``decimal`` C extension) is imported only
+# where a Fraction is built: parsing reads p/q as two ints, and only hashing a
+# non-integer rational needs one, so a document of integers never loads it.
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
+_NUM_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _INT_RE = re.compile(r"\d+")
 
 
@@ -153,8 +155,13 @@ class Field:
         return tuple(out)
 
     def from_fraction(self, value) -> "Scalar":
-        fr = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return _make(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
+        """The rational ``value``: an int, a Fraction, any ``numbers.Rational``,
+        or what ``Fraction`` accepts."""
+        if not isinstance(value, Rational):
+            from fractions import Fraction
+            value = Fraction(value)
+        return _make(self, (int(value.numerator),) + (0,) * (self.degree - 1),
+                     int(value.denominator))
 
     def zeta(self, power: int = 1) -> "Scalar":
         """Canonical form of z^power; z has multiplicative order ``order``."""
@@ -189,14 +196,13 @@ class Field:
                 sign = 1
             else:
                 raise ScalarParseError("expected '+' or '-' between terms", i)
-            coef = _ONE
+            num = den = 1
             have_coef = False
             m = _NUM_RE.match(s, i)
             if m:
-                try:
-                    coef = Fraction(m.group(0))
-                except ZeroDivisionError:
-                    raise ScalarParseError("zero denominator", i) from None
+                num, den = int(m.group(1)), int(m.group(2) or 1)
+                if not den:
+                    raise ScalarParseError("zero denominator", i)
                 i = m.end()
                 have_coef = True
             exp = 0
@@ -220,7 +226,7 @@ class Field:
                 i = j
             elif not have_coef:
                 raise ScalarParseError("expected a number or 'z'", j)
-            term = self.from_fraction(sign * coef)
+            term = _make(self, (sign * num,) + (0,) * (self.degree - 1), den)
             if exp:
                 term = term * self.zeta(exp)
             total = total + term
@@ -244,15 +250,22 @@ class Scalar:
     """An exact field element in canonical reduced form.
 
     Immutable; supports the usual arithmetic operators, mixing freely with
-    ``int`` and ``Fraction``.  Elements of distinct fields never mix.  The
-    value is ``sum(num[k] * z**k) / den`` with ``den > 0`` and
-    ``gcd(den, *num) == 1``.
+    ``int``, ``Fraction`` and any other ``numbers.Rational``.  Elements of
+    distinct fields never mix.  The value is ``sum(num[k] * z**k) / den``
+    with ``den > 0`` and ``gcd(den, *num) == 1``.
     """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: Field, coeffs):
+        """The value sum(coeffs[k] * z**k), from exactly ``field.degree``
+        rational coefficients."""
+        from fractions import Fraction
+
         fracs = [Fraction(c) for c in coeffs]
+        if len(fracs) != field.degree:
+            raise ValueError(f"{field!r} has degree {field.degree}, "
+                             f"got {len(fracs)} coefficients")
         # over the lcm of reduced denominators no common factor is left
         den = lcm(*(f.denominator for f in fracs))
         self.field = field
@@ -261,6 +274,8 @@ class Scalar:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(n, self.den) for n in self.num)
 
     def _coerce(self, other):
@@ -268,7 +283,7 @@ class Scalar:
             if other.field is self.field or other.field == self.field:
                 return other
             raise ValueError(f"scalars from different fields: {self.field!r} vs {other.field!r}")
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.field.from_fraction(other)
         return None
 
@@ -391,7 +406,7 @@ class Scalar:
     def __eq__(self, other) -> bool:
         # a Scalar operand skips the isinstance tests, which go through the ABCs
         if type(other) is not Scalar:
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, Rational):
                 other = self.field.from_fraction(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
@@ -403,6 +418,8 @@ class Scalar:
         if not any(self.num[1:]):
             if self.den == 1:
                 return hash(self.num[0])
+            from fractions import Fraction
+
             return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 

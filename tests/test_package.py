@@ -10,8 +10,9 @@ from dualquasi import (AffineSolution, AntipodeData, Bicomodule, Check, Cocycle,
                        CoinvariantRetraction, DimensionMismatch, GroupData,
                        GroupExample, HopfBicomodule, LeftComodule, Matrix,
                        PreantipodeFamily, Report, Subspace, coinvariant_retraction,
-                       coinvariants, cyclic_group_example, dump_antipode, dump_dqb,
-                       hhat, regular_bicomodule, solve_affine, solve_preantipode)
+                       coinvariants, cyclic_group_example, dump_antipode,
+                       dump_bicomodule, dump_dqb, dump_preantipode, hhat,
+                       regular_bicomodule, solve_affine, solve_preantipode)
 
 # the names the package exported before they were loaded on first use
 EXPORTED = [
@@ -90,10 +91,92 @@ def test_solving_commands_do_not_load_the_comodule_layer(tmp_path):
         assert "dualquasi.comodules" not in modules, argv
 
 
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """For each command on cyclic 2 r=1, the modules its fresh process imports."""
+    work = tmp_path_factory.mktemp("commands")
+    ex = cyclic_group_example(2, 1)
+    docs = {"dqb": dump_dqb(ex.dqb), "antipode": dump_antipode(ex.antipode),
+            "module": dump_bicomodule(hhat(ex.dqb)), "S": dump_preantipode(ex.preantipode)}
+    path = {}
+    for name, text in docs.items():
+        path[name] = str(work / f"{name}.json")
+        (work / f"{name}.json").write_text(text)
+    commands = {
+        "gen": ("gen", "--cyclic", "2", "--r", "1", "--out", str(work / "gen")),
+        "verify": ("verify", path["dqb"]),
+        "solve-preantipode": ("solve-preantipode", path["dqb"]),
+        "from-antipode": ("from-antipode", path["dqb"], path["antipode"]),
+        "structure-theorem --use-hhat": ("structure-theorem", path["dqb"], "--use-hhat"),
+        "structure-theorem module": ("structure-theorem", path["dqb"], path["module"],
+                                     "--preantipode", path["S"]),
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        proc, modules = _imported_modules("-m", "dualquasi", *argv)
+        assert proc.returncode == 0, (name, proc.stdout, proc.stderr[-2000:])
+        loaded[name] = modules
+    return loaded
+
+
+def test_no_command_loads_fractions_or_decimal(command_modules):
+    assert len(command_modules) == 6
+    for name, modules in command_modules.items():
+        assert "dualquasi.scalars" in modules, name
+        for module in ("fractions", "decimal", "_decimal"):
+            assert module not in modules, (name, module)
+
+
+# runs a command in this process, then prints its exit code and every name
+# the package's loaded modules define
+_DEFINED_NAMES = """
+import contextlib, io, sys
+from dualquasi.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, *sorted({name for key, module in list(sys.modules.items())
+                   if key.startswith("dualquasi.") for name in vars(module)}))
+"""
+
+
+def test_solve_preantipode_loads_neither_the_antipode_nor_the_structure_layer(
+        command_modules, tmp_path):
+    modules = command_modules["solve-preantipode"]
+    assert "dualquasi.preantipode" in modules
+    assert "dualquasi.antipode" not in modules
+    assert "dualquasi.structure" not in modules
+    # nor does it compile their functions under another module's name
+    doc = tmp_path / "c2.dqb.json"
+    doc.write_text(dump_dqb(cyclic_group_example(2, 1).dqb))
+    proc = subprocess.run([sys.executable, "-c", _DEFINED_NAMES, "solve-preantipode",
+                           str(doc)], capture_output=True, text=True)
+    rc, *names = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    assert "solve_preantipode" in names
+    for name in ("check_antipode", "preantipode_from_antipode", "retraction_report",
+                 "coinvariant_retraction", "structure_isomorphism"):
+        assert name not in names
+
+
+def test_from_antipode_loads_the_antipode_layer_only(command_modules):
+    modules = command_modules["from-antipode"]
+    assert "dualquasi.antipode" in modules
+    assert "dualquasi.structure" not in modules
+    assert "dualquasi.comodules" not in modules
+
+
+def test_structure_theorem_loads_the_structure_layer_without_the_antipode_layer(
+        command_modules):
+    for name in ("structure-theorem --use-hhat", "structure-theorem module"):
+        modules = command_modules[name]
+        assert "dualquasi.structure" in modules, name
+        assert "dualquasi.antipode" not in modules, name
+
+
 def test_antipode_data_is_one_class():
+    import dualquasi.antipode
     import dualquasi.dqb
-    import dualquasi.preantipode
-    assert dualquasi.AntipodeData is dualquasi.preantipode.AntipodeData
+    assert dualquasi.AntipodeData is dualquasi.antipode.AntipodeData
     assert dualquasi.AntipodeData is dualquasi.dqb.AntipodeData
 
 

@@ -318,3 +318,23 @@ def test_zero_denominator_is_located(text, position):
 @pytest.mark.parametrize("text,value", [("٣/٤", Fraction(3, 4)), ("-１２/５", Fraction(-12, 5))])
 def test_parse_reads_any_decimal_digits(text, value):
     assert Q.parse(text) == Q.from_fraction(value)
+
+
+def test_coefficient_count_must_match_the_degree():
+    # each of these once built a value off the canonical form: z^4 unreduced
+    # in Q(zeta8), a one-slot vector that multiplied to 0, and "2*z + 1" in Q
+    for field, coeffs, message in ((Q8, (0, 0, 0, 0, 1), "degree 4, got 5"),
+                                   (Q8, (1,), "degree 4, got 1"),
+                                   (Q, (1, 2), "degree 1, got 2")):
+        with pytest.raises(ValueError, match=message):
+            Scalar(field, coeffs)
+    assert Scalar(Q8, (0, 1, 0, 0)) == Q8.zeta(1)
+
+
+def test_any_rational_mixes_in_as_its_integer_ratio():
+    half = sympy.Rational(-5, 3)
+    for field in (Q, Q8):
+        s = field.from_fraction(half)
+        assert_canonical(s)
+        assert s == Fraction(-5, 3) and s == half
+        assert field.one * half == s and (field.one - half) * 3 == 8
