@@ -214,6 +214,7 @@ def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
     _, psi, eps = _verified_inverse(H, M, report, tau, coinv)
     return eps, psi
 
+
 # -- comparison with the antipode-based projection -------------------------------
 
 
@@ -225,6 +226,7 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     Also reports (as the returned boolean, not as a failure) whether the
     candidate inverse γ(m) = P(m₀)⊗m₁ coincides with the actual inverse ψ;
     the two agree when α = ε and the reassociator twists are trivial."""
+    # no command calls this, so structure-theorem never loads the antipode module
     from .antipode import _sandwich
 
     S = _sandwich(H, data)
