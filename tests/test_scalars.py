@@ -315,7 +315,8 @@ def test_zero_denominator_is_located(text, position):
     assert err.value.position == position
 
 
-@pytest.mark.parametrize("text,value", [("٣/٤", Fraction(3, 4)), ("-１２/５", Fraction(-12, 5))])
+@pytest.mark.parametrize("text,value", [("٣/٤", Fraction(3, 4)), ("-１２/５", Fraction(-12, 5))],
+                         ids=["arabic-indic", "fullwidth"])
 def test_parse_reads_any_decimal_digits(text, value):
     assert Q.parse(text) == Q.from_fraction(value)
 
