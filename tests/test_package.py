@@ -98,10 +98,9 @@ def command_modules(tmp_path_factory):
     ex = cyclic_group_example(2, 1)
     docs = {"dqb": dump_dqb(ex.dqb), "antipode": dump_antipode(ex.antipode),
             "module": dump_bicomodule(hhat(ex.dqb)), "S": dump_preantipode(ex.preantipode)}
-    path = {}
     for name, text in docs.items():
-        path[name] = str(work / f"{name}.json")
         (work / f"{name}.json").write_text(text)
+    path = {name: str(work / f"{name}.json") for name in docs}
     commands = {
         "gen": ("gen", "--cyclic", "2", "--r", "1", "--out", str(work / "gen")),
         "verify": ("verify", path["dqb"]),
