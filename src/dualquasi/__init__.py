@@ -13,33 +13,35 @@ imports only the layers it runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "comodules": ("Bicomodule", "HopfBicomodule", "LeftComodule", "Subspace",
-                  "adjunction_counit", "adjunction_unit", "coinvariant_comodule",
-                  "coinvariants", "free_hopf_bicomodule", "hhat",
-                  "induce_bicomodule", "regular_bicomodule",
-                  "trivial_left_coaction", "trivial_right_coaction",
-                  "validate_bicomodule", "validate_left_comodule"),
-    "antipode": ("check_antipode", "preantipode_from_antipode"),
-    "dqb": ("AntipodeData", "DualQuasiBialgebra", "convolution",
-            "convolution_inverse", "validate_dqb"),
+    "adjunction": ("adjunction_counit", "adjunction_unit", "coinvariant_comodule"),
+    "antipode": ("anti_homomorphism_defect", "check_antipode",
+                 "preantipode_from_antipode"),
+    "axioms": ("validate_dqb",),
+    "comodules": ("Bicomodule", "HopfBicomodule", "LeftComodule", "coinvariants",
+                  "free_hopf_bicomodule", "hhat", "induce_bicomodule",
+                  "regular_bicomodule", "trivial_left_coaction",
+                  "trivial_right_coaction", "validate_bicomodule",
+                  "validate_left_comodule"),
+    "convolutions": ("convolution", "convolution_inverse"),
+    "dqb": ("AntipodeData", "DualQuasiBialgebra"),
+    "elimination": ("AffineSolution", "Subspace", "inverse", "kernel", "rank",
+                    "solve_affine"),
     "errors": ("DimensionMismatch", "DocumentError", "DualQuasiError",
                "InvariantViolation", "ScalarParseError"),
-    "groups": ("Cocycle", "GroupData", "GroupExample", "anti_homomorphism_defect",
-               "canonical_group_preantipode", "cyclic_cocycle",
-               "cyclic_group_example", "group_antipode_data", "group_dqb",
-               "idempotent_monoid_bialgebra", "trivial_cocycle",
+    "fields": ("Field",),
+    "groups": ("Cocycle", "GroupData", "GroupExample", "canonical_group_preantipode",
+               "cyclic_cocycle", "cyclic_group_example", "group_antipode_data",
+               "group_dqb", "idempotent_monoid_bialgebra", "trivial_cocycle",
                "validate_cocycle"),
-    "io": ("dump_antipode", "dump_bicomodule", "dump_dqb", "dump_preantipode",
-           "load_antipode", "load_bicomodule", "load_dqb", "load_preantipode",
-           "serialize_report"),
-    "linalg": ("AffineSolution", "Matrix", "inverse", "kernel", "rank",
-               "solve_affine", "tensor_index", "tensor_unindex"),
+    "io": ("load_antipode", "load_bicomodule", "load_dqb", "load_preantipode"),
+    "linalg": ("Matrix", "tensor_index", "tensor_unindex"),
     "preantipode": ("PreantipodeFamily", "check_preantipode", "solve_preantipode"),
-    "report": ("Check", "Report"),
-    "scalars": ("Field", "Scalar"),
+    "report": ("Check", "Report", "serialize_report"),
+    "scalars": ("Scalar",),
     "structure": ("CoinvariantRetraction", "check_projection_formula",
                   "coinvariant_retraction", "retraction_report",
                   "structure_isomorphism"),
+    "writers": ("dump_antipode", "dump_bicomodule", "dump_dqb", "dump_preantipode"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

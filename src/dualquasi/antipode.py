@@ -1,13 +1,21 @@
 """Antipode data (s, α, β) of a dual quasi-Hopf algebra: the checks of its
-defining conditions and the preantipode β∗s∗α built from it."""
+defining conditions and the preantipode β∗s∗α built from it; and, on a group
+algebra, how far a preantipode is from a coalgebra antimorphism."""
 
 from __future__ import annotations
 
-from .dqb import AntipodeData, DualQuasiBialgebra, _add, _require_square
-from .errors import InvariantViolation
+from typing import TYPE_CHECKING
+
+from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
+from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
 from .preantipode import _counit_scalar, check_preantipode
-from .report import Report, basis_tuples, check_identity
+from .report import (Check, Report, _add, basis_tuples, check_identity, format_terms,
+                     terms_equal)
+from .scalars import Scalar
+
+if TYPE_CHECKING:
+    from .groups import GroupData
 
 
 def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
@@ -134,3 +142,36 @@ def preantipode_with_report(H: DualQuasiBialgebra,
         raise InvariantViolation(
             f"convolution of valid antipode data failed {rep_s.failures[0].axiom}")
     return S, rep_s
+
+
+def anti_homomorphism_defect(group: GroupData, H: DualQuasiBialgebra,
+                             S: Matrix) -> tuple[Report, list[Scalar]]:
+    """Measure how far S is from a coalgebra antimorphism on a group algebra.
+
+    Verifies S(g₂)⊗S(g₁) = ω(g,g⁻¹,g)⁻¹·ΔS(g) for every group element and
+    returns the defect scalars ω(g,g⁻¹,g)⁻¹ (a defect of 1 means S behaves
+    like an honest antimorphism at that element)."""
+    _require_square(H, S)
+    if group.order != H.dim:
+        raise DimensionMismatch("group order disagrees with the algebra dimension")
+    checks: list[Check] = []
+    defects: list[Scalar] = []
+    for g in range(group.order):
+        defect = H.omega_at(g, group.inv(g), g).inverse()
+        defects.append(defect)
+        lhs: dict = {}
+        rhs: dict = {}
+        for a, b, c0 in H.delta_terms(g):
+            for q1, s1 in S.column_terms(b):
+                for q2, s2 in S.column_terms(a):
+                    _add(lhs, (q1, q2), c0 * s1 * s2)
+        for q, sq in S.column_terms(g):
+            for x, y, c in H.delta_terms(q):
+                _add(rhs, (x, y), defect * sq * c)
+        if terms_equal(lhs, rhs):
+            checks.append(Check(f"antimorphism-defect[{g}]", True, (g,),
+                                str(defect), None))
+        else:
+            checks.append(Check(f"antimorphism-defect[{g}]", False, (g,),
+                                format_terms(lhs), format_terms(rhs)))
+    return Report(tuple(checks)), defects

@@ -12,15 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .dqb import validate_dqb
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
-from .io import (dump_antipode, dump_dqb, dump_preantipode, load_antipode,
-                 load_bicomodule, load_dqb, load_preantipode, serialize_report)
-from .report import Check, Report
+from .io import load_antipode, load_bicomodule, load_dqb, load_preantipode
+from .report import Check, Report, serialize_report
 
 # Each command imports the layers above the algebra itself when it runs, so
-# `verify` never loads the comodule, preantipode or group modules, and only
-# `from-antipode` loads the antipode module.
+# `verify` never loads the comodule, preantipode or group modules, only
+# `from-antipode` loads the antipode module, only the commands that write a
+# document load the writers, and `gen` loads no axiom suite.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,6 +67,8 @@ def _load_dqb(args, require_valid: bool = False):
 
     With ``require_valid`` an algebra that fails an axiom is an input error
     (exit 2) rather than a reported negative."""
+    from .axioms import validate_dqb
+
     H = load_dqb(args.dqb.read_text(encoding="utf-8"))
     rep = validate_dqb(H)
     if require_valid and not rep.ok:
@@ -84,6 +85,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve_preantipode(args) -> int:
     from .preantipode import solve_preantipode
+    from .writers import dump_preantipode
 
     H, _ = _load_dqb(args, require_valid=True)
     family = solve_preantipode(H)
@@ -110,6 +112,7 @@ def cmd_solve_preantipode(args) -> int:
 
 def cmd_from_antipode(args) -> int:
     from .antipode import check_antipode, preantipode_with_report
+    from .writers import dump_preantipode
 
     H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
@@ -128,8 +131,9 @@ def cmd_from_antipode(args) -> int:
 
 
 def cmd_structure_theorem(args) -> int:
-    from .comodules import adjunction_counit, coinvariants, hhat, validate_bicomodule
-    from .linalg import rank
+    from .adjunction import adjunction_counit
+    from .comodules import coinvariants, hhat, validate_bicomodule
+    from .elimination import rank
     from .preantipode import check_preantipode, solve_preantipode
     from .structure import retraction_report
 
@@ -192,6 +196,7 @@ def cmd_structure_theorem(args) -> int:
 
 def cmd_gen(args) -> int:
     from .groups import cyclic_group_example
+    from .writers import dump_antipode, dump_dqb
 
     n, r = args.cyclic, args.r
     if n < 1 or not 0 <= r < n:

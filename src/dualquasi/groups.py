@@ -10,13 +10,14 @@ preantipode is S(g) = ω(g,g⁻¹,g)⁻¹·g⁻¹.
 
 from __future__ import annotations
 
-from .dqb import AntipodeData, DualQuasiBialgebra, _add, _Codes, _require_square
-from .errors import DimensionMismatch, InvariantViolation
+from .dqb import AntipodeData, DualQuasiBialgebra, _Codes
+from .errors import InvariantViolation
+from .fields import Field
 from .linalg import Matrix, tensor_unindex
-from .report import (Check, Report, basis_tuples, check_identity, format_terms,
-                     terms_equal)
-from .scalars import Field, Scalar
+from .report import Check, Report, basis_tuples, check_identity
+from .scalars import Scalar
 from .values import Value
+
 
 class GroupData(Value):
     """A finite group: index-valued multiplication table, identity, inverses."""
@@ -267,36 +268,3 @@ def cyclic_group_example(n: int, r: int, field: Field | None = None) -> GroupExa
         antipode=group_antipode_data(group, theta),
         preantipode=canonical_group_preantipode(group, theta),
     )
-
-
-def anti_homomorphism_defect(group: GroupData, H: DualQuasiBialgebra,
-                             S: Matrix) -> tuple[Report, list[Scalar]]:
-    """Measure how far S is from a coalgebra antimorphism on a group algebra.
-
-    Verifies S(g₂)⊗S(g₁) = ω(g,g⁻¹,g)⁻¹·ΔS(g) for every group element and
-    returns the defect scalars ω(g,g⁻¹,g)⁻¹ (a defect of 1 means S behaves
-    like an honest antimorphism at that element)."""
-    _require_square(H, S)
-    if group.order != H.dim:
-        raise DimensionMismatch("group order disagrees with the algebra dimension")
-    checks: list[Check] = []
-    defects: list[Scalar] = []
-    for g in range(group.order):
-        defect = H.omega_at(g, group.inv(g), g).inverse()
-        defects.append(defect)
-        lhs: dict = {}
-        rhs: dict = {}
-        for a, b, c0 in H.delta_terms(g):
-            for q1, s1 in S.column_terms(b):
-                for q2, s2 in S.column_terms(a):
-                    _add(lhs, (q1, q2), c0 * s1 * s2)
-        for q, sq in S.column_terms(g):
-            for x, y, c in H.delta_terms(q):
-                _add(rhs, (x, y), defect * sq * c)
-        if terms_equal(lhs, rhs):
-            checks.append(Check(f"antimorphism-defect[{g}]", True, (g,),
-                                str(defect), None))
-        else:
-            checks.append(Check(f"antimorphism-defect[{g}]", False, (g,),
-                                format_terms(lhs), format_terms(rhs)))
-    return Report(tuple(checks)), defects

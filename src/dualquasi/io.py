@@ -1,4 +1,4 @@
-"""Document formats (UTF-8 JSON) and report rendering.
+"""Document formats (UTF-8 JSON) and their readers.
 
 Algebra documents carry ``version``, ``field`` ({"kind":"rationals"} or
 {"kind":"cyclotomic","order":n}), ``dim`` and sparse/dense sections:
@@ -17,23 +17,23 @@ and the output index last: ``rho_l`` [i, a, j, "c"] (ρ(e_i) += c·e_a⊗e_j),
 use the column-as-image convention matrix[row][col] = coefficient of e_row
 in the image of e_col.
 
-Unspecified sparse entries are zero.  Canonical serialization sorts sparse
-entries lexicographically by indices and prints scalars canonically, so
-parse → serialize → parse is bit-exact.  Parsing never coerces: every
-malformed scalar or out-of-range index aborts with its location.
+Unspecified sparse entries are zero.  Canonical serialization (in
+``writers``) sorts sparse entries lexicographically by indices and prints
+scalars canonically, so parse → serialize → parse is bit-exact.  Parsing
+never coerces: every malformed scalar or out-of-range index aborts with its
+location.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra
 from .errors import DocumentError, ScalarParseError
+from .fields import Field
 from .linalg import Matrix
-from .report import Report
-from .scalars import Field, Scalar
+from .scalars import Scalar
 
 if TYPE_CHECKING:
     from .comodules import HopfBicomodule
@@ -191,84 +191,6 @@ def load_dqb(text: str) -> DualQuasiBialgebra:
             1, n ** 3, f"{loc}.omega_inv", False)
     return DualQuasiBialgebra(field, n, delta, counit, mul, unit, omega, omega_inv)
 
-
-# Documents are written in the layout of json.dumps(doc, indent=2), whose
-# pure-Python encoder (the only one that indents) is several times slower.
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """The JSON list of rendered items as json.dumps(..., indent=2) lays it
-    out at nesting depth ``depth``."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_object(fields, depth: int = 0) -> str:
-    """The JSON object of (key, rendered value) pairs, laid out likewise."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(f"{_quote(key)}: {value}" for key, value in fields)
-    return "{" + inner + body + "\n" + "  " * depth + "}"
-
-
-class _Texts(dict):
-    """Each distinct scalar's JSON string, rendered once per document.
-
-    A document's scalars share one field, so (num, den) names each of them,
-    and looking it up hashes a tuple in C instead of calling the Python
-    ``Scalar.__hash__``."""
-
-    def __call__(self, value: Scalar) -> str:
-        key = value.num, value.den
-        text = self.get(key)
-        if text is None:
-            text = self[key] = _quote(str(value))
-        return text
-
-
-def _field_doc(field: Field) -> str:
-    fields = [("kind", _quote(field.kind))]
-    if field.kind == "cyclotomic":
-        fields.append(("order", str(field.order)))
-    return _json_object(fields, 1)
-
-
-def _sparse_entries(texts: _Texts, matrix: Matrix, from_rc) -> str:
-    """Entries [indices…, scalar] sorted by their indices."""
-    entries = sorted(((from_rc(r, c), v) for r in range(matrix.rows)
-                      for c, v in matrix.row_terms(r)), key=lambda e: e[0])
-    return _json_list([_json_list([*map(str, idx), texts(v)], 2) for idx, v in entries], 1)
-
-
-def _json_row(texts: _Texts, values) -> str:
-    return _json_list(list(map(texts, values)), 1)
-
-
-def _json_rows(texts: _Texts, matrix: Matrix) -> str:
-    return _json_list([_json_list(list(map(texts, matrix.row_list(i))), 2)
-                       for i in range(matrix.rows)], 1)
-
-
-def dump_dqb(H: DualQuasiBialgebra) -> str:
-    """Canonical serialization; inserts omega_inv when it was computed."""
-    n = H.dim
-    texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("field", _field_doc(H.field)),
-        ("dim", str(n)),
-        ("delta", _sparse_entries(texts, H.delta, lambda r, c: (c, r // n, r % n))),
-        ("counit", _json_row(texts, H.counit.entries)),
-        ("mul", _sparse_entries(texts, H.mul, lambda r, c: (c // n, c % n, r))),
-        ("unit", _json_row(texts, H.unit.entries)),
-        ("omega", _sparse_entries(
-            texts, H.omega, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
-        ("omega_inv", _sparse_entries(
-            texts, H.omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
-    ]) + "\n"
-
-
 # -- module documents ---------------------------------------------------------------
 
 
@@ -294,19 +216,6 @@ def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
         read, _require(doc, "act", list, loc), (d, n, d),
         lambda idx: (idx[2], idx[0] * n + idx[1]), d, d * n, f"{loc}.act", True)
     return HopfBicomodule(d, rho_l, rho_r, act)
-
-
-def dump_bicomodule(M: HopfBicomodule) -> str:
-    d = M.dim
-    n = M.hopf_dim
-    texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(d)),
-        ("rho_l", _sparse_entries(texts, M.rho_l, lambda r, c: (c, r // d, r % d))),
-        ("rho_r", _sparse_entries(texts, M.rho_r, lambda r, c: (c, r // n, r % n))),
-        ("act", _sparse_entries(texts, M.act, lambda r, c: (c // n, c % n, r))),
-    ]) + "\n"
 
 
 # -- antipode and preantipode documents ------------------------------------------------
@@ -339,18 +248,6 @@ def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
         field, _dense_row(read, _require(doc, "beta", list, loc), n, f"{loc}.beta"))
     return AntipodeData(s, alpha, beta)
 
-
-def dump_antipode(data: AntipodeData) -> str:
-    texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(data.s.rows)),
-        ("s", _json_rows(texts, data.s)),
-        ("alpha", _json_row(texts, data.alpha.entries)),
-        ("beta", _json_row(texts, data.beta.entries)),
-    ]) + "\n"
-
-
 def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
     doc = _parse_json(text)
     loc = "preantipode"
@@ -361,54 +258,3 @@ def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
                             f"{loc}.dim")
     return _dense_matrix(_ScalarReader(H.field), _require(doc, "matrix", list, loc), n,
                          f"{loc}.matrix")
-
-
-def dump_preantipode(S: Matrix) -> str:
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(S.rows)),
-        ("matrix", _json_rows(_Texts(), S)),
-    ]) + "\n"
-
-
-# -- report rendering -------------------------------------------------------------------
-
-
-def serialize_report(report: Report, fmt: str = "text") -> str:
-    """Render a report deterministically.
-
-    ``text``: one PASS/FAIL line per axiom plus a summary line.
-    ``json-lines``: one record per axiom with keys axiom/pass/witness/lhs/rhs.
-    """
-    if fmt == "json-lines":
-        lines = []
-        for c in report:
-            lines.append(json.dumps({
-                "axiom": c.axiom,
-                "pass": c.passed,
-                "witness": list(c.witness) if c.witness is not None else None,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-            }))
-        return "\n".join(lines)
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = []
-    for c in report:
-        if c.passed:
-            lines.append(f"PASS {c.axiom}")
-        else:
-            parts = [f"FAIL {c.axiom}"]
-            if c.witness is not None:
-                parts.append(f"witness={c.witness}")
-            if c.lhs is not None:
-                parts.append(f"lhs={c.lhs}")
-            if c.rhs is not None:
-                parts.append(f"rhs={c.rhs}")
-            lines.append("  ".join(parts))
-    failed = len(report.failures)
-    if failed:
-        lines.append(f"FAIL ({failed} of {len(report)} axioms)")
-    else:
-        lines.append(f"OK ({len(report)} axioms)")
-    return "\n".join(lines)

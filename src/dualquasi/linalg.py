@@ -1,13 +1,10 @@
-"""Exact matrices over a Field, stored as sparse rows, with deterministic
-Gauss-Jordan elimination.
+"""Exact matrices over a Field, stored as sparse rows.
 
 Each row keeps only its nonzero entries, so products, Kronecker products,
 sums, equality and zero tests on the very sparse structure-constant matrices
 do no work on zero entries; the dense row-major ``entries`` view and the
-column view are built on first use.
-Elimination is Gauss-Jordan on the same sparse rows, pivoting on the shortest
-row that uses a column.  The reduced row echelon form is unique, so solution
-sets and kernel bases are reproducible.
+column view are built on first use.  Elimination on the same rows is in
+``elimination``.
 """
 
 from __future__ import annotations
@@ -19,8 +16,8 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .scalars import Field, Scalar
-from .values import Value
+from .fields import Field
+from .scalars import Scalar
 
 
 class Matrix:
@@ -266,118 +263,3 @@ def tensor_unindex(flat: int, dim: int, length: int) -> tuple[int, ...]:
     for pos in range(length - 1, -1, -1):
         flat, out[pos] = divmod(flat, dim)
     return tuple(out)
-
-
-class AffineSolution(Value):
-    """The full solution set of a linear system: particular + kernel basis."""
-
-    __slots__ = ("particular", "kernel")
-
-    def __init__(self, particular: tuple[Scalar, ...],
-                 kernel: tuple[tuple[Scalar, ...], ...]):
-        self._set(particular, kernel)
-
-
-def _rref(rows: list[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
-    """In-place reduced row echelon form of rows mapping column → nonzero value.
-
-    Columns go in increasing order.  A column's pivot is the shortest remaining
-    row that uses it (the first of equals), scaled to 1 and cleared from every
-    other row.  Returns the (column, pivot row) pairs in column order.
-    """
-    users: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            users.setdefault(j, set()).add(i)
-    remaining = set(range(len(rows)))
-    pivots = []
-    for c in sorted(users):
-        candidates = users[c] & remaining
-        if not candidates:
-            continue
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
-        remaining.remove(p)
-        prow = rows[p]
-        lead = prow[c]
-        if lead != lead.field.one:
-            inv = lead.inverse()
-            for j, v in prow.items():
-                prow[j] = v * inv
-        for i in users[c] - {p}:
-            row = rows[i]
-            f = row[c]
-            for j, v in prow.items():
-                if j in row:
-                    w = row[j] - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-                        users[j].remove(i)
-                else:
-                    row[j] = -(f * v)
-                    users[j].add(i)
-        pivots.append((c, prow))
-    return pivots
-
-
-def solve_affine(A: Matrix, b) -> AffineSolution | None:
-    """Full solution set of A x = b, or None when the system is inconsistent.
-
-    Free variables are zero in the particular solution; each kernel basis
-    vector carries 1 in one free coordinate (textbook back-substitution).
-    """
-    if isinstance(b, Matrix):
-        if b.cols != 1:
-            raise DimensionMismatch("right-hand side must be a column")
-        size, rhs = b.rows, b.column_terms(0)
-    else:
-        b = list(b)
-        size, rhs = len(b), _nonzero_terms(b)
-    if size != A.rows:
-        raise DimensionMismatch(f"system has {A.rows} rows but rhs has {size}")
-    cols = A.cols
-    rows = list(map(dict, A._rows))
-    for i, v in rhs:
-        rows[i][cols] = v
-    pivots = _rref(rows)
-    if pivots and pivots[-1][0] == cols:
-        return None
-    zero, one = A.field.zero, A.field.one
-    particular = [zero] * cols
-    pivot_cols = {c for c, _ in pivots}
-    basis = {f: [zero] * cols for f in range(cols) if f not in pivot_cols}
-    for f, v in basis.items():
-        v[f] = one
-    for c, row in pivots:
-        for j, v in row.items():
-            if j == cols:
-                particular[c] = v
-            elif j != c:
-                basis[j][c] = -v
-    return AffineSolution(tuple(particular), tuple(map(tuple, basis.values())))
-
-
-def kernel(A: Matrix) -> list[tuple[Scalar, ...]]:
-    """Basis of the null space of A (deterministic)."""
-    sol = solve_affine(A, Matrix.zeros(A.field, A.rows, 1))
-    assert sol is not None
-    return list(sol.kernel)
-
-
-def rank(A: Matrix) -> int:
-    return len(_rref(list(map(dict, A._rows))))
-
-
-def inverse(A: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    if A.rows != A.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = A.rows
-    # [A | I] reduces to [I | A⁻¹]
-    rows = [dict(terms) | {n + i: A.field.one} for i, terms in enumerate(A._rows)]
-    pivots = _rref(rows)
-    if [c for c, _ in pivots] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix._of_rows(A.field, n, n, (_sorted_terms({j - n: v for j, v in row.items()
-                                                          if j >= n}) for _, row in pivots))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from .dqb import DualQuasiBialgebra, _add, _require_square
-from .linalg import Matrix, solve_affine
-from .report import Report, basis_tuples, check_identity
+from .dqb import DualQuasiBialgebra, _require_square
+from .linalg import Matrix
+from .report import Report, _add, basis_tuples, check_identity
 from .scalars import Scalar
 from .values import Value
 
@@ -151,6 +151,9 @@ def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:
     exact linear system in the n² entries of S (unknown S[u][v] at column
     u·n+v); the kernel dimension is returned as data, never assumed to vanish.
     """
+    # imported here, so from-antipode, which only checks S, loads no elimination
+    from .elimination import solve_affine
+
     n, field = H.dim, H.field
     terms, b = [], []
     for p in range(n):

@@ -1,7 +1,9 @@
-"""Pass/fail reports for axiom suites, with first-failure witnesses."""
+"""Pass/fail reports for axiom suites, with first-failure witnesses, and
+their rendering."""
 
 from __future__ import annotations
 
+import json
 from itertools import product
 from typing import Callable, Iterable
 
@@ -43,6 +45,11 @@ class Report(Value):
 
     def __len__(self) -> int:
         return len(self.checks)
+
+
+def _add(d: dict, key, value) -> None:
+    """Add ``value`` into ``d[key]`` of an accumulated sparse vector."""
+    d[key] = d.get(key) + value if key in d else value
 
 
 def clean_terms(terms: dict) -> dict:
@@ -99,3 +106,43 @@ def check_identity(axiom: str, witnesses: Iterable, sides: Callable,
         elif lhs != rhs:
             return Check(axiom, False, witness, str(lhs), str(rhs))
     return Check(axiom, True)
+
+
+def serialize_report(report: Report, fmt: str = "text") -> str:
+    """Render a report deterministically.
+
+    ``text``: one PASS/FAIL line per axiom plus a summary line.
+    ``json-lines``: one record per axiom with keys axiom/pass/witness/lhs/rhs.
+    """
+    if fmt == "json-lines":
+        lines = []
+        for c in report:
+            lines.append(json.dumps({
+                "axiom": c.axiom,
+                "pass": c.passed,
+                "witness": list(c.witness) if c.witness is not None else None,
+                "lhs": c.lhs,
+                "rhs": c.rhs,
+            }))
+        return "\n".join(lines)
+    if fmt != "text":
+        raise ValueError(f"unknown report format {fmt!r}")
+    lines = []
+    for c in report:
+        if c.passed:
+            lines.append(f"PASS {c.axiom}")
+        else:
+            parts = [f"FAIL {c.axiom}"]
+            if c.witness is not None:
+                parts.append(f"witness={c.witness}")
+            if c.lhs is not None:
+                parts.append(f"lhs={c.lhs}")
+            if c.rhs is not None:
+                parts.append(f"rhs={c.rhs}")
+            lines.append("  ".join(parts))
+    failed = len(report.failures)
+    if failed:
+        lines.append(f"FAIL ({failed} of {len(report)} axioms)")
+    else:
+        lines.append(f"OK ({len(report)} axioms)")
+    return "\n".join(lines)

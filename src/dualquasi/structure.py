@@ -10,8 +10,11 @@ inverse ψ(m) = τ(m₀)⊗m₁ built from the retraction
 
 from __future__ import annotations
 
-from .comodules import HopfBicomodule, Subspace, _view, adjunction_counit, coinvariants
+from .adjunction import adjunction_counit
+from .coded import _view
+from .comodules import HopfBicomodule, coinvariants
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
+from .elimination import Subspace
 from .errors import InvariantViolation
 from .linalg import Matrix
 from .report import Check, Report, basis_tuples, check_identity, clean_terms

@@ -19,9 +19,8 @@ from dualquasi import (Matrix, adjunction_counit, anti_homomorphism_defect,
                        induce_bicomodule, rank, retraction_report,
                        solve_preantipode, structure_isomorphism, validate_dqb,
                        validate_bicomodule)
-from dualquasi.io import (dump_antipode, dump_bicomodule, dump_dqb,
-                          dump_preantipode, load_antipode, load_bicomodule,
-                          load_dqb, load_preantipode)
+from dualquasi.io import load_antipode, load_bicomodule, load_dqb, load_preantipode
+from dualquasi.writers import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
                      random_left_comodule, rational, sympy_grouplike_preantipode)

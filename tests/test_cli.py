@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from dualquasi import Matrix, cyclic_group_example, hhat
-from dualquasi.io import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
+from dualquasi.writers import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
 
 from helpers import bundled_examples, control_bialgebra
 
@@ -293,15 +293,15 @@ def test_structure_theorem_module_form_on_twisted_sweedler(tmp_path):
 
 def test_module_form_builds_the_identity_table_once(tmp_path, monkeypatch, capsys):
     import dualquasi.cli as cli
-    import dualquasi.comodules as comodules
+    import dualquasi.coded as coded
     ex = cyclic_group_example(3, 1)
     dqb, module, S = (tmp_path / name for name in ("c3.dqb.json", "c3.module.json", "S.json"))
     dqb.write_text(dump_dqb(ex.dqb))
     module.write_text(dump_bicomodule(hhat(ex.dqb)))
     S.write_text(dump_preantipode(ex.preantipode))
     calls = []
-    build = comodules._identities
-    monkeypatch.setattr(comodules, "_identities",
+    build = coded._identities
+    monkeypatch.setattr(coded, "_identities",
                         lambda *args: calls.append(args) or build(*args))
     assert cli.main(["structure-theorem", str(dqb), str(module), "--preantipode", str(S)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK (14 axioms)"

@@ -4,10 +4,10 @@ import pytest
 
 from dualquasi import Check, DocumentError, Report, hhat, validate_dqb
 from dualquasi.groups import cyclic_group_example
-from dualquasi.io import (MAX_FIELD_ORDER, dump_antipode, dump_bicomodule,
-                          dump_dqb, dump_preantipode, load_antipode,
-                          load_bicomodule, load_dqb, load_preantipode,
-                          serialize_report)
+from dualquasi.io import (MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
+                          load_preantipode)
+from dualquasi.report import serialize_report
+from dualquasi.writers import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
 
 from helpers import bundled_examples, control_bialgebra
 

@@ -1,7 +1,9 @@
 """The package namespace, what each command imports, and the value classes."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,17 +95,27 @@ def test_solving_commands_do_not_load_the_comodule_layer(tmp_path):
 
 @pytest.fixture(scope="module")
 def command_modules(tmp_path_factory):
-    """For each command on cyclic 2 r=1, the modules its fresh process imports."""
+    """For each command on cyclic 2 r=1, the modules its fresh process imports;
+    also `verify` on that algebra without ``omega_inv`` and on S₃ with the
+    coboundary-twisted cocycle, whose values include 1/2."""
+    from helpers import symmetric_group_examples
+
     work = tmp_path_factory.mktemp("commands")
     ex = cyclic_group_example(2, 1)
+    without_inverse = json.loads(dump_dqb(ex.dqb))
+    del without_inverse["omega_inv"]
     docs = {"dqb": dump_dqb(ex.dqb), "antipode": dump_antipode(ex.antipode),
-            "module": dump_bicomodule(hhat(ex.dqb)), "S": dump_preantipode(ex.preantipode)}
+            "module": dump_bicomodule(hhat(ex.dqb)), "S": dump_preantipode(ex.preantipode),
+            "no-inv": json.dumps(without_inverse),
+            "s3-twisted": dump_dqb(symmetric_group_examples()[1].dqb)}
     for name, text in docs.items():
         (work / f"{name}.json").write_text(text)
     path = {name: str(work / f"{name}.json") for name in docs}
     commands = {
         "gen": ("gen", "--cyclic", "2", "--r", "1", "--out", str(work / "gen")),
         "verify": ("verify", path["dqb"]),
+        "verify without omega_inv": ("verify", path["no-inv"]),
+        "verify S3 twisted": ("verify", path["s3-twisted"]),
         "solve-preantipode": ("solve-preantipode", path["dqb"]),
         "from-antipode": ("from-antipode", path["dqb"], path["antipode"]),
         "structure-theorem --use-hhat": ("structure-theorem", path["dqb"], "--use-hhat"),
@@ -119,11 +131,50 @@ def command_modules(tmp_path_factory):
 
 
 def test_no_command_loads_fractions_or_decimal(command_modules):
-    assert len(command_modules) == 6
+    assert len(command_modules) == 8
     for name, modules in command_modules.items():
         assert "dualquasi.scalars" in modules, name
         for module in ("fractions", "decimal", "_decimal"):
             assert module not in modules, (name, module)
+
+
+MAX_MODULE_LINES = 300
+
+
+def _source_lines(module: str) -> int:
+    name = module.partition(".")[2] or "__init__"
+    path = Path(dualquasi.__file__).parent / f"{name}.py"
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+def test_no_command_compiles_a_module_longer_than_300_lines(command_modules):
+    # compiling a module adds peak memory in proportion to its size, and a
+    # command compiles every module it loads when no bytecode is cached
+    for name, modules in command_modules.items():
+        for module in modules:
+            if module == "dualquasi" or module.startswith("dualquasi."):
+                assert _source_lines(module) <= MAX_MODULE_LINES, (name, module)
+
+
+def test_verify_loads_neither_the_elimination_nor_the_writers(command_modules):
+    for name in ("verify", "verify S3 twisted"):
+        assert "dualquasi.axioms" in command_modules[name], name
+        assert "dualquasi.elimination" not in command_modules[name], name
+        assert "dualquasi.writers" not in command_modules[name], name
+
+
+def test_only_solving_commands_load_the_elimination(command_modules):
+    # verify solves for ω⁻¹ only when the document leaves it out
+    loading = {name for name, modules in command_modules.items()
+               if "dualquasi.elimination" in modules}
+    assert loading == {"verify without omega_inv", "solve-preantipode",
+                       "structure-theorem --use-hhat", "structure-theorem module"}
+
+
+def test_only_writing_commands_load_the_writers(command_modules):
+    loading = {name for name, modules in command_modules.items()
+               if "dualquasi.writers" in modules}
+    assert loading == {"gen", "solve-preantipode", "from-antipode"}
 
 
 # runs a command in this process, then prints its exit code and every name
@@ -198,6 +249,11 @@ def test_star_import_binds_every_name():
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTED
     for name in EXPORTED:
         assert namespace[name] is getattr(dualquasi, name)
+
+
+def test_no_submodule_shadows_an_exported_name():
+    # importing a submodule binds it on the package, over a function of its name
+    assert not set(dualquasi._EXPORTS) & set(dualquasi.__all__)
 
 
 def test_unknown_attribute_raises():

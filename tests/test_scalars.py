@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -288,6 +289,19 @@ def test_equal_values_hash_equal(field, value):
 
 numerators = st.integers(0, 10**30)
 denominators = st.integers(1, 10**30)
+
+
+_P = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("num, den", [
+    (1, _P), (-1, _P), (5, 3 * _P), (-7, _P * _P), (_P + 1, 2), (-_P, 3),
+    (2 * _P + 1, _P - 1), (-1, 2), (10**40 + 1, 10**39)])
+def test_rational_hash_is_the_fraction_hash(num, den):
+    # a denominator that is a multiple of the modulus has no inverse there
+    value = Fraction(num, den)
+    for field in (Q, Q8):
+        assert hash(field.from_fraction(value)) == hash(value)
 
 
 @pytest.mark.parametrize("field", [Q, QI, Q12], ids=["Q", "Q(i)", "Q(zeta12)"])
