@@ -108,7 +108,8 @@ def adjunction_unit(H: DualQuasiBialgebra, V: LeftComodule) -> Matrix:
             raise InvariantViolation("v⊗1 is not coinvariant; upstream data is corrupt")
         terms.extend((beta, i, v) for beta, v in enumerate(coords) if v)
     eta = Matrix.from_terms(H.field, r, d, terms)
-    if r != d or rank(eta) != d:
+    eta_rank = rank(eta)
+    if r != d or eta_rank != d:
         raise InvariantViolation(
-            f"unit of the adjunction is not bijective (rank {rank(eta)}, dim {d})")
+            f"unit of the adjunction is not bijective (rank {eta_rank}, dim {d})")
     return eta

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .coded import _View, _dimension_check, _report, _validate, _view
 from .dqb import DualQuasiBialgebra
-from .elimination import Subspace, kernel
+from .elimination import Subspace
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
 from .report import Report
@@ -194,6 +194,4 @@ def hhat(H: DualQuasiBialgebra) -> HopfBicomodule:
 
 def coinvariants(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule) -> Subspace:
     """The subspace {m : ρ^r(m) = m⊗1_H}, via an exact kernel computation."""
-    basis_vectors = kernel(M.rho_r - trivial_right_coaction(H, M.dim))
-    return Subspace(M.dim, Matrix.from_terms(H.field, M.dim, len(basis_vectors), (
-        (i, col, v) for col, vec in enumerate(basis_vectors) for i, v in enumerate(vec) if v)))
+    return Subspace.null_space(M.rho_r - trivial_right_coaction(H, M.dim))

@@ -110,7 +110,7 @@ def convolution_inverse(H: DualQuasiBialgebra, f: Matrix,
         for x, terms in enumerate(H.split_table(k))
         for lf, rf, c in terms if (fv := fe[lf])))
     eps_k = H.counit_power(k)
-    sol = solve_affine(system, eps_k.transpose())
+    sol = solve_affine(system, eps_k.entries)
     if sol is None:
         return None
     g = Matrix.row_vector(H.field, list(sol.particular))

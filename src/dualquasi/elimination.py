@@ -1,14 +1,13 @@
-"""Deterministic Gauss-Jordan elimination on sparse rows: exact solution
-sets, kernels, ranks, inverses and coordinates in a subspace.
+"""Deterministic Gauss-Jordan elimination on sparse rows: exact solutions,
+null spaces, ranks and inverses.
 
 Elimination works on the sparse rows of ``linalg.Matrix``, pivoting on the
 shortest row that uses a column.  The reduced row echelon form is unique, so
-solution sets and kernel bases are reproducible.
+solutions and null-space bases are reproducible.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -18,13 +17,13 @@ from .values import Value
 
 
 class AffineSolution(Value):
-    """The full solution set of a linear system: particular + kernel basis."""
+    """A solution of a linear system with its free variables at zero, and the
+    number of free variables: the dimension of the solution set."""
 
-    __slots__ = ("particular", "kernel")
+    __slots__ = ("particular", "kernel_dimension")
 
-    def __init__(self, particular: tuple[Scalar, ...],
-                 kernel: tuple[tuple[Scalar, ...], ...]):
-        self._set(particular, kernel)
+    def __init__(self, particular: tuple[Scalar, ...], kernel_dimension: int):
+        self._set(particular, kernel_dimension)
 
 
 def _rref(rows: list[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
@@ -70,48 +69,29 @@ def _rref(rows: list[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
     return pivots
 
 
-def solve_affine(A: Matrix, b) -> AffineSolution | None:
-    """Full solution set of A x = b, or None when the system is inconsistent.
-
-    Free variables are zero in the particular solution; each kernel basis
-    vector carries 1 in one free coordinate (textbook back-substitution).
-    """
-    if isinstance(b, Matrix):
-        if b.cols != 1:
-            raise DimensionMismatch("right-hand side must be a column")
-        size, rhs = b.rows, b.column_terms(0)
-    else:
-        b = list(b)
-        size, rhs = len(b), _nonzero_terms(b)
-    if size != A.rows:
-        raise DimensionMismatch(f"system has {A.rows} rows but rhs has {size}")
+def solve_affine(A: Matrix, b: Sequence[Scalar]) -> AffineSolution | None:
+    """A solution of A x = b with every free variable zero, or None when the
+    system is inconsistent."""
+    if len(b) != A.rows:
+        raise DimensionMismatch(f"system has {A.rows} rows but rhs has {len(b)}")
     cols = A.cols
     rows = list(map(dict, A._rows))
-    for i, v in rhs:
+    for i, v in _nonzero_terms(b):
         rows[i][cols] = v
     pivots = _rref(rows)
     if pivots and pivots[-1][0] == cols:
         return None
-    zero, one = A.field.zero, A.field.one
-    particular = [zero] * cols
-    pivot_cols = {c for c, _ in pivots}
-    basis = {f: [zero] * cols for f in range(cols) if f not in pivot_cols}
-    for f, v in basis.items():
-        v[f] = one
+    particular = [A.field.zero] * cols
     for c, row in pivots:
-        for j, v in row.items():
-            if j == cols:
-                particular[c] = v
-            elif j != c:
-                basis[j][c] = -v
-    return AffineSolution(tuple(particular), tuple(map(tuple, basis.values())))
+        if cols in row:
+            particular[c] = row[cols]
+    return AffineSolution(tuple(particular), cols - len(pivots))
 
 
 def kernel(A: Matrix) -> list[tuple[Scalar, ...]]:
-    """Basis of the null space of A (deterministic)."""
-    sol = solve_affine(A, Matrix.zeros(A.field, A.rows, 1))
-    assert sol is not None
-    return list(sol.kernel)
+    """Basis of the null space of A: the columns of ``Subspace.null_space(A)``."""
+    basis = Subspace.null_space(A).basis
+    return [tuple(basis.column_list(k)) for k in range(basis.cols)]
 
 
 def rank(A: Matrix) -> int:
@@ -133,58 +113,47 @@ def inverse(A: Matrix) -> Matrix:
 
 
 class Subspace(Value):
-    """A subspace of a coordinate space, spanned by the columns of ``basis``.
+    """The null space of a matrix, in the basis its reduced row echelon form
+    gives: column k of ``basis`` is 1 at coordinate ``free[k]`` and 0 at the
+    other free coordinates, and A x = 0 fixes its pivot coordinates."""
 
-    The columns may be dependent.  ``rank`` is their number, the dimension
-    only when they are independent (as the coinvariant kernel bases are), and
-    ``coordinates`` reads the free coordinates of a dependent basis as zero."""
+    __slots__ = ("ambient", "basis", "free")
 
-    # the __dict__ slot holds the cached elimination
-    __slots__ = ("ambient", "basis", "__dict__")
-
-    def __init__(self, ambient: int, basis: Matrix):
+    def __init__(self, ambient: int, basis: Matrix, free: tuple[int, ...]):
         # basis: ambient x rank, columns are the basis vectors
-        self._set(ambient, basis)
+        self._set(ambient, basis, free)
+
+    @classmethod
+    def null_space(cls, A: Matrix) -> "Subspace":
+        """The null space of A, from one elimination of its rows."""
+        pivots = _rref(list(map(dict, A._rows)))
+        pivot_cols = {c for c, _ in pivots}
+        free = tuple(f for f in range(A.cols) if f not in pivot_cols)
+        column = {f: k for k, f in enumerate(free)}
+        one = A.field.one
+        terms = [(f, k, one) for k, f in enumerate(free)]
+        terms.extend((c, column[j], -v) for c, row in pivots for j, v in row.items() if j != c)
+        return cls(A.cols, Matrix.from_terms(A.field, A.cols, len(free), terms), free)
 
     @property
     def rank(self) -> int:
         return self.basis.cols
 
-    @cached_property
-    def _elimination(self) -> list[tuple[int, tuple[tuple[int, Scalar], ...]]]:
-        """Per pivot column j of the basis, the terms (i, c) with coordinate
-        j = Σ c·vector[i]; computed once per subspace.
-
-        Rows I of the basis span its row space, and the inverse of the block
-        basis[I, J] on the pivot columns J maps vector[I] to coordinates J."""
-        B = self.basis
-        rows = [i for i, _ in _rref([dict(B.column_terms(j)) for j in range(B.cols)])]
-        # [basis[I, :] | identity] reduces to [R | basis[I, J]⁻¹]
-        block = [dict(B.row_terms(i)) | {B.cols + t: B.field.one} for t, i in enumerate(rows)]
-        return [(j, tuple((rows[t - B.cols], v) for t, v in row.items() if t >= B.cols))
-                for j, row in _rref(block)]
-
     def coordinates(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
         """Coordinates of a vector in this basis, or None if it lies outside.
 
-        The free coordinates of a dependent basis are zero."""
+        A vector of the null space is the sum of the basis vectors weighted by
+        its own free coordinates."""
         B = self.basis
         if len(vector) != B.rows:
             raise DimensionMismatch(f"vector has {len(vector)} entries, ambient {B.rows}")
-        zero = B.field.zero
-        coords = [zero] * B.cols
-        for j, terms in self._elimination:
-            acc = zero
-            for i, e in terms:
-                if vector[i]:
-                    acc = acc + e * vector[i]
-            coords[j] = acc
+        coords = tuple(vector[f] for f in self.free)
         # the vector lies in the subspace when the basis maps coords back onto it
-        image = [zero] * B.rows
+        image = [B.field.zero] * B.rows
         for j, c in enumerate(coords):
             if c:
                 for i, b in B.column_terms(j):
                     image[i] = image[i] + b * c
         if image != list(vector):
             return None
-        return tuple(coords)
+        return coords

@@ -24,16 +24,13 @@ from .values import Value
 
 
 class PreantipodeFamily(Value):
-    """The affine solution set of the preantipode system."""
+    """The affine solution set of the preantipode system: one preantipode and
+    the dimension of the set."""
 
-    __slots__ = ("particular", "kernel")
+    __slots__ = ("particular", "kernel_dimension")
 
-    def __init__(self, particular: Matrix, kernel: tuple[Matrix, ...]):
-        self._set(particular, kernel)
-
-    @property
-    def kernel_dimension(self) -> int:
-        return len(self.kernel)
+    def __init__(self, particular: Matrix, kernel_dimension: int):
+        self._set(particular, kernel_dimension)
 
 
 # -- the defining identities as linear forms in S ---------------------------------
@@ -145,7 +142,8 @@ def check_preantipode(H: DualQuasiBialgebra, S: Matrix) -> Report:
 
 
 def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:
-    """The full affine set of preantipodes of H, or None when empty.
+    """A preantipode of H and the dimension of the affine set of them, or None
+    when the set is empty.
 
     Every key of every defining identity gives the row lhs − rhs = 0 of one
     exact linear system in the n² entries of S (unknown S[u][v] at column
@@ -168,6 +166,4 @@ def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:
     sol = solve_affine(Matrix.from_terms(field, len(b), n * n, terms), b)
     if sol is None:
         return None
-    particular = Matrix(field, n, n, list(sol.particular))
-    kern = tuple(Matrix(field, n, n, list(v)) for v in sol.kernel)
-    return PreantipodeFamily(particular, kern)
+    return PreantipodeFamily(Matrix(field, n, n, sol.particular), sol.kernel_dimension)

@@ -9,8 +9,8 @@ class Value:
     Equality, hashing and repr go by the fields in slot order, between
     instances of the same class.  Assigning or deleting a field raises
     AttributeError; a subclass's ``__init__`` checks its arguments and then
-    stores them with ``_set``.  A ``__dict__`` slot (room for
-    ``cached_property``) is not a field.
+    stores them with ``_set``.  A ``__dict__`` slot (room for a cache, such
+    as a comodule's coded view) is not a field.
     """
 
     __slots__ = ()

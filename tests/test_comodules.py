@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from dualquasi import (Bicomodule, DualQuasiBialgebra, Field,
                        HopfBicomodule, LeftComodule, Matrix, Subspace,
                        adjunction_counit, adjunction_unit, coinvariants,
-                       free_hopf_bicomodule, hhat, induce_bicomodule, rank,
+                       free_hopf_bicomodule, hhat, induce_bicomodule, kernel, rank,
                        regular_bicomodule, trivial_left_coaction,
                        trivial_right_coaction, validate_bicomodule,
                        validate_left_comodule)
@@ -196,29 +195,22 @@ def test_coinvariants_of_hhat_are_inverse_pairs():
                 ["1" if i == flat else "0" for i in range(n * n)]
 
 
-def test_subspace_coordinates_in_a_general_basis():
-    # basis columns (1, 2, 0, 1) and (0, 1, 3, 1/2): no identity block anywhere
+def test_null_space_coordinates_read_the_free_entries():
+    # x₀ = 2x₁ − x₃ and x₂ = −3x₃: pivots 0 and 2, free coordinates 1 and 3
     q = Q.from_fraction
-    basis = Matrix.from_rows(Q, [[q(1), q(0)], [q(2), q(1)],
-                                 [q(0), q(3)], [q(1), q(Fraction(1, 2))]])
-    V = Subspace(4, basis)
-    # 3·b₀ − 2·b₁ = (3, 4, −6, 2)
-    assert V.coordinates([q(3), q(4), q(-6), q(2)]) == (q(3), q(-2))
+    A = Matrix.from_rows(Q, [[q(1), q(-2), q(0), q(1)], [q(0), q(0), q(1), q(3)]])
+    V = Subspace.null_space(A)
+    assert V.ambient == 4 and V.free == (1, 3)
+    assert [V.basis.column_list(k) for k in range(V.rank)] == \
+        [[q(2), q(1), q(0), q(0)], [q(-1), q(0), q(-3), q(1)]] == \
+        [list(v) for v in kernel(A)]
+    # 3·b₀ − 2·b₁ = (8, 3, 6, −2)
+    assert V.coordinates([q(8), q(3), q(6), q(-2)]) == (q(3), q(-2))
     assert V.coordinates([Q.zero] * 4) == (Q.zero, Q.zero)
-    # agrees with the first three entries but not with the fourth
-    assert V.coordinates([q(3), q(4), q(-6), q(3)]) is None
-    assert V.coordinates([q(0), q(0), q(0), q(1)]) is None
-    # the elimination is made once and reused
-    assert V._elimination is V._elimination
-
-    # a third column b₀ + 2·b₁ = (1, 4, 6, 2) depends on the other two: its
-    # coordinate is free and reads 0
-    dependent = Matrix.from_rows(Q, [[q(1), q(0), q(1)], [q(2), q(1), q(4)],
-                                     [q(0), q(3), q(6)], [q(1), q(Fraction(1, 2)), q(2)]])
-    W = Subspace(4, dependent)
-    assert W.coordinates([q(3), q(4), q(-6), q(2)]) == (q(3), q(-2), Q.zero)
-    assert W.coordinates([q(1), q(4), q(6), q(2)]) == (q(1), q(2), Q.zero)
-    assert W.coordinates([q(3), q(4), q(-6), q(3)]) is None
+    # the free entries of a vector outside the null space still read as
+    # coordinates, and the image check rejects them
+    assert V.coordinates([q(8), q(3), q(6), q(-1)]) is None
+    assert V.coordinates([q(1), q(0), q(0), q(0)]) is None
 
 
 def test_coinvariants_of_shifted_coaction_vanish():

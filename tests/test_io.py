@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
-from dualquasi import Check, DocumentError, Report, hhat, validate_dqb
+from dualquasi import (Check, DocumentError, Matrix, Report, hhat, solve_affine,
+                       validate_dqb)
 from dualquasi.groups import cyclic_group_example
 from dualquasi.io import (MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
                           load_preantipode)
@@ -50,6 +52,26 @@ def test_omega_inverse_inserted_on_serialization():
     H = load_dqb(json.dumps(doc))
     assert H.omega_inv == ex.dqb.omega_inv
     assert "omega_inv" in json.loads(dump_dqb(H))
+
+
+def test_all_zero_document_without_omega_inv_loads_in_small_memory():
+    # the ω⁻¹ system of an all-zero dim 12 document is the zero 1728×1728
+    # system: its solution set has dimension 1728, and no basis of it is built
+    doc = json.dumps({"version": 1, "field": {"kind": "rationals"}, "dim": 12,
+                      "delta": [], "counit": ["0"] * 12, "mul": [], "unit": ["0"] * 12,
+                      "omega": []})
+    import dualquasi.convolutions  # imported (and compiled) before tracing starts
+    tracemalloc.start()
+    try:
+        H = load_dqb(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert H.omega_inv.is_zero()
+    sol = solve_affine(Matrix.zeros(H.field, 12 ** 3, 12 ** 3), H.counit_power(3).entries)
+    assert sol.kernel_dimension == 12 ** 3
+    assert not any(sol.particular)
 
 
 def test_sparse_entries_are_sorted_canonically():

@@ -330,15 +330,6 @@ def test_fields_cannot_be_assigned_or_deleted():
             value.extra = 1
 
 
-def test_subspace_caches_its_elimination_outside_its_fields():
-    H = cyclic_group_example(2, 1).dqb
-    first, second = coinvariants(H, hhat(H)), coinvariants(H, hhat(H))
-    vector = first.basis.column_list(0)
-    assert first.coordinates(vector) == second.coordinates(vector)
-    assert "_elimination" in vars(first)
-    assert first == second and repr(first) == repr(second)
-
-
 def test_constructors_reject_inconsistent_shapes():
     ex = cyclic_group_example(2, 1)
     H = ex.dqb
