@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from .coded import _view
 from .comodules import (Bicomodule, HopfBicomodule, LeftComodule, coinvariants,
-                        induce_bicomodule)
+                        induce_bicomodule, trivial_right_coaction)
 from .dqb import DualQuasiBialgebra
-from .elimination import Subspace, rank
+from .elimination import rank
 from .errors import InvariantViolation
 from .linalg import Matrix
 from .report import basis_tuples, check_identity
@@ -23,24 +23,21 @@ def coinvariant_comodule(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule) 
     if r == 0:
         raise ValueError("the coinvariants are zero; there is no comodule to build")
     view = _view(H, M)
-    mul, put, values = view.codes.mul, view.codes.put, view.codes.values
-    terms = []
-    for col in range(r):
-        image: dict = {}
-        for i, v in view.encode(coinv.basis.column_terms(col)):
-            for a, i2, c in view.lt[i]:
-                put(image, a * d + i2, mul(v, c))
-        for a in range(n):
-            coords = coinv.coordinates([values[image.get(a * d + i, 0)] for i in range(d)])
-            if coords is None:
-                raise InvariantViolation(
-                    "left coaction does not restrict to the coinvariants")
-            terms.extend((a * r + beta, col, v) for beta, v in enumerate(coords) if v)
-    return LeftComodule(r, Matrix.from_terms(H.field, n * r, r, terms))
+    mul = view.codes.mul
+    # column a·r + α holds the e_a component of ρ^l of the α-th basis vector
+    images = view.matrix(d, n * r, (
+        (i2, a * r + alpha, mul(v, c))
+        for alpha in range(r) for i, v in view.encode(coinv.basis.column_terms(alpha))
+        for a, i2, c in view.lt[i]))
+    coords = coinv.coordinates(images)
+    if coords is None:
+        raise InvariantViolation("left coaction does not restrict to the coinvariants")
+    return LeftComodule(r, Matrix.from_terms(H.field, n * r, r, (
+        (col // r * r + beta, col % r, v)
+        for beta in range(r) for col, v in coords.row_terms(beta))))
 
 
-def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
-                      coinv: Subspace | None = None) -> Matrix:
+def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule) -> Matrix:
     """The evaluation map M^coH⊗H → M, x⊗h ↦ x·h, on coinvariant coordinates.
 
     Verifies that the left coaction restricts to a comodule on the
@@ -51,12 +48,14 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
     x₋₁ ⊗ ρ^r(x₀) = x₋₁ ⊗ x₀ ⊗ 1_H, the right colinearity of the action
     into ρ^r(x·h) = x·h₁ ⊗ h₂, and its twisted associativity into
     (x·h)·l = ω⁻¹(x₋₁⊗h₁⊗l₁) x₀·(h₂l₂) once the coaction restricts.
-    Violations raise InvariantViolation.
+    Violations raise InvariantViolation.  The verified map is kept on M's
+    coded view, so it is built once per (H, M).
     """
-    if coinv is None:
-        coinv = coinvariants(H, M)
-    d, n, r = M.dim, H.dim, coinv.rank
     view = _view(H, M)
+    if view.evaluation is not None:
+        return view.evaluation
+    coinv = coinvariants(H, M)
+    d, n, r = M.dim, H.dim, coinv.rank
     mul, put = view.codes.mul, view.codes.put
     xs = [view.encode(coinv.basis.column_terms(alpha)) for alpha in range(r)]
     eps = view.matrix(d, r * n, (
@@ -88,6 +87,7 @@ def adjunction_counit(H: DualQuasiBialgebra, M: HopfBicomodule,
         witnesses = basis_tuples(r, *dims[1:])
         if not check_identity(axiom, witnesses, at_coinvariants(sides), view.codes.values).passed:
             raise InvariantViolation(message)
+    view.evaluation = eps
     return eps
 
 
@@ -97,17 +97,10 @@ def adjunction_unit(H: DualQuasiBialgebra, V: LeftComodule) -> Matrix:
     Always bijective; a rank defect raises InvariantViolation."""
     FV = induce_bicomodule(H, V)
     coinv = coinvariants(H, FV)
-    d, n, r = V.dim, H.dim, coinv.rank
-    terms = []
-    for i in range(d):
-        vec = [H.field.zero] * (d * n)
-        for u, cu in H.unit_terms():
-            vec[i * n + u] = cu
-        coords = coinv.coordinates(vec)
-        if coords is None:
-            raise InvariantViolation("v⊗1 is not coinvariant; upstream data is corrupt")
-        terms.extend((beta, i, v) for beta, v in enumerate(coords) if v)
-    eta = Matrix.from_terms(H.field, r, d, terms)
+    d, r = V.dim, coinv.rank
+    eta = coinv.coordinates(trivial_right_coaction(H, d))
+    if eta is None:
+        raise InvariantViolation("v⊗1 is not coinvariant; upstream data is corrupt")
     eta_rank = rank(eta)
     if r != d or eta_rank != d:
         raise InvariantViolation(

@@ -4,12 +4,13 @@ algebra, how far a preantipode is from a coalgebra antimorphism."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
-from .preantipode import _counit_scalar, check_preantipode
+from .preantipode import _counit_forms, _counit_scalar, _form_sides, check_preantipode
 from .report import (Check, Report, _add, basis_tuples, check_identity, format_terms,
                      terms_equal)
 from .scalars import Scalar
@@ -29,18 +30,6 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
     s = data.s
     alpha = data.alpha.entries
     beta = data.beta.entries
-
-    def comultiplication(p):
-        lhs: dict = {}
-        rhs: dict = {}
-        for q, sq in s.column_terms(p):
-            for x, y, c in H.delta_terms(q):
-                _add(lhs, (x, y), sq * c)
-        for a, b, c0 in H.delta_terms(p):
-            for q1, s1 in s.column_terms(b):
-                for q2, s2 in s.column_terms(a):
-                    _add(rhs, (q1, q2), c0 * s1 * s2)
-        return lhs, rhs
 
     def left_contraction(p):
         lhs: dict = {}
@@ -70,16 +59,6 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
             _add(rhs, (u,), alpha[p] * cu)
         return lhs, rhs
 
-    def reassociator(p):
-        acc = H.field.zero
-        for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
-            coeff = c0 * beta[h2] * alpha[h4]
-            if not coeff:
-                continue
-            for q, sq in s.column_terms(h3):
-                acc = acc + coeff * sq * H.omega_at(h1, q, h5)
-        return acc, H.eps(p)
-
     def reassociator_inverse(p):
         acc = H.field.zero
         for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
@@ -93,15 +72,32 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
 
     n = H.dim
     return Report((
-        check_identity("antipode-comultiplication", basis_tuples(n), comultiplication),
+        check_identity("antipode-comultiplication", basis_tuples(n),
+                       partial(_antimorphism_sides, H, s)),
         check_identity("antipode-counit", basis_tuples(n),
                        lambda p: (_counit_scalar(H, s, p), H.eps(p))),
         check_identity("antipode-left-contraction", basis_tuples(n), left_contraction),
         check_identity("antipode-right-contraction", basis_tuples(n), right_contraction),
-        check_identity("antipode-reassociator", basis_tuples(n), reassociator),
+        # ω(h₁ ⊗ β(h₂)s(h₃)α(h₄) ⊗ h₅) = ε(h) is the preantipode identity at β∗s∗α
+        check_identity("antipode-reassociator", basis_tuples(n),
+                       partial(_form_sides, H, _sandwich(H, data), _counit_forms)),
         check_identity("antipode-reassociator-inverse", basis_tuples(n),
                        reassociator_inverse),
     ))
+
+
+def _antimorphism_sides(H: DualQuasiBialgebra, s: Matrix, p: int) -> tuple[dict, dict]:
+    """Δs(h) and s(h₂)⊗s(h₁) for h = e_p, as sparse vectors on H⊗H."""
+    coproduct: dict = {}
+    flipped: dict = {}
+    for q, sq in s.column_terms(p):
+        for x, y, c in H.delta_terms(q):
+            _add(coproduct, (x, y), sq * c)
+    for a, b, c0 in H.delta_terms(p):
+        for q1, s1 in s.column_terms(b):
+            for q2, s2 in s.column_terms(a):
+                _add(flipped, (q1, q2), c0 * s1 * s2)
+    return coproduct, flipped
 
 
 def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
@@ -159,15 +155,8 @@ def anti_homomorphism_defect(group: GroupData, H: DualQuasiBialgebra,
     for g in range(group.order):
         defect = H.omega_at(g, group.inv(g), g).inverse()
         defects.append(defect)
-        lhs: dict = {}
-        rhs: dict = {}
-        for a, b, c0 in H.delta_terms(g):
-            for q1, s1 in S.column_terms(b):
-                for q2, s2 in S.column_terms(a):
-                    _add(lhs, (q1, q2), c0 * s1 * s2)
-        for q, sq in S.column_terms(g):
-            for x, y, c in H.delta_terms(q):
-                _add(rhs, (x, y), defect * sq * c)
+        coproduct, lhs = _antimorphism_sides(H, S, g)
+        rhs = {key: defect * v for key, v in coproduct.items()}
         if terms_equal(lhs, rhs):
             checks.append(Check(f"antimorphism-defect[{g}]", True, (g,),
                                 str(defect), None))

@@ -3,7 +3,8 @@ and the table of its defining identities.
 
 Every reader of a module's structure (its validators and constructions, the
 adjunction maps and the retraction) reads one view of it, built on first use
-and kept on the module for the algebra it was built against.
+and kept on the module for the algebra it was built against.  The view also
+keeps M's coinvariant basis and its evaluation map once they are computed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class _View:
         self.at = None if act is None else tuple(
             tuple((j, code(v)) for j, v in act.column_terms(c)) for c in range(d * n))
         self.units = tuple((u, code(c)) for u, c in H.unit_terms())
-        self.identities = _identities(self)
+        # M's coinvariant basis and verified evaluation map, computed on first
+        # use by comodules.coinvariants and adjunction.adjunction_counit
+        self.coinvariants = self.evaluation = None
 
     def encode(self, terms):
         """(index, scalar) terms with each scalar replaced by its code."""
@@ -66,6 +69,12 @@ class _View:
                         for ltup, j2, c in mids for j3, b, c2 in self.rt[j2]
                         for rtup, c3 in power(b, nright)])
         return out
+
+    @cached_property
+    def identities(self) -> list:
+        """M's identity table (``_identities``), built on first use: a view
+        read only for M's coinvariants never needs it."""
+        return _identities(self)
 
     @cached_property
     def splits(self) -> list:

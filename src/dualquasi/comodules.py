@@ -193,5 +193,9 @@ def hhat(H: DualQuasiBialgebra) -> HopfBicomodule:
 
 
 def coinvariants(H: DualQuasiBialgebra, M: HopfBicomodule | Bicomodule) -> Subspace:
-    """The subspace {m : ρ^r(m) = m⊗1_H}, via an exact kernel computation."""
-    return Subspace.null_space(M.rho_r - trivial_right_coaction(H, M.dim))
+    """The subspace {m : ρ^r(m) = m⊗1_H}, via an exact kernel computation
+    made once per (H, M) and kept on M's coded view."""
+    view = _view(H, M)
+    if view.coinvariants is None:
+        view.coinvariants = Subspace.null_space(M.rho_r - trivial_right_coaction(H, M.dim))
+    return view.coinvariants

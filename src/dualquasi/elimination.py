@@ -139,21 +139,15 @@ class Subspace(Value):
     def rank(self) -> int:
         return self.basis.cols
 
-    def coordinates(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
-        """Coordinates of a vector in this basis, or None if it lies outside.
+    def coordinates(self, vectors: Matrix) -> Matrix | None:
+        """Coordinates of the columns of ``vectors`` in this basis, as the
+        columns of a rank×k matrix, or None if one of them lies outside.
 
         A vector of the null space is the sum of the basis vectors weighted by
         its own free coordinates."""
         B = self.basis
-        if len(vector) != B.rows:
-            raise DimensionMismatch(f"vector has {len(vector)} entries, ambient {B.rows}")
-        coords = tuple(vector[f] for f in self.free)
-        # the vector lies in the subspace when the basis maps coords back onto it
-        image = [B.field.zero] * B.rows
-        for j, c in enumerate(coords):
-            if c:
-                for i, b in B.column_terms(j):
-                    image[i] = image[i] + b * c
-        if image != list(vector):
-            return None
-        return coords
+        if vectors.rows != B.rows:
+            raise DimensionMismatch(f"vectors have {vectors.rows} entries, ambient {B.rows}")
+        coords = Matrix._of_rows(B.field, B.cols, vectors.cols, map(vectors.row_terms, self.free))
+        # the vectors lie in the subspace when the basis maps coords back onto them
+        return coords if B @ coords == vectors else None

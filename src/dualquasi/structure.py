@@ -33,17 +33,15 @@ class CoinvariantRetraction(Value):
         self._set(coinvariants, retraction, counit_inverse)
 
 
-def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
-                       coinv: Subspace | None = None):
-    """The five retraction verdicts, τ on every basis vector (as codes of M's
-    view) and the coinvariant basis (computed here unless given)."""
+def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
+    """The five retraction verdicts and τ on every basis vector (as codes of
+    M's view)."""
     _require_square(H, S)
     d, n = M.dim, H.dim
     view = _view(H, M)
     mul, put = view.codes.mul, view.codes.put
     lt, rt, at = view.lt, view.rt, view.at
-    if coinv is None:
-        coinv = coinvariants(H, M)
+    coinv = coinvariants(H, M)
 
     # τ(e_i) = ω[m₋₁ ⊗ S(m₁)₁ ⊗ m₂]·m₀S(m₁)₂ in M coordinates, for every i
     s_cols = [view.encode(S.column_terms(b)) for b in range(n)]
@@ -129,53 +127,45 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule,
             ("retraction-left-colinearity", (d,), left_colinearity),
             ("retraction-splits-counit", (d,), splits_counit),
             ("retraction-fixes-coinvariants", (coinv.rank, n), fixes_coinvariants))))
-    return report, tau, coinv
+    return report, tau
 
 
-def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, coinv: Subspace,
+def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule,
                         tau: list[dict]) -> tuple[Matrix, Matrix]:
     """τ in coinvariant coordinates (r×d) and ψ(m) = τ(m₀)⊗m₁ ((r·n)×d)."""
-    d, r = M.dim, coinv.rank
-    zero = H.field.zero
-    values = _view(H, M).codes.values
-    terms = []
-    for i in range(d):
-        vec = [zero] * d
-        for (j,), v in tau[i].items():
-            vec[j] = values[v]
-        coords = coinv.coordinates(vec)
-        assert coords is not None  # guaranteed by retraction-into-coinvariants
-        terms.extend((beta, i, v) for beta, v in enumerate(coords) if v)
-    retraction = Matrix.from_terms(H.field, r, d, terms)
+    d = M.dim
+    images = _view(H, M).matrix(d, d, ((j, i, v) for i in range(d) for (j,), v in tau[i].items()))
+    retraction = coinvariants(H, M).coordinates(images)
+    assert retraction is not None  # guaranteed by retraction-into-coinvariants
     return retraction, retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
 
 
-def _composites(H: DualQuasiBialgebra, eps: Matrix, psi: Matrix) -> tuple[Check, Check]:
-    """Whether ε∘ψ and ψ∘ε are identity matrices."""
+def _composites(H: DualQuasiBialgebra, M: HopfBicomodule, psi: Matrix) -> tuple[Check, Check]:
+    """Whether ε∘ψ and ψ∘ε are identity matrices, ε being M's evaluation map."""
+    eps = adjunction_counit(H, M)
     return (Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
             Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows)))
 
 
 def _verified_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, report: Report,
-                      tau: list[dict], coinv: Subspace) -> tuple[Matrix, Matrix, Matrix]:
-    """(retraction, ψ, ε) once the retraction identities and both composites
+                      tau: list[dict]) -> tuple[Matrix, Matrix]:
+    """(retraction, ψ) once the retraction identities and both composites
     hold; any failure raises InvariantViolation."""
     if not report.ok:
         bad = report.failures[0]
         raise InvariantViolation(
             f"retraction identity {bad.axiom} failed at witness {bad.witness}")
-    retraction, psi = _evaluation_inverse(H, M, coinv, tau)
-    eps = adjunction_counit(H, M, coinv)
-    after, before = _composites(H, eps, psi)
+    retraction, psi = _evaluation_inverse(H, M, tau)
+    after, before = _composites(H, M, psi)
     if not after.passed:
         raise InvariantViolation("evaluation ∘ inverse is not the identity")
     if not before.passed:
         raise InvariantViolation("inverse ∘ evaluation is not the identity")
-    return retraction, psi, eps
+    return retraction, psi
 
 
 def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
-                      coinv: Subspace | None = None, eps: Matrix | None = None) -> Report:
+                      inverse: bool = False) -> Report:
     """Per-identity verdicts for the retraction induced by S on M.
 
     Checks, in order: the image lies in the coinvariants, the module identity
@@ -184,28 +174,25 @@ def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
     identity, so matching verdicts across the two routes is itself a useful
     consistency signal.
 
-    ``coinv`` is the coinvariant basis when the caller already has it.  Given
-    also the evaluation map ``eps`` on that basis, the report goes on, once
-    the five identities hold, to whether ψ(m) = τ(m₀)⊗m₁ inverts it:
+    With ``inverse`` the report goes on, once the five identities hold, to
+    whether ψ(m) = τ(m₀)⊗m₁ inverts the evaluation map ε:
     ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit`` (ψ∘ε = id).
     """
-    report, tau, coinv = _retraction_pieces(H, S, M, coinv)
-    if eps is None or not report.ok:
+    report, tau = _retraction_pieces(H, S, M)
+    if not inverse or not report.ok:
         return report
-    _, psi = _evaluation_inverse(H, M, coinv, tau)
-    return Report(report.checks + _composites(H, eps, psi))
+    _, psi = _evaluation_inverse(H, M, tau)
+    return Report(report.checks + _composites(H, M, psi))
 
 
 def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
                            M: HopfBicomodule) -> CoinvariantRetraction:
     """The retraction in coinvariant coordinates plus the evaluation inverse.
 
-    Recomputes the coinvariant basis itself (never trusts a caller-supplied
-    one) so the codomain of the inverse matches the evaluation map exactly.
     Any failed identity raises InvariantViolation."""
-    report, tau, coinv = _retraction_pieces(H, S, M)
-    retraction, psi, _ = _verified_inverse(H, M, report, tau, coinv)
-    return CoinvariantRetraction(coinv, retraction, psi)
+    report, tau = _retraction_pieces(H, S, M)
+    retraction, psi = _verified_inverse(H, M, report, tau)
+    return CoinvariantRetraction(coinvariants(H, M), retraction, psi)
 
 
 def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
@@ -213,9 +200,9 @@ def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
     """The mutually inverse pair (evaluation M^coH⊗H → M, its inverse ψ).
 
     Both composites are verified to be identity matrices, exactly."""
-    report, tau, coinv = _retraction_pieces(H, S, M)
-    _, psi, eps = _verified_inverse(H, M, report, tau, coinv)
-    return eps, psi
+    report, tau = _retraction_pieces(H, S, M)
+    _, psi = _verified_inverse(H, M, report, tau)
+    return adjunction_counit(H, M), psi
 
 
 # -- comparison with the antipode-based projection -------------------------------
@@ -234,7 +221,7 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
 
     S = _sandwich(H, data)
     d, n = M.dim, H.dim
-    retraction_checks, tau, coinv = _retraction_pieces(H, S, M)
+    retraction_checks, tau = _retraction_pieces(H, S, M)
     view = _view(H, M)
     mul, put = view.codes.mul, view.codes.put
     s_cols = [view.encode(data.s.column_terms(b)) for b in range(n)]
@@ -273,9 +260,9 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     report = Report((check_identity("retraction-projection-formula", basis_tuples(d),
                                     projection_formula, view.codes.values),))
 
-    _, psi, _ = _verified_inverse(H, M, retraction_checks, tau, coinv)
+    _, psi = _verified_inverse(H, M, retraction_checks, tau)
     gamma_matrix = view.matrix(d * n, d, (
         (j2 * n + b, i, mul(c, v))
         for i in range(d) for j, b, c in view.rt[i] for (j2,), v in proj[j].items()))
-    embedded_psi = coinv.basis.kron(Matrix.identity(H.field, n)) @ psi
+    embedded_psi = coinvariants(H, M).basis.kron(Matrix.identity(H.field, n)) @ psi
     return report, gamma_matrix == embedded_psi

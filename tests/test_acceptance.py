@@ -130,7 +130,7 @@ def test_criterion_05_structure_theorem_negative():
     no_preantipode = solve_preantipode(H) is None
     M = hhat(H)
     coinv = coinvariants(H, M)
-    eps = adjunction_counit(H, M, coinv)
+    eps = adjunction_counit(H, M)
     not_bijective = (coinv.rank * H.dim != M.dim) or rank(eps) != M.dim
     record("criterion 5: control algebra fails on both certificates",
            no_preantipode and not_bijective,

@@ -204,13 +204,22 @@ def test_null_space_coordinates_read_the_free_entries():
     assert [V.basis.column_list(k) for k in range(V.rank)] == \
         [[q(2), q(1), q(0), q(0)], [q(-1), q(0), q(-3), q(1)]] == \
         [list(v) for v in kernel(A)]
+
+    def column(*xs):
+        return Matrix.column_vector(Q, [q(x) for x in xs])
+
     # 3·b₀ − 2·b₁ = (8, 3, 6, −2)
-    assert V.coordinates([q(8), q(3), q(6), q(-2)]) == (q(3), q(-2))
-    assert V.coordinates([Q.zero] * 4) == (Q.zero, Q.zero)
+    assert V.coordinates(column(8, 3, 6, -2)) == column(3, -2)
+    assert V.coordinates(column(0, 0, 0, 0)) == column(0, 0)
+    # several vectors at once: one coordinate column each
+    both = Matrix.from_rows(Q, [[q(8), q(0)], [q(3), q(0)], [q(6), q(0)], [q(-2), q(0)]])
+    assert V.coordinates(both) == Matrix.from_rows(Q, [[q(3), q(0)], [q(-2), q(0)]])
     # the free entries of a vector outside the null space still read as
-    # coordinates, and the image check rejects them
-    assert V.coordinates([q(8), q(3), q(6), q(-1)]) is None
-    assert V.coordinates([q(1), q(0), q(0), q(0)]) is None
+    # coordinates, and the image check rejects them, also beside a vector inside
+    assert V.coordinates(column(8, 3, 6, -1)) is None
+    assert V.coordinates(column(1, 0, 0, 0)) is None
+    outside = Matrix.from_rows(Q, [[q(8), q(1)], [q(3), q(0)], [q(6), q(0)], [q(-2), q(0)]])
+    assert V.coordinates(outside) is None
 
 
 def test_coinvariants_of_shifted_coaction_vanish():
@@ -292,6 +301,22 @@ def test_counit_morphism_check_fires_on_broken_action():
     bad = HopfBicomodule(4, M.rho_l, M.rho_r, untwisted)
     with _pytest.raises(InvariantViolation):
         adjunction_counit(H, bad)
+
+
+def test_kept_evaluation_map_follows_the_algebra():
+    # M's coinvariants and evaluation map are kept for the algebra they were
+    # computed against; another algebra of the same size computes its own
+    from dualquasi import cyclic_group_example
+    from dualquasi.errors import InvariantViolation
+
+    field = Field.cyclotomic(4)
+    H1 = cyclic_group_example(4, 1, field).dqb
+    H2 = cyclic_group_example(4, 0, field).dqb
+    M = hhat(H1)
+    eps = adjunction_counit(H1, M)
+    with pytest.raises(InvariantViolation, match="evaluation map is not right linear"):
+        adjunction_counit(H2, M)
+    assert adjunction_counit(H1, M) == eps
 
 
 # -- reference evaluation of the three action identities -----------------------------

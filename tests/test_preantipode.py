@@ -282,7 +282,7 @@ def test_structure_negative_on_control():
     M = hhat(H)
     coinv = coinvariants(H, M)
     assert coinv.rank == 1  # only 1⊗1 survives the coinvariance condition
-    eps = adjunction_counit(H, M, coinv)
+    eps = adjunction_counit(H, M)
     assert eps.rows == 4 and eps.cols == 2  # cannot be bijective
     assert rank(eps) == 2
 
@@ -348,18 +348,51 @@ def test_retraction_report_flags_zero_map():
 def test_retraction_report_with_evaluation_map_adds_composites():
     ex = example("cyclic_3_r1")
     H, M = ex.dqb, hhat(ex.dqb)
-    coinv = coinvariants(H, M)
-    eps = adjunction_counit(H, M, coinv)
     plain = retraction_report(H, ex.preantipode, M)
-    full = retraction_report(H, ex.preantipode, M, coinv=coinv, eps=eps)
+    full = retraction_report(H, ex.preantipode, M, inverse=True)
     assert full.checks[:5] == plain.checks
     assert [(c.axiom, c.passed) for c in full.checks[5:]] == [
         ("counit-after-inverse", True), ("inverse-after-counit", True)]
     # the composites need τ to land in the coinvariants, so a failing
     # retraction stops the report after its five identities
     zero = Matrix.zeros(H.field, 3, 3)
-    assert (retraction_report(H, zero, M, coinv=coinv, eps=eps)
+    assert (retraction_report(H, zero, M, inverse=True)
             == retraction_report(H, zero, M))
+
+
+def test_structure_entry_points_compute_coinvariants_and_evaluation_map_once(monkeypatch):
+    # M's coded view keeps its coinvariant basis and its verified evaluation
+    # map, so four entry points on one (H, M) eliminate once and build ε once
+    import dualquasi.adjunction
+    from dualquasi import coinvariant_comodule, cyclic_group_example
+    from dualquasi.elimination import Subspace
+
+    null_space = Subspace.null_space.__func__
+    eliminations = []
+
+    def counted_null_space(cls, A):
+        eliminations.append(A.cols)
+        return null_space(cls, A)
+
+    check_identity = dualquasi.adjunction.check_identity
+    verified = []
+
+    def counted_check(axiom, *args):
+        verified.append(axiom)
+        return check_identity(axiom, *args)
+
+    monkeypatch.setattr(Subspace, "null_space", classmethod(counted_null_space))
+    monkeypatch.setattr(dualquasi.adjunction, "check_identity", counted_check)
+    ex = cyclic_group_example(8, 1)
+    H, M = ex.dqb, hhat(ex.dqb)
+    S = solve_preantipode(H).particular
+    structure_isomorphism(H, S, M)
+    coinvariant_retraction(H, S, M)
+    retraction_report(H, S, M)
+    coinvariant_comodule(H, M)
+    assert len(eliminations) == 1
+    # each build of ε ends with its right linearity
+    assert verified.count("action-quasi-associativity") == 1
 
 
 # -- reference evaluation of the five retraction identities ---------------------------
