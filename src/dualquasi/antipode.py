@@ -10,7 +10,8 @@ from typing import TYPE_CHECKING
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import Matrix
-from .preantipode import _counit_forms, _counit_scalar, _form_sides, check_preantipode
+from .preantipode import (_counit_forms, _form_sides, _scalar_compat_sides,
+                          check_preantipode)
 from .report import (Check, Report, _add, basis_tuples, check_identity, format_terms,
                      terms_equal)
 from .scalars import Scalar
@@ -25,59 +26,37 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
         Δs(h) = s(h₂)⊗s(h₁),  εs = ε,
         h₁β(h₂)s(h₃) = β(h)1_H,  s(h₁)α(h₂)h₃ = α(h)1_H,
         ω(h₁ ⊗ β(h₂)s(h₃)α(h₄) ⊗ h₅) = ε(h) = ω⁻¹(s(h₁) ⊗ α(h₂)h₃β(h₄) ⊗ s(h₅)).
-    """
+
+    The last four read convolutions of s or id with α, β or ε: the
+    contractions are the preantipode layer's h₁·(β∗s)(h₂) and s(h₁)·(α∗id)(h₂),
+    and the reassociator identities take β∗s∗α and α∗id∗β."""
     _require_square(H, data.s)
-    s = data.s
-    alpha = data.alpha.entries
-    beta = data.beta.entries
-
-    def left_contraction(p):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b, c), c0 in H.delta_power(p, 3):
-            coeff = c0 * beta[b]
-            if not coeff:
-                continue
-            for q, sq in s.column_terms(c):
-                for w, cm in H.mul_terms(a, q):
-                    _add(lhs, (w,), coeff * sq * cm)
-        for u, cu in H.unit_terms():
-            _add(rhs, (u,), beta[p] * cu)
-        return lhs, rhs
-
-    def right_contraction(p):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b, c), c0 in H.delta_power(p, 3):
-            coeff = c0 * alpha[b]
-            if not coeff:
-                continue
-            for q, sq in s.column_terms(a):
-                for w, cm in H.mul_terms(q, c):
-                    _add(lhs, (w,), coeff * sq * cm)
-        for u, cu in H.unit_terms():
-            _add(rhs, (u,), alpha[p] * cu)
-        return lhs, rhs
+    s, alpha, beta, eps = data.s, data.alpha, data.beta, H.counit
+    n = H.dim
+    identity, eps_s = Matrix.identity(H.field, n), eps @ s
+    middle = _convolution(H, alpha, identity, beta)
 
     def reassociator_inverse(p):
+        """ω⁻¹(s(h₁) ⊗ (α∗id∗β)(h₂) ⊗ s(h₃))"""
         acc = H.field.zero
-        for (h1, h2, h3, h4, h5), c0 in H.delta_power(p, 5):
-            coeff = c0 * alpha[h2] * beta[h4]
-            if not coeff:
-                continue
-            for q1, s1 in s.column_terms(h1):
-                for q2, s2 in s.column_terms(h5):
-                    acc = acc + coeff * s1 * s2 * H.omega_inv_at(q1, h3, q2)
+        for (h1, h2, h3), c0 in H.delta_power(p, 3):
+            for q2, c2 in middle.column_terms(h2):
+                for q1, s1 in s.column_terms(h1):
+                    for q3, s3 in s.column_terms(h3):
+                        acc = acc + c0 * c2 * s1 * s3 * H.omega_inv_at(q1, q2, q3)
         return acc, H.eps(p)
 
-    n = H.dim
     return Report((
         check_identity("antipode-comultiplication", basis_tuples(n),
                        partial(_antimorphism_sides, H, s)),
         check_identity("antipode-counit", basis_tuples(n),
-                       lambda p: (_counit_scalar(H, s, p), H.eps(p))),
-        check_identity("antipode-left-contraction", basis_tuples(n), left_contraction),
-        check_identity("antipode-right-contraction", basis_tuples(n), right_contraction),
+                       lambda p: (eps_s.entries[p], H.eps(p))),
+        check_identity("antipode-left-contraction", basis_tuples(n),
+                       partial(_scalar_compat_sides, H, identity,
+                               _convolution(H, beta, s, eps), beta)),
+        check_identity("antipode-right-contraction", basis_tuples(n),
+                       partial(_scalar_compat_sides, H, s,
+                               _convolution(H, alpha, identity, eps), alpha)),
         # ω(h₁ ⊗ β(h₂)s(h₃)α(h₄) ⊗ h₅) = ε(h) is the preantipode identity at β∗s∗α
         check_identity("antipode-reassociator", basis_tuples(n),
                        partial(_form_sides, H, _sandwich(H, data), _counit_forms)),
@@ -100,20 +79,25 @@ def _antimorphism_sides(H: DualQuasiBialgebra, s: Matrix, p: int) -> tuple[dict,
     return coproduct, flipped
 
 
-def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
-    """The convolution β∗s∗α as a matrix: S(h) = β(h₁)·s(h₂)·α(h₃)."""
+def _convolution(H: DualQuasiBialgebra, f: Matrix, X: Matrix, g: Matrix) -> Matrix:
+    """The map h ↦ f(h₁)·X(h₂)·g(h₃) as a matrix, for functionals f and g (ε
+    among them) and a linear map X."""
     n = H.dim
-    alpha = data.alpha.entries
-    beta = data.beta.entries
+    fe, ge = f.entries, g.entries
     terms = []
     for p in range(n):
         for (a, b, c), c0 in H.delta_power(p, 3):
-            coeff = c0 * beta[a] * alpha[c]
+            coeff = c0 * fe[a] * ge[c]
             if not coeff:
                 continue
-            for q, sq in data.s.column_terms(b):
-                terms.append((q, p, coeff * sq))
+            for q, xq in X.column_terms(b):
+                terms.append((q, p, coeff * xq))
     return Matrix.from_terms(H.field, n, n, terms)
+
+
+def _sandwich(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:
+    """The convolution β∗s∗α as a matrix: S(h) = β(h₁)·s(h₂)·α(h₃)."""
+    return _convolution(H, data.beta, data.s, data.alpha)
 
 
 def preantipode_from_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Matrix:

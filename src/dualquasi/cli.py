@@ -226,16 +226,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"FAIL {exc}")
         return 1
-    except (DimensionMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DocumentError, DimensionMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,14 +35,13 @@ class _View:
         code = self.codes.code
         d, n = M.dim, H.dim
         # ρ^l(e_j) = Σ c·e_a⊗e_i as lt[j] ∋ (a, i, c); ρ^r(e_j) = Σ c·e_i⊗e_a as
-        # rt[j] ∋ (i, a, c); e_i·e_a = Σ c·e_j as at[i·n+a] ∋ (j, c)
+        # rt[j] ∋ (i, a, c)
         self.lt = tuple(tuple((row // d, row % d, code(v)) for row, v in M.rho_l.column_terms(j))
                         for j in range(d))
         self.rt = None if rho_r is None else tuple(
             tuple((row // n, row % n, code(v)) for row, v in rho_r.column_terms(j))
             for j in range(d))
-        self.at = None if act is None else tuple(
-            tuple((j, code(v)) for j, v in act.column_terms(c)) for c in range(d * n))
+        self._act = act
         self.units = tuple((u, code(c)) for u, c in H.unit_terms())
         # M's coinvariant basis and verified evaluation map, computed on first
         # use by comodules.coinvariants and adjunction.adjunction_counit
@@ -69,6 +68,16 @@ class _View:
                         for ltup, j2, c in mids for j3, b, c2 in self.rt[j2]
                         for rtup, c3 in power(b, nright)])
         return out
+
+    @cached_property
+    def at(self) -> tuple | None:
+        """e_i·e_a = Σ c·e_j as at[i·n+a] ∋ (j, c), or None without an
+        action; coded on first read, since a view read only for M's
+        coinvariants never needs it."""
+        act, code = self._act, self.codes.code
+        return None if act is None else tuple(
+            tuple((j, code(v)) for j, v in act.column_terms(c))
+            for c in range(self.dim * self.H.dim))
 
     @cached_property
     def identities(self) -> list:

@@ -128,7 +128,6 @@ class DualQuasiBialgebra:
         self._unit_terms = tuple(unit.column_terms(0))
         self._delta_powers: dict[tuple[int, int], tuple] = {}
         self._split_tables: dict[int, tuple] = {}
-        self._counit_powers: dict[int, Matrix] = {}
         if omega_inv is None:
             from .convolutions import convolution_inverse
 
@@ -240,16 +239,10 @@ class DualQuasiBialgebra:
 
     def counit_power(self, k: int) -> Matrix:
         """The functional ε⊗…⊗ε on the k-th tensor power of H."""
-        cached = self._counit_powers.get(k)
-        if cached is not None:
-            return cached
-        n = self.dim
         values = [self.field.one]
         for _ in range(k):
-            values = [v * self.eps(i) for v in values for i in range(n)]
-        result = Matrix.row_vector(self.field, values)
-        self._counit_powers[k] = result
-        return result
+            values = [v * e for v in values for e in self.counit.entries]
+        return Matrix.row_vector(self.field, values)
 
     def __repr__(self) -> str:
         return f"<DualQuasiBialgebra dim={self.dim} over {self.field!r}>"

@@ -115,12 +115,11 @@ class _ScalarReader:
         return value
 
 
-def _index(value, dim: int, location: str) -> int:
+def _index_error(value, dim: int, location: str) -> DocumentError:
+    """The error for an index that failed the fast check in ``_sparse_matrix``."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError("index must be an integer", location)
-    if not 0 <= value < dim:
-        raise DocumentError(f"index out of range: {value} not in [0, {dim})", location)
-    return value
+        return DocumentError("index must be an integer", location)
+    return DocumentError(f"index out of range: {value} not in [0, {dim})", location)
 
 
 def _dense_row(read: _ScalarReader, values, length: int, location: str) -> list[Scalar]:
@@ -132,8 +131,6 @@ def _dense_row(read: _ScalarReader, values, length: int, location: str) -> list[
 def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
                    rows: int, cols: int, location: str,
                    allow_duplicates: bool) -> Matrix:
-    if not isinstance(entries, list):
-        raise DocumentError("expected a list of sparse entries", location)
     terms = []
     seen: set[tuple[int, ...]] = set()
     width = len(dims) + 1
@@ -145,7 +142,7 @@ def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
         idx = tuple(entry[:-1])
         for v, d in zip(idx, dims):
             if type(v) is not int or not 0 <= v < d:
-                _index(v, d, f"{location}[{pos}]")
+                raise _index_error(v, d, f"{location}[{pos}]")
         if not allow_duplicates:
             if idx in seen:
                 raise DocumentError(f"duplicate entry for indices {list(idx)}",
@@ -222,7 +219,7 @@ def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
 
 
 def _dense_matrix(read: _ScalarReader, rows, n: int, location: str) -> Matrix:
-    if not isinstance(rows, list) or len(rows) != n:
+    if len(rows) != n:
         raise DocumentError(f"expected {n} rows", location)
     flat: list[Scalar] = []
     for i, row in enumerate(rows):

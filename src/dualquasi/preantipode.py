@@ -97,48 +97,44 @@ def _form_sides(H, S, forms, p):
     return (lhs[()], rhs[()]) if () in rhs else (lhs, rhs)
 
 
-def _counit_scalar(H, S, i) -> Scalar:
-    acc = H.field.zero
-    for q, sq in S.column_terms(i):
-        acc = acc + sq * H.eps(q)
-    return acc
-
-
-def _scalar_compat_sides(H, S, left: bool, p):
-    """h₁S(h₂)  (resp. S(h₁)h₂)  vs  εS(h)·1_H, for h = e_p.
-
-    These follow from the two coaction identities by applying the counit to
-    one leg; they are checked as a derived consistency suite."""
-    lhs: dict = {}
-    rhs: dict = {}
+def _contraction(H, A, B, p) -> dict:
+    """Σ A(h₁)·B(h₂) for h = e_p, a sparse vector on H; ``Matrix.identity``
+    stands in for a bare leg."""
+    out: dict = {}
     for a, b, c0 in H.delta_terms(p):
-        if left:
-            for q, sq in S.column_terms(b):
-                for w, cm in H.mul_terms(a, q):
-                    _add(lhs, (w,), c0 * sq * cm)
-        else:
-            for q, sq in S.column_terms(a):
-                for w, cm in H.mul_terms(q, b):
-                    _add(lhs, (w,), c0 * sq * cm)
-    t = _counit_scalar(H, S, p)
-    for u, cu in H.unit_terms():
-        _add(rhs, (u,), t * cu)
-    return lhs, rhs
+        for qa, va in A.column_terms(a):
+            ca = c0 * va
+            for qb, vb in B.column_terms(b):
+                cab = ca * vb
+                for w, cm in H.mul_terms(qa, qb):
+                    _add(out, (w,), cab * cm)
+    return out
+
+
+def _unit_times(H, t: Scalar) -> dict:
+    """t·1_H as a sparse vector on H."""
+    return {(u,): t * cu for u, cu in H.unit_terms()}
+
+
+def _scalar_compat_sides(H, A, B, t: Matrix, p):
+    """Σ A(h₁)·B(h₂)  vs  t(h)·1_H, for h = e_p and a functional t."""
+    return _contraction(H, A, B, p), _unit_times(H, t.entries[p])
 
 
 def check_preantipode(H: DualQuasiBialgebra, S: Matrix) -> Report:
     """Evaluate the three defining identities of a preantipode, plus the
-    derived scalar compatibilities, on every basis element of H."""
+    derived scalar compatibilities h₁S(h₂) = εS(h)·1_H = S(h₁)h₂, which
+    follow from the two coaction identities by applying the counit to one
+    leg, on every basis element of H."""
     _require_square(H, S)
     n = H.dim
+    identity, eps_s = Matrix.identity(H.field, n), H.counit @ S
     return Report(tuple(
         check_identity(axiom, basis_tuples(n), partial(_form_sides, H, S, forms))
-        for axiom, forms in _DEFINING) + (
-        check_identity("preantipode-counit-left", basis_tuples(n),
-                       partial(_scalar_compat_sides, H, S, True)),
-        check_identity("preantipode-counit-right", basis_tuples(n),
-                       partial(_scalar_compat_sides, H, S, False)),
-    ))
+        for axiom, forms in _DEFINING) + tuple(
+        check_identity(axiom, basis_tuples(n), partial(_scalar_compat_sides, H, A, B, eps_s))
+        for axiom, A, B in (("preantipode-counit-left", identity, S),
+                            ("preantipode-counit-right", S, identity))))
 
 
 def solve_preantipode(H: DualQuasiBialgebra) -> PreantipodeFamily | None:

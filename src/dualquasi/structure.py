@@ -211,13 +211,13 @@ def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
 def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
                              M: HopfBicomodule) -> tuple[Report, bool]:
     """For S = β∗s∗α, verify τ(m) = ω(m₋₁⊗s(m₁)⊗m₃)·P(m₀)·α(m₂) on every
-    basis element, where P(m) = m₀β(m₁)s(m₂) is the antipode-based projection.
+    basis element, where P(m) = m₀·(β∗s)(m₁) is the antipode-based projection.
 
     Also reports (as the returned boolean, not as a failure) whether the
     candidate inverse γ(m) = P(m₀)⊗m₁ coincides with the actual inverse ψ;
     the two agree when α = ε and the reassociator twists are trivial."""
     # no command calls this, so structure-theorem never loads the antipode module
-    from .antipode import _sandwich
+    from .antipode import _convolution, _sandwich
 
     S = _sandwich(H, data)
     d, n = M.dim, H.dim
@@ -226,19 +226,17 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     mul, put = view.codes.mul, view.codes.put
     s_cols = [view.encode(data.s.column_terms(b)) for b in range(n)]
     alpha = view.codes.encode(data.alpha.entries)
-    beta = view.codes.encode(data.beta.entries)
+    beta_s = _convolution(H, data.beta, data.s, H.counit)
+    beta_s_cols = [view.encode(beta_s.column_terms(b)) for b in range(n)]
 
-    # P(e_i) = Σ β(m₁)·m₀·s(m₂)
+    # P(e_i) = Σ m₀·(β∗s)(m₁)
     proj = []
-    for terms in view.sweedler(0, 2):
+    for terms in view.sweedler(0, 1):
         acc: dict = {}
-        for _, j, (b1, b2), c in terms:
-            coeff = mul(c, beta[b1])
-            if not coeff:
-                continue
-            for q, sq in s_cols[b2]:
+        for _, j, (b,), c in terms:
+            for q, v in beta_s_cols[b]:
                 for j2, ca in view.at[j * n + q]:
-                    put(acc, (j2,), mul(mul(coeff, sq), ca))
+                    put(acc, (j2,), mul(mul(c, v), ca))
         proj.append(clean_terms(acc))
 
     sweedlers = view.sweedler(1, 3)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from dualquasi import (Bicomodule, DualQuasiBialgebra, Field,
-                       HopfBicomodule, LeftComodule, Matrix, Subspace,
-                       adjunction_counit, adjunction_unit, coinvariants,
-                       free_hopf_bicomodule, hhat, induce_bicomodule, kernel, rank,
-                       regular_bicomodule, trivial_left_coaction,
+from dualquasi import (Bicomodule, Check, DimensionMismatch, DualQuasiBialgebra, Field,
+                       HopfBicomodule, InvariantViolation, LeftComodule, Matrix, Report,
+                       Subspace, adjunction_counit, adjunction_unit, coinvariant_comodule,
+                       coinvariants, free_hopf_bicomodule, hhat, induce_bicomodule, kernel,
+                       rank, regular_bicomodule, trivial_left_coaction,
                        trivial_right_coaction, validate_bicomodule,
                        validate_left_comodule)
 
@@ -75,7 +75,10 @@ def test_structure_over_another_field_is_rejected():
         parts[key] = Matrix.from_terms(F, m.rows, m.cols, [
             (r, c, F.from_fraction(v.coeffs[0])) for r in range(m.rows) for c, v in m.row_terms(r)])
         bad = HopfBicomodule(M.dim, **parts)
-        if key != "rho_l":  # a foreign left coaction is a "dimensions" failure
+        if key == "rho_l":  # a foreign left coaction is a "dimensions" failure
+            assert validate_bicomodule(H, bad) == Report((Check(
+                "dimensions", False, None, f"structure over {F!r}", f"H over {H.field!r}"),))
+        else:
             with pytest.raises(ValueError, match="scalars from different fields"):
                 validate_bicomodule(H, bad)
         with pytest.raises(ValueError, match="scalars from different fields"):
@@ -88,6 +91,20 @@ def test_dimension_mismatch_is_a_distinct_failure():
     report = validate_bicomodule(ex3.dqb, hhat(ex2.dqb))
     assert [c.axiom for c in report.checks] == ["dimensions"]
     assert not report.ok
+
+
+def test_constructions_reject_invalid_input():
+    H2, H3 = example("cyclic_2_r1").dqb, example("cyclic_3_r0").dqb
+    with pytest.raises(DimensionMismatch, match="^coactions over H of dimension 2$"):
+        free_hopf_bicomodule(H3, regular_bicomodule(H2))
+    two = H2.field.from_fraction(2)
+    doubled = Matrix.from_terms(H2.field, 4, 2, [
+        (r, c, two * v) for r in range(4) for c, v in H2.delta.row_terms(r)])
+    with pytest.raises(InvariantViolation,
+                       match="^input coactions invalid: right-coassociativity$"):
+        free_hopf_bicomodule(H2, Bicomodule(2, H2.delta, doubled))
+    with pytest.raises(InvariantViolation, match="^input comodule invalid: left-coassociativity$"):
+        induce_bicomodule(H2, LeftComodule(1, Matrix.column_vector(H2.field, [two, H2.field.zero])))
 
 
 def test_random_inputs_validate():
@@ -229,6 +246,23 @@ def test_coinvariants_of_shifted_coaction_vanish():
     rho_r = Matrix.from_terms(H.field, 2, 1, [(1, 0, H.field.one)])
     M = Bicomodule(1, trivial_left_coaction(H, 1), rho_r)
     assert coinvariants(H, M).rank == 0
+    with pytest.raises(ValueError, match="^the coinvariants are zero; there is no comodule"):
+        coinvariant_comodule(H, M)
+
+
+def test_coinvariants_leave_the_action_uncoded():
+    # the coinvariants read only ρ^r, so the induced V⊗H that adjunction_unit
+    # builds codes none of its d·n action columns; the view codes them on
+    # first read of the table
+    from dualquasi.coded import _view
+
+    ex = example("cyclic_4_r1")
+    V = random_left_comodule(ex.dqb, ex.group, random.Random(5))
+    FV = induce_bicomodule(ex.dqb, V)
+    coinvariants(ex.dqb, FV)
+    view = _view(ex.dqb, FV)
+    assert "at" not in view.__dict__
+    assert len(view.at) == FV.dim * ex.dqb.dim
 
 
 def test_induced_coinvariants_have_comodule_dimension():

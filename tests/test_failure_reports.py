@@ -1,8 +1,8 @@
 """First-failure reports of every axiom suite, pinned byte for byte.
 
-Each case corrupts one structure constant of a valid example (Δ, m, ω or the
-unit of an algebra; ρˡ, ρʳ or the action of a bicomodule; one entry of S, s,
-α or β; one value of a cocycle) so that several identities fail, most of them
+Each case corrupts one structure constant of a valid example (Δ, ε, m, ω or
+the unit of an algebra; ρˡ, ρʳ or the action of a bicomodule; one entry of S,
+s, α or β; one value of a cocycle) so that several identities fail, most of them
 at a witness other than the first basis tuple.  The whole json-lines report
 is compared, so witness order, rendered values and PASS lines are all fixed.
 """
@@ -68,6 +68,11 @@ def dqb_mul_sweedler():
 def dqb_omega():
     H = _cyclic(3, 1).dqb
     return validate_dqb(_with(H, omega=_set(H.omega, 0, (2 * 3 + 1) * 3 + 1, H.field.zeta(1))))
+
+
+def dqb_counit():
+    H, _ = sweedler_four_dim_hopf()
+    return validate_dqb(_with(H, counit=_set(H.counit, 0, 3, H.field.one)))
 
 
 def dqb_unit():
@@ -138,6 +143,18 @@ def antipode_s_sweedler():
                                           data.alpha, data.beta))
 
 
+def antipode_alpha_sweedler():
+    H, data = sweedler_four_dim_hopf()
+    return check_antipode(H, AntipodeData(data.s, _set(data.alpha, 0, 1, _num(H, 3)),
+                                          data.beta))
+
+
+def antipode_beta_sweedler():
+    H, data = sweedler_four_dim_hopf()
+    return check_antipode(H, AntipodeData(data.s, data.alpha,
+                                          _set(data.beta, 0, 3, _num(H, 2))))
+
+
 def retraction_zero():
     H = _cyclic(2, 1).dqb
     return retraction_report(H, Matrix.zeros(H.field, 2, 2), _hhat(2, 1))
@@ -192,10 +209,11 @@ def antipode_rescaled():
     return check_antipode(_cyclic(3, 1).dqb, _rescaled_antipode())
 
 
-CASES = [dqb_delta, dqb_mul, dqb_mul_sweedler, dqb_omega, dqb_unit,
+CASES = [dqb_delta, dqb_mul, dqb_mul_sweedler, dqb_omega, dqb_counit, dqb_unit,
          left_comodule_rho_l, bicomodule_rho_l, bicomodule_rho_r, bicomodule_act,
          preantipode_entry, preantipode_entry_sweedler,
-         antipode_s, antipode_alpha, antipode_beta, antipode_s_sweedler, antipode_rescaled,
+         antipode_s, antipode_alpha, antipode_beta, antipode_s_sweedler,
+         antipode_alpha_sweedler, antipode_beta_sweedler, antipode_rescaled,
          retraction_zero, retraction_perturbed, retraction_dropped_entry,
          cocycle_value, cocycle_zero_and_unnormalized, projection_formula]
 
@@ -265,6 +283,23 @@ EXPECTED = {
         '{"axiom": "cocycle-normalization-left", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "cocycle-normalization-middle", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "cocycle-normalization-right", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "quasi-associativity", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "unit-left", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "unit-right", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+    ],
+    'dqb_counit': [
+        '{"axiom": "coassociativity", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "counit-left", "pass": false, "witness": [3], "lhs": "1*e(1) + 1*e(3)", "rhs": "1*e(3)"}',
+        '{"axiom": "counit-right", "pass": false, "witness": [3], "lhs": "1*e(0) + 1*e(3)", "rhs": "1*e(3)"}',
+        '{"axiom": "multiplication-comultiplicative", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "multiplication-counital", "pass": false, "witness": [1, 2], "lhs": "1", "rhs": "0"}',
+        '{"axiom": "unit-comultiplicative", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "unit-counital", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "reassociator-invertible", "pass": false, "witness": [0, 0, 3], "lhs": "0", "rhs": "1"}',
+        '{"axiom": "cocycle-identity", "pass": false, "witness": [0, 0, 0, 3], "lhs": "0", "rhs": "1"}',
+        '{"axiom": "cocycle-normalization-left", "pass": false, "witness": [0, 3], "lhs": "0", "rhs": "1"}',
+        '{"axiom": "cocycle-normalization-middle", "pass": false, "witness": [0, 3], "lhs": "0", "rhs": "1"}',
+        '{"axiom": "cocycle-normalization-right", "pass": false, "witness": [0, 3], "lhs": "0", "rhs": "1"}',
         '{"axiom": "quasi-associativity", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "unit-left", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "unit-right", "pass": true, "witness": null, "lhs": null, "rhs": null}',
@@ -368,6 +403,22 @@ EXPECTED = {
         '{"axiom": "antipode-right-contraction", "pass": false, "witness": [3], "lhs": "-1*e(3)", "rhs": "0"}',
         '{"axiom": "antipode-reassociator", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "antipode-reassociator-inverse", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+    ],
+    'antipode_alpha_sweedler': [
+        '{"axiom": "antipode-comultiplication", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-counit", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-left-contraction", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-right-contraction", "pass": false, "witness": [2], "lhs": "2*e(3)", "rhs": "0"}',
+        '{"axiom": "antipode-reassociator", "pass": false, "witness": [1], "lhs": "3", "rhs": "1"}',
+        '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [1], "lhs": "3", "rhs": "1"}',
+    ],
+    'antipode_beta_sweedler': [
+        '{"axiom": "antipode-comultiplication", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-counit", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [3], "lhs": "2*e(1)", "rhs": "2*e(0)"}',
+        '{"axiom": "antipode-right-contraction", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-reassociator", "pass": false, "witness": [3], "lhs": "2", "rhs": "0"}',
+        '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [3], "lhs": "2", "rhs": "0"}',
     ],
     'antipode_rescaled': [
         '{"axiom": "antipode-comultiplication", "pass": false, "witness": [1], "lhs": "2*e(2,2)", "rhs": "4*e(2,2)"}',

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from dualquasi import (AntipodeData, Field, Matrix,
+from dualquasi import (AntipodeData, DimensionMismatch, Field, Matrix,
                        adjunction_counit, anti_homomorphism_defect,
                        check_antipode, check_preantipode,
                        check_projection_formula, coinvariant_retraction,
                        coinvariants, hhat, induce_bicomodule, inverse,
                        free_hopf_bicomodule, preantipode_from_antipode, rank,
-                       retraction_report, solve_preantipode,
+                       retraction_report, serialize_report, solve_preantipode,
                        structure_isomorphism)
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
@@ -333,6 +333,18 @@ def test_antihomomorphism_defects():
     assert report.ok
     i = ex4.dqb.field.zeta(1)
     assert defects == [ex4.dqb.field.one, i ** 3, i ** 2, i]
+
+    with pytest.raises(DimensionMismatch, match="^group order disagrees with the algebra dimension$"):
+        anti_homomorphism_defect(ex0.group, ex.dqb, ex.preantipode)
+    # the identity map is not a preantipode of cyclic 2 r=1: at the generator
+    # S(g₂)⊗S(g₁) = g⊗g, but the defect −1 scales ΔS(g) to −g⊗g
+    report, defects = anti_homomorphism_defect(ex.group, ex.dqb, Matrix.identity(Q, 2))
+    assert serialize_report(report, "json-lines").splitlines() == [
+        '{"axiom": "antimorphism-defect[0]", "pass": true, "witness": [0], "lhs": "1", "rhs": null}',
+        '{"axiom": "antimorphism-defect[1]", "pass": false, "witness": [1], '
+        '"lhs": "1*e(1,1)", "rhs": "-1*e(1,1)"}',
+    ]
+    assert [str(d) for d in defects] == ["1", "-1"]
 
 
 def test_retraction_report_flags_zero_map():
