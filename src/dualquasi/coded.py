@@ -51,22 +51,20 @@ class _View:
         """(index, scalar) terms with each scalar replaced by its code."""
         return [(i, self.codes.code(v)) for i, v in terms]
 
-    def power(self, a: int, k: int) -> list:
-        """Terms (index_tuple, code) of the k-fold comultiplication of e_a."""
-        return [(tup, self.codes.code(c)) for tup, c in self.H.delta_power(a, k)]
-
     def sweedler(self, nleft: int, nright: int) -> list:
         """Per basis j of M: terms (left_tuple, mid, right_tuple, code) of
-        m₋ₗ⊗…⊗m₋₁ ⊗ m₀ ⊗ m₁⊗…⊗m_r at m = e_j, as (H⊗ρ^r)ρ^l, nright ≥ 1."""
-        mul, power = self.codes.mul, self.power
+        m₋₁ ⊗ m₀ ⊗ m₁⊗…⊗m_r at m = e_j, as (H⊗ρ^r)ρ^l; nleft is 0 or 1, and
+        the right legs are m₁, Δ(m₁) or Δ²(m₁) for nright = 1, 2 or 3."""
+        mul, lt, rt = self.codes.mul, self.lt, self.rt
+        rights = ([[((b,), 1)] for b in range(self.H.dim)] if nright == 1 else
+                  [[((b1, b2), c) for b1, b2, c in terms] for terms in self.delta]
+                  if nright == 2 else self.splits)
         out = []
         for j in range(self.dim):
-            mids = ([((), j, 1)] if nleft == 0 else
-                    [(tup, j2, mul(c, c2)) for a, j2, c in self.lt[j]
-                     for tup, c2 in power(a, nleft)])
+            mids = [((a,), j2, c) for a, j2, c in lt[j]] if nleft else [((), j, 1)]
             out.append([(ltup, j3, rtup, mul(mul(c, c2), c3))
-                        for ltup, j2, c in mids for j3, b, c2 in self.rt[j2]
-                        for rtup, c3 in power(b, nright)])
+                        for ltup, j2, c in mids for j3, b, c2 in rt[j2]
+                        for rtup, c3 in rights[b]])
         return out
 
     @cached_property
@@ -87,8 +85,9 @@ class _View:
 
     @cached_property
     def splits(self) -> list:
-        """Per basis a of H: terms ((a₁, a₂, a₃), code) of Δ²(e_a)."""
-        return [self.power(a, 3) for a in range(self.H.dim)]
+        """Per basis a of H: terms ((a₁, a₂, a₃), code) of Δ²(e_a), from H's table."""
+        code = self.codes.code
+        return [[(t, code(c)) for t, c in self.H.delta2(a)] for a in range(self.H.dim)]
 
     @cached_property
     def heads(self) -> list:

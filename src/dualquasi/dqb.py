@@ -126,7 +126,6 @@ class DualQuasiBialgebra:
             for i in range(n))
         self._mul_table = tuple(tuple(mul.column_terms(c)) for c in range(n * n))
         self._unit_terms = tuple(unit.column_terms(0))
-        self._delta_powers: dict[tuple[int, int], tuple] = {}
         self._split_tables: dict[int, tuple] = {}
         if omega_inv is None:
             from .convolutions import convolution_inverse
@@ -144,26 +143,17 @@ class DualQuasiBialgebra:
         """Sweedler terms (j, k, c) of Δ(e_i) = Σ c·e_j⊗e_k."""
         return self._delta_terms[i]
 
-    def delta_power(self, i: int, k: int):
-        """Terms (index_tuple, c) of the k-fold comultiplication of e_i, k ≥ 1.
+    def delta2(self, i: int):
+        """Terms ((a, b, c), coeff) of Δ²(e_i) = Σ coeff·e_a⊗e_b⊗e_c."""
+        return self._delta2[i]
 
-        Expanded by repeatedly splitting the rightmost factor; on coassociative
-        data any other expansion order gives the same result.
-        """
-        key = (i, k)
-        cached = self._delta_powers.get(key)
-        if cached is not None:
-            return cached
-        if k == 1:
-            result = (((i,), self.field.one),)
-        else:
-            result = []
-            for tup, c in self.delta_power(i, k - 1):
-                for a, b, c2 in self._delta_terms[tup[-1]]:
-                    result.append((tup[:-1] + (a, b), c * c2))
-            result = tuple(result)
-        self._delta_powers[key] = result
-        return result
+    @cached_property
+    def _delta2(self) -> tuple:
+        """Δ² = (id⊗Δ)Δ, the only iterated coproduct that any identity reads;
+        on data that is not coassociative, (Δ⊗id)Δ would render other values."""
+        delta = self._delta_terms
+        return tuple(tuple(((a, b1, b2), c * c2) for a, b, c in terms
+                           for b1, b2, c2 in delta[b]) for terms in delta)
 
     @cached_property
     def _codes(self) -> _Codes:

@@ -154,8 +154,7 @@ class Scalar:
                 conj = field._conjugate(num, k)
                 others = conj if others is None else field._mul_int(others, conj)
         norm = field._mul_int(num, others)[0]
-        if norm < 0:
-            norm, others = -norm, tuple(-c for c in others)
+        # ℚ(ζₙ), n ≥ 3, has no real embedding: the norm is a product of |σ(num)|² > 0
         return _make(field, tuple(self.den * c for c in others), norm)
 
     def __truediv__(self, other):

@@ -242,8 +242,8 @@ def twist(H: DualQuasiBialgebra, gamma: Matrix) -> DualQuasiBialgebra:
     mul_terms = []
     for x in range(n):
         for y in range(n):
-            for (x1, x2, x3), cx in H.delta_power(x, 3):
-                for (y1, y2, y3), cy in H.delta_power(y, 3):
+            for (x1, x2, x3), cx in H.delta2(x):
+                for (y1, y2, y3), cy in H.delta2(y):
                     coeff = cx * cy * g[x1 * n + y1] * gi[x3 * n + y3]
                     if coeff:
                         mul_terms.extend((t, x * n + y, coeff * c)

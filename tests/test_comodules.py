@@ -237,6 +237,8 @@ def test_null_space_coordinates_read_the_free_entries():
     assert V.coordinates(column(1, 0, 0, 0)) is None
     outside = Matrix.from_rows(Q, [[q(8), q(1)], [q(3), q(0)], [q(6), q(0)], [q(-2), q(0)]])
     assert V.coordinates(outside) is None
+    with pytest.raises(DimensionMismatch, match="^vectors have 3 entries, ambient 4$"):
+        V.coordinates(column(8, 3, 6))
 
 
 def test_coinvariants_of_shifted_coaction_vanish():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,17 @@ def test_convolution_arity_mismatch():
     H = z2_theta().dqb
     with pytest.raises(DimensionMismatch):
         convolution(H, H.counit_power(1), H.counit_power(2))
+    eps = H.counit_power(1)
+    for f, arity, message in ((eps.kron(Matrix.column_vector(Q, [Q.one, Q.one])), None,
+                               "functionals are row vectors"),
+                              (eps, 2, "functional has 2 columns, expected 4"),
+                              (Matrix.row_vector(Q, [Q.one] * 3), None,
+                               "3 columns is not a tensor power of 2")):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            convolution(H, f, f, arity)
+    with pytest.raises(DimensionMismatch,
+                       match="^functional on a 1-dimensional coalgebra must have 1 column$"):
+        convolution(_one_dimensional(), eps, eps)
 
 
 def test_convolution_rejects_functionals_over_another_field():
@@ -233,13 +245,27 @@ def test_wrong_stored_inverse_fails_validation():
     assert [c.axiom for c in report.failures] == ["reassociator-invertible"]
 
 
+def _one_dimensional(dim=1, **parts):
+    """The one-dimensional algebra over ℚ, with some parts replaced."""
+    one = Matrix.row_vector(Q, [Q.one])
+    p = {"delta": one, "counit": one, "mul": one, "unit": one, "omega": one, **parts}
+    return DualQuasiBialgebra(Q, dim, p["delta"], p["counit"], p["mul"], p["unit"], p["omega"])
+
+
+def test_construction_rejects_bad_dimension_shape_and_field():
+    from dualquasi import DimensionMismatch
+    Q3 = Field.cyclotomic(3)
+    for build, message in (
+            (lambda: _one_dimensional(dim=0), "dimension must be at least 1"),
+            (lambda: _one_dimensional(counit=Matrix.zeros(Q, 1, 2)), "counit must be 1x1, got 1x2"),
+            (lambda: _one_dimensional(omega=Matrix.row_vector(Q3, [Q3.one])),
+             "omega lives over Field.cyclotomic(3), expected Field.rationals()")):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_convolution_on_one_dimensional_algebra():
-    one = Q.one
-    H1 = DualQuasiBialgebra(Q, 1, Matrix.column_vector(Q, [one]),
-                            Matrix.row_vector(Q, [one]),
-                            Matrix.row_vector(Q, [one]),
-                            Matrix.column_vector(Q, [one]),
-                            Matrix.row_vector(Q, [one]))
+    H1 = _one_dimensional()
     f = Matrix.row_vector(Q, [Q.from_fraction(2)])
     g = Matrix.row_vector(Q, [Q.from_fraction(3)])
     assert convolution(H1, f, g) == Matrix.row_vector(Q, [Q.from_fraction(6)])

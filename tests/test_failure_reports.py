@@ -155,6 +155,23 @@ def antipode_beta_sweedler():
                                           _set(data.beta, 0, 3, _num(H, 2))))
 
 
+def _sweedler_delta_changed():
+    """Sweedler's algebra with e₀⊗e₁ added to Δ(e₀), with its antipode data.
+    Δ is then not coassociative, so the values below pin the expansion
+    Δ² = (id⊗Δ)Δ: under (Δ⊗id)Δ both reassociator sides read other values."""
+    H, data = sweedler_four_dim_hopf()
+    return _with(H, delta=_set(H.delta, 0 * 4 + 1, 0, H.field.one)), data
+
+
+def preantipode_delta_order():
+    H, data = _sweedler_delta_changed()
+    return check_preantipode(H, data.s)
+
+
+def antipode_delta_order():
+    return check_antipode(*_sweedler_delta_changed())
+
+
 def retraction_zero():
     H = _cyclic(2, 1).dqb
     return retraction_report(H, Matrix.zeros(H.field, 2, 2), _hhat(2, 1))
@@ -214,6 +231,7 @@ CASES = [dqb_delta, dqb_mul, dqb_mul_sweedler, dqb_omega, dqb_counit, dqb_unit,
          preantipode_entry, preantipode_entry_sweedler,
          antipode_s, antipode_alpha, antipode_beta, antipode_s_sweedler,
          antipode_alpha_sweedler, antipode_beta_sweedler, antipode_rescaled,
+         preantipode_delta_order, antipode_delta_order,
          retraction_zero, retraction_perturbed, retraction_dropped_entry,
          cocycle_value, cocycle_zero_and_unnormalized, projection_formula]
 
@@ -427,6 +445,21 @@ EXPECTED = {
         '{"axiom": "antipode-right-contraction", "pass": false, "witness": [1], "lhs": "2*e(0)", "rhs": "1*e(0)"}',
         '{"axiom": "antipode-reassociator", "pass": true, "witness": null, "lhs": null, "rhs": null}',
         '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [1], "lhs": "2", "rhs": "1"}',
+    ],
+    'preantipode_delta_order': [
+        '{"axiom": "preantipode-right-coaction", "pass": false, "witness": [0], "lhs": "1*e(0,0) + 1*e(0,1) + 1*e(1,1)", "rhs": "1*e(0,0)"}',
+        '{"axiom": "preantipode-left-coaction", "pass": false, "witness": [0], "lhs": "1*e(0,0) + 1*e(0,1) + 1*e(1,0) + 1*e(1,1)", "rhs": "1*e(0,0)"}',
+        '{"axiom": "preantipode-reassociator-counit", "pass": false, "witness": [0], "lhs": "3", "rhs": "1"}',
+        '{"axiom": "preantipode-counit-left", "pass": false, "witness": [0], "lhs": "1*e(0) + 1*e(1)", "rhs": "1*e(0)"}',
+        '{"axiom": "preantipode-counit-right", "pass": false, "witness": [0], "lhs": "1*e(0) + 1*e(1)", "rhs": "1*e(0)"}',
+    ],
+    'antipode_delta_order': [
+        '{"axiom": "antipode-comultiplication", "pass": false, "witness": [0], "lhs": "1*e(0,0) + 1*e(0,1)", "rhs": "1*e(0,0) + 1*e(1,0)"}',
+        '{"axiom": "antipode-counit", "pass": true, "witness": null, "lhs": null, "rhs": null}',
+        '{"axiom": "antipode-left-contraction", "pass": false, "witness": [0], "lhs": "2*e(0) + 2*e(1)", "rhs": "1*e(0)"}',
+        '{"axiom": "antipode-right-contraction", "pass": false, "witness": [0], "lhs": "2*e(0) + 2*e(1)", "rhs": "1*e(0)"}',
+        '{"axiom": "antipode-reassociator", "pass": false, "witness": [0], "lhs": "7", "rhs": "1"}',
+        '{"axiom": "antipode-reassociator-inverse", "pass": false, "witness": [0], "lhs": "7", "rhs": "1"}',
     ],
     'retraction_zero': [
         '{"axiom": "retraction-into-coinvariants", "pass": true, "witness": null, "lhs": null, "rhs": null}',

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from dualquasi import Check, Field, validate_dqb
+from dualquasi import Check, Field, serialize_report, validate_dqb
 from dualquasi.groups import (Cocycle, GroupData, canonical_group_preantipode,
                               cyclic_cocycle, group_antipode_data, group_dqb,
                               idempotent_monoid_bialgebra, trivial_cocycle,
@@ -23,6 +24,24 @@ def test_group_table_validation():
         GroupData.from_table([[0, 1], [1, 1]])  # idempotent monoid: no inverse
     with pytest.raises(ValueError):
         GroupData.from_table([[1, 0], [1, 0]])  # no identity
+    for table, message in (([[0, 1], [1]], "row 1 has length 1, expected 2"),
+                           ([[0, 1], [1, 2]], "table entry (1,1) = 2 out of range"),
+                           # identity 0 and inverses, but (1·1)·2 = 2 and 1·(1·2) = 1
+                           ([[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+                            "table is not associative at (1,1,2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupData.from_table(table)
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        GroupData.cyclic(0)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        cyclic_cocycle(0, 0)
+
+
+def test_cocycle_on_a_group_of_another_order_is_not_total():
+    report = validate_cocycle(GroupData.cyclic(3), trivial_cocycle(GroupData.cyclic(2)))
+    assert serialize_report(report, "json-lines") == (
+        '{"axiom": "cocycle-total", "pass": false, "witness": null, '
+        '"lhs": "defined on a group of order 2", "rhs": "group has order 3"}')
 
 
 def test_trivial_cocycle_validates():

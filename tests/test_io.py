@@ -1,7 +1,10 @@
+import functools
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualquasi import (Check, DocumentError, Matrix, Report, hhat, solve_affine,
                        validate_dqb)
@@ -201,6 +204,48 @@ def test_wrong_dimension_antipode_rejected():
     text = dump_antipode(ex2.antipode)
     with pytest.raises(DocumentError):
         load_antipode(text, ex3.dqb)
+
+
+# small values only: a large dim or field order allocates before it is checked
+_POOL = (None, True, False, 0, -1, 1.5, 4, 7, "", "x", "1/0", "z", "z^3", [], [[]], {},
+         {"a": 1})
+
+
+@functools.cache
+def _valid_documents():
+    """(loader, document) for cyclic 3 r=1: its algebra, Ĥ, antipode data and
+    preantipode documents, each loader reading against the algebra."""
+    ex = cyclic_group_example(3, 1)
+    H = ex.dqb
+    return ((load_dqb, dump_dqb(H)),
+            (lambda text: load_bicomodule(text, H), dump_bicomodule(hhat(H))),
+            (lambda text: load_antipode(text, H), dump_antipode(ex.antipode)),
+            (lambda text: load_preantipode(text, H), dump_preantipode(ex.preantipode)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_loaders_load_or_reject_any_single_change(which, data):
+    """One value anywhere in a valid document replaced by one from the pool,
+    or one key or entry deleted: the loader returns or raises DocumentError."""
+    load, text = _valid_documents()[which]
+    doc = parent = json.loads(text)
+    while True:  # a walk down from the root that stops at each level with odds 1/2
+        key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                        else range(len(parent))))
+        child = parent[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            break
+        parent = child
+    change = data.draw(st.sampled_from(range(len(_POOL) + 1)))
+    if change == len(_POOL):
+        del parent[key]
+    else:
+        parent[key] = _POOL[change]
+    try:
+        load(json.dumps(doc))
+    except DocumentError:
+        pass
 
 
 def test_report_serialization_text():

@@ -146,6 +146,12 @@ def test_shape_errors():
         mat([[1, 2]]) @ mat([[1, 2]])
     with pytest.raises(DimensionMismatch):
         solve_affine(mat([[1, 2]]), vec([1, 2]))
+    with pytest.raises(DimensionMismatch, match="^ragged rows$"):
+        mat([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match="^negative shape -1x2$"):
+        Matrix.zeros(Q, -1, 2)
+    with pytest.raises(IndexError, match=r"^\(2, 0\) out of range for 2x2$"):
+        Matrix.from_terms(Q, 2, 2, [(2, 0, Q.one)])
 
 
 # -- sparse rows against a dense reference -------------------------------------

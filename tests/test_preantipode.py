@@ -47,6 +47,14 @@ def test_identity_map_fails_with_witness():
     assert c.witness == (1,) and c.lhs == "-1" and c.rhs == "1"
 
 
+def test_preantipode_check_rejects_a_map_of_another_shape_or_field():
+    H = example("cyclic_2_r1").dqb
+    with pytest.raises(DimensionMismatch, match="^S must be 2x2, got 2x3$"):
+        check_preantipode(H, Matrix.zeros(H.field, 2, 3))
+    with pytest.raises(DimensionMismatch, match="^S lives over a different field than H$"):
+        check_preantipode(H, Matrix.identity(Field.cyclotomic(3), 2))
+
+
 def test_derived_scalar_identities_follow():
     # h₁S(h₂) = εS(h)·1 = S(h₁)h₂ holds for every bundled preantipode
     for ex in bundled_examples():

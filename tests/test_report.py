@@ -1,7 +1,9 @@
 from fractions import Fraction
 
-from dualquasi import Field
-from dualquasi.report import format_terms
+import pytest
+
+from dualquasi import Check, Field, Report
+from dualquasi.report import format_terms, serialize_report
 
 Q8 = Field.cyclotomic(8)
 z = Q8.zeta(1)
@@ -20,3 +22,8 @@ def test_format_terms_rational_and_empty():
         == "1*e(0,2) + -7/2*e(1)"
     assert format_terms({(0,): Q.zero}) == "0"
     assert format_terms({}) == "0"
+
+
+def test_unknown_report_format_rejected():
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        serialize_report(Report((Check("a", True),)), "xml")

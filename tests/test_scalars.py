@@ -254,6 +254,13 @@ def test_fields_are_interned_and_order_one_is_rational():
     assert Field.cyclotomic(2).degree == 1
 
 
+def test_fields_are_built_only_through_their_constructors():
+    with pytest.raises(TypeError, match=r"^use Field\.rationals\(\) or Field\.cyclotomic\(order\)$"):
+        Field()
+    with pytest.raises(ValueError, match="^order must be positive, got 0$"):
+        Field.cyclotomic(0)
+
+
 def test_cross_field_arithmetic_rejected():
     with pytest.raises(ValueError):
         QI.one + QW.one

@@ -49,18 +49,19 @@ KINDS = ("value",) * 4 + ("drop", "index", "scalar", "type", "missing")
 
 
 def _bases():
-    """(name, algebra, antipode data or None) for the 20 algebras."""
+    """(name, algebra, antipode data or None, group or None) for the 20 algebras."""
     sys.path.insert(0, str(ROOT / "tests"))
     from helpers import (control_bialgebra, sweedler_four_dim_hopf, symmetric_group_examples,
                          twisted_sweedler)
     from dualquasi import cyclic_group_example
 
-    out = [(f"cyclic_{n}_r{r}", ex.dqb, ex.antipode)
+    out = [(f"cyclic_{n}_r{r}", ex.dqb, ex.antipode, ex.group)
            for n, r in CYCLIC for ex in [cyclic_group_example(n, r)]]
-    out.append(("sweedler", *sweedler_four_dim_hopf()))
-    out.append(("twisted_sweedler", twisted_sweedler(), None))
-    out += [(ex.name.replace(" ", "_"), ex.dqb, ex.antipode) for ex in symmetric_group_examples()]
-    out.append(("monoid", control_bialgebra(), None))
+    out.append(("sweedler", *sweedler_four_dim_hopf(), None))
+    out.append(("twisted_sweedler", twisted_sweedler(), None, None))
+    out += [(ex.name.replace(" ", "_"), ex.dqb, ex.antipode, ex.group)
+            for ex in symmetric_group_examples()]
+    out.append(("monoid", control_bialgebra(), None, None))
     return out
 
 
@@ -101,7 +102,7 @@ def write_inputs(src: Path, inputs: Path) -> None:
 
     inputs.mkdir(parents=True)
     rng = random.Random(2010)
-    for name, H, data in _bases():
+    for name, H, data, _ in _bases():
         family = solve_preantipode(H)
         docs = {"dqb": dump_dqb(H), "hhat": dump_bicomodule(hhat(H)),
                 "antipode": data and dump_antipode(data),
