@@ -39,7 +39,7 @@ def check_antipode(H: DualQuasiBialgebra, data: AntipodeData) -> Report:
     def reassociator_inverse(p):
         """ω⁻¹(s(h₁) ⊗ (α∗id∗β)(h₂) ⊗ s(h₃))"""
         acc = H.field.zero
-        for (h1, h2, h3), c0 in H.delta2(p):
+        for (h1, h2, h3), c0 in H.delta2[p]:
             for q2, c2 in middle.column_terms(h2):
                 for q1, s1 in s.column_terms(h1):
                     for q3, s3 in s.column_terms(h3):
@@ -86,7 +86,7 @@ def _convolution(H: DualQuasiBialgebra, f: Matrix, X: Matrix, g: Matrix) -> Matr
     fe, ge = f.entries, g.entries
     terms = []
     for p in range(n):
-        for (a, b, c), c0 in H.delta2(p):
+        for (a, b, c), c0 in H.delta2[p]:
             coeff = c0 * fe[a] * ge[c]
             if not coeff:
                 continue

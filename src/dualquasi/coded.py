@@ -87,7 +87,7 @@ class _View:
     def splits(self) -> list:
         """Per basis a of H: terms ((a₁, a₂, a₃), code) of Δ²(e_a), from H's table."""
         code = self.codes.code
-        return [[(t, code(c)) for t, c in self.H.delta2(a)] for a in range(self.H.dim)]
+        return [[(t, code(c)) for t, c in self.H.delta2[a]] for a in range(self.H.dim)]
 
     @cached_property
     def heads(self) -> list:

@@ -143,14 +143,12 @@ class DualQuasiBialgebra:
         """Sweedler terms (j, k, c) of Δ(e_i) = Σ c·e_j⊗e_k."""
         return self._delta_terms[i]
 
-    def delta2(self, i: int):
-        """Terms ((a, b, c), coeff) of Δ²(e_i) = Σ coeff·e_a⊗e_b⊗e_c."""
-        return self._delta2[i]
-
     @cached_property
-    def _delta2(self) -> tuple:
-        """Δ² = (id⊗Δ)Δ, the only iterated coproduct that any identity reads;
-        on data that is not coassociative, (Δ⊗id)Δ would render other values."""
+    def delta2(self) -> tuple:
+        """Per basis i, terms ((a, b, c), coeff) of Δ²(e_i) = Σ coeff·e_a⊗e_b⊗e_c.
+
+        Δ² = (id⊗Δ)Δ, the only iterated coproduct that any identity reads; on
+        data that is not coassociative, (Δ⊗id)Δ would render other values."""
         delta = self._delta_terms
         return tuple(tuple(((a, b1, b2), c * c2) for a, b, c in terms
                            for b1, b2, c2 in delta[b]) for terms in delta)

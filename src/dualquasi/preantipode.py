@@ -68,7 +68,7 @@ def _counit_forms(H, p):
     """ω(x₁ ⊗ S(x₂) ⊗ x₃)  vs  ε(x), for x = e_p.  The key () is there even
     when ω gives no term in S, so the solver then still states 0 = ε(x)."""
     lhs: dict = {(): {}}
-    for (a, b, c), c0 in H.delta2(p):
+    for (a, b, c), c0 in H.delta2[p]:
         for q in range(H.dim):
             w = H.omega_at(a, q, c)
             if w:

@@ -130,6 +130,21 @@ def rational(scalar) -> Fraction:
     return scalar.coeffs[0]
 
 
+def with_entry(m: Matrix, row: int, col: int, value) -> Matrix:
+    """A copy of m with one entry replaced."""
+    entries = list(m.entries)
+    entries[row * m.cols + col] = value
+    return Matrix(m.field, m.rows, m.cols, entries)
+
+
+def with_parts(H: DualQuasiBialgebra, **parts) -> DualQuasiBialgebra:
+    """H with some structure constants replaced; omega_inv is kept as given."""
+    p = {"delta": H.delta, "counit": H.counit, "mul": H.mul, "unit": H.unit,
+         "omega": H.omega, "omega_inv": H.omega_inv, **parts}
+    return DualQuasiBialgebra(H.field, H.dim, p["delta"], p["counit"], p["mul"],
+                              p["unit"], p["omega"], p["omega_inv"])
+
+
 def sweedler_four_dim_hopf():
     """Sweedler's four-dimensional Hopf algebra over the rationals.
 
@@ -242,8 +257,8 @@ def twist(H: DualQuasiBialgebra, gamma: Matrix) -> DualQuasiBialgebra:
     mul_terms = []
     for x in range(n):
         for y in range(n):
-            for (x1, x2, x3), cx in H.delta2(x):
-                for (y1, y2, y3), cy in H.delta2(y):
+            for (x1, x2, x3), cx in H.delta2[x]:
+                for (y1, y2, y3), cy in H.delta2[y]:
                     coeff = cx * cy * g[x1 * n + y1] * gi[x3 * n + y3]
                     if coeff:
                         mul_terms.extend((t, x * n + y, coeff * c)

@@ -11,29 +11,14 @@ import functools
 
 import pytest
 
-from dualquasi import (DualQuasiBialgebra, HopfBicomodule, LeftComodule, Matrix,
+from dualquasi import (HopfBicomodule, LeftComodule, Matrix,
                        check_antipode, check_preantipode, check_projection_formula,
                        coinvariant_comodule, hhat, retraction_report,
                        serialize_report, validate_bicomodule, validate_dqb, validate_left_comodule)
 from dualquasi.groups import Cocycle, cyclic_group_example, validate_cocycle
 from dualquasi.dqb import AntipodeData
 
-from helpers import sweedler_four_dim_hopf
-
-
-def _set(m: Matrix, row: int, col: int, value) -> Matrix:
-    """A copy of m with one entry replaced."""
-    entries = list(m.entries)
-    entries[row * m.cols + col] = value
-    return Matrix(m.field, m.rows, m.cols, entries)
-
-
-def _with(H: DualQuasiBialgebra, **parts) -> DualQuasiBialgebra:
-    """H with some structure constants replaced; omega_inv is kept as given."""
-    p = {"delta": H.delta, "counit": H.counit, "mul": H.mul, "unit": H.unit,
-         "omega": H.omega, "omega_inv": H.omega_inv, **parts}
-    return DualQuasiBialgebra(H.field, H.dim, p["delta"], p["counit"], p["mul"],
-                              p["unit"], p["omega"], p["omega_inv"])
+from helpers import sweedler_four_dim_hopf, with_entry, with_parts
 
 
 @functools.cache
@@ -52,81 +37,82 @@ def _num(H, value):
 
 def dqb_delta():
     H, _ = sweedler_four_dim_hopf()
-    return validate_dqb(_with(H, delta=_set(H.delta, 2 * 4 + 1, 3, _num(H, 2))))
+    return validate_dqb(with_parts(H, delta=with_entry(H.delta, 2 * 4 + 1, 3, _num(H, 2))))
 
 
 def dqb_mul():
     H = _cyclic(3, 1).dqb
-    return validate_dqb(_with(H, mul=_set(H.mul, 1, 1 * 3 + 2, _num(H, 2))))
+    return validate_dqb(with_parts(H, mul=with_entry(H.mul, 1, 1 * 3 + 2, _num(H, 2))))
 
 
 def dqb_mul_sweedler():
     H, _ = sweedler_four_dim_hopf()
-    return validate_dqb(_with(H, mul=_set(H.mul, 3, 2 * 4 + 1, _num(H, 2))))
+    return validate_dqb(with_parts(H, mul=with_entry(H.mul, 3, 2 * 4 + 1, _num(H, 2))))
 
 
 def dqb_omega():
     H = _cyclic(3, 1).dqb
-    return validate_dqb(_with(H, omega=_set(H.omega, 0, (2 * 3 + 1) * 3 + 1, H.field.zeta(1))))
+    omega = with_entry(H.omega, 0, (2 * 3 + 1) * 3 + 1, H.field.zeta(1))
+    return validate_dqb(with_parts(H, omega=omega))
 
 
 def dqb_counit():
     H, _ = sweedler_four_dim_hopf()
-    return validate_dqb(_with(H, counit=_set(H.counit, 0, 3, H.field.one)))
+    return validate_dqb(with_parts(H, counit=with_entry(H.counit, 0, 3, H.field.one)))
 
 
 def dqb_unit():
     H, _ = sweedler_four_dim_hopf()
-    return validate_dqb(_with(H, unit=_set(H.unit, 1, 0, _num(H, 2))))
+    return validate_dqb(with_parts(H, unit=with_entry(H.unit, 1, 0, _num(H, 2))))
 
 
 def left_comodule_rho_l():
     H = _cyclic(2, 1).dqb
     V = coinvariant_comodule(H, _hhat(2, 1))
     return validate_left_comodule(
-        H, LeftComodule(V.dim, _set(V.rho_l, 1 * V.dim + 1, 1, _num(H, 3))))
+        H, LeftComodule(V.dim, with_entry(V.rho_l, 1 * V.dim + 1, 1, _num(H, 3))))
 
 
 def bicomodule_rho_l():
     H, M = _cyclic(2, 1).dqb, _hhat(2, 1)
     return validate_bicomodule(
-        H, HopfBicomodule(M.dim, _set(M.rho_l, 1 * 4 + 2, 2, H.field.one), M.rho_r, M.act))
+        H, HopfBicomodule(M.dim, with_entry(M.rho_l, 1 * 4 + 2, 2, H.field.one), M.rho_r, M.act))
 
 
 def bicomodule_rho_r():
     H, M = _cyclic(2, 1).dqb, _hhat(2, 1)
     return validate_bicomodule(
-        H, HopfBicomodule(M.dim, M.rho_l, _set(M.rho_r, 3 * 2 + 0, 3, _num(H, 2)), M.act))
+        H, HopfBicomodule(M.dim, M.rho_l, with_entry(M.rho_r, 3 * 2 + 0, 3, _num(H, 2)), M.act))
 
 
 def bicomodule_act():
     H, M = _cyclic(2, 1).dqb, _hhat(2, 1)
     return validate_bicomodule(
-        H, HopfBicomodule(M.dim, M.rho_l, M.rho_r, _set(M.act, 1, 3 * 2 + 1, _num(H, 2))))
+        H, HopfBicomodule(M.dim, M.rho_l, M.rho_r, with_entry(M.act, 1, 3 * 2 + 1, _num(H, 2))))
 
 
 def preantipode_entry():
     ex = _cyclic(3, 1)
-    return check_preantipode(ex.dqb, _set(ex.preantipode, 0, 2, _num(ex.dqb, 5)))
+    return check_preantipode(ex.dqb, with_entry(ex.preantipode, 0, 2, _num(ex.dqb, 5)))
 
 
 def preantipode_entry_sweedler():
     H, data = sweedler_four_dim_hopf()
-    S = _set(data.s, 2, 3, _num(H, 5))  # α = β = ε, so S = s before the change
+    S = with_entry(data.s, 2, 3, _num(H, 5))  # α = β = ε, so S = s before the change
     return check_preantipode(H, S)
 
 
 def antipode_s():
     ex = _cyclic(3, 1)
     d = ex.antipode
-    return check_antipode(ex.dqb, AntipodeData(_set(d.s, 1, 2, ex.dqb.field.zeta(1)),
+    return check_antipode(ex.dqb, AntipodeData(with_entry(d.s, 1, 2, ex.dqb.field.zeta(1)),
                                                d.alpha, d.beta))
 
 
 def antipode_alpha():
     ex = _cyclic(3, 1)
     d = ex.antipode
-    return check_antipode(ex.dqb, AntipodeData(d.s, _set(d.alpha, 0, 2, _num(ex.dqb, 2)),
+    return check_antipode(ex.dqb, AntipodeData(d.s, with_entry(d.alpha, 0, 2, _num(ex.dqb, 2)),
                                                d.beta))
 
 
@@ -134,25 +120,25 @@ def antipode_beta():
     ex = _cyclic(3, 1)
     d = ex.antipode
     return check_antipode(ex.dqb, AntipodeData(d.s, d.alpha,
-                                               _set(d.beta, 0, 1, _num(ex.dqb, 2))))
+                                               with_entry(d.beta, 0, 1, _num(ex.dqb, 2))))
 
 
 def antipode_s_sweedler():
     H, data = sweedler_four_dim_hopf()
-    return check_antipode(H, AntipodeData(_set(data.s, 2, 3, _num(H, 2)),
+    return check_antipode(H, AntipodeData(with_entry(data.s, 2, 3, _num(H, 2)),
                                           data.alpha, data.beta))
 
 
 def antipode_alpha_sweedler():
     H, data = sweedler_four_dim_hopf()
-    return check_antipode(H, AntipodeData(data.s, _set(data.alpha, 0, 1, _num(H, 3)),
+    return check_antipode(H, AntipodeData(data.s, with_entry(data.alpha, 0, 1, _num(H, 3)),
                                           data.beta))
 
 
 def antipode_beta_sweedler():
     H, data = sweedler_four_dim_hopf()
     return check_antipode(H, AntipodeData(data.s, data.alpha,
-                                          _set(data.beta, 0, 3, _num(H, 2))))
+                                          with_entry(data.beta, 0, 3, _num(H, 2))))
 
 
 def _sweedler_delta_changed():
@@ -160,7 +146,7 @@ def _sweedler_delta_changed():
     Δ is then not coassociative, so the values below pin the expansion
     Δ² = (id⊗Δ)Δ: under (Δ⊗id)Δ both reassociator sides read other values."""
     H, data = sweedler_four_dim_hopf()
-    return _with(H, delta=_set(H.delta, 0 * 4 + 1, 0, H.field.one)), data
+    return with_parts(H, delta=with_entry(H.delta, 0 * 4 + 1, 0, H.field.one)), data
 
 
 def preantipode_delta_order():
@@ -179,12 +165,13 @@ def retraction_zero():
 
 def retraction_perturbed():
     ex = _cyclic(3, 1)
-    return retraction_report(ex.dqb, _set(ex.preantipode, 0, 2, _num(ex.dqb, 5)), _hhat(3, 1))
+    return retraction_report(ex.dqb, with_entry(ex.preantipode, 0, 2, _num(ex.dqb, 5)),
+                             _hhat(3, 1))
 
 
 def retraction_dropped_entry():
     ex = _cyclic(3, 1)
-    return retraction_report(ex.dqb, _set(ex.preantipode, 1, 2, ex.dqb.field.zero),
+    return retraction_report(ex.dqb, with_entry(ex.preantipode, 1, 2, ex.dqb.field.zero),
                              _hhat(3, 1))
 
 
@@ -211,8 +198,8 @@ def _rescaled_antipode():
     ex = _cyclic(3, 1)
     d = ex.antipode
     two = _num(ex.dqb, 2)
-    return AntipodeData(_set(d.s, 2, 1, d.s[2, 1] * two), d.alpha,
-                        _set(d.beta, 0, 1, d.beta[0, 1] / two))
+    return AntipodeData(with_entry(d.s, 2, 1, d.s[2, 1] * two), d.alpha,
+                        with_entry(d.beta, 0, 1, d.beta[0, 1] / two))
 
 
 def projection_formula():

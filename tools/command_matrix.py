@@ -8,7 +8,9 @@ The first form writes the input documents into DIR/inputs unless they are
 already there, so two trees run on the same inputs when the older one runs
 first.  It then runs each command as ``python -m dualquasi`` from SRC, in
 both report formats, with DIR as the working directory and every written
-file under DIR/out.  The manifest holds, per command, the argv, the exit code
+file under DIR/out.  SRC defaults to this tree's ``src``; the inputs are built
+with this tree's ``tests/helpers.py``, so to record an older tree, run that
+tree's own copy of the script.  The manifest holds, per command, the argv, the exit code
 and the sha256 of stdout, of stderr and of each written file.  It exits 1
 when a command exits outside {0, 1, 2} or prints a Python traceback: an
 uncaught exception also exits 1, so the exit code alone does not show it.

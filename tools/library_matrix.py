@@ -1,14 +1,16 @@
 """The library matrix: library calls that no command makes, on the algebras
 of the command matrix, for byte-identity checks between two source trees.
 
-    python tools/library_matrix.py --src SRC --manifest OUT.json
+    python tools/library_matrix.py --manifest OUT.json
     python tools/library_matrix.py --compare A.json B.json
 
 Each record holds the call as ``argv`` and the sha256 of its rendered result:
 a report as json-lines, a matrix by its shape and rows, a record or a tuple
 field by field, or the type and message of the exception it raised.  The run
 exits 1 when a call raises anything but a ``DualQuasiError`` or a
-``ValueError``.  ``--compare`` is the command matrix's.
+``ValueError``.  ``--compare`` is the command matrix's.  The calls run with
+this tree's ``src`` and ``tests/helpers.py``; to record an older tree, run
+that tree's own copy of the script.
 
 Calls, with S the solver's preantipode, or zero where H has none:
 - on Ĥ of each algebra: ``structure_isomorphism``, ``coinvariant_retraction``,
@@ -35,13 +37,6 @@ from pathlib import Path
 from command_matrix import ROOT, _bases, compare
 
 
-def _set(m, row: int, col: int, value):
-    """A copy of the matrix m with one entry replaced."""
-    entries = list(m.entries)
-    entries[row * m.cols + col] = value
-    return type(m)(m.field, m.rows, m.cols, entries)
-
-
 def _render(x) -> str:
     from dualquasi import Matrix, Report, serialize_report
     from dualquasi.values import Value
@@ -60,8 +55,8 @@ def _render(x) -> str:
 def _sweedler_changes():
     """(label, algebra, antipode data, whether to check s as a preantipode)
     for the single-entry changes of Sweedler's s, α, β and Δ."""
-    from helpers import sweedler_four_dim_hopf
-    from dualquasi import AntipodeData, DualQuasiBialgebra
+    from helpers import sweedler_four_dim_hopf, with_entry, with_parts
+    from dualquasi import AntipodeData
 
     H, data = sweedler_four_dim_hopf()
     num = H.field.from_fraction
@@ -71,19 +66,18 @@ def _sweedler_changes():
             for col in range(m.cols):
                 for v in (0, 1, 2, -1, 3):
                     parts = {"s": data.s, "alpha": data.alpha, "beta": data.beta,
-                             part: _set(m, row, col, num(v))}
+                             part: with_entry(m, row, col, num(v))}
                     yield ([part, str(row), str(col), str(v)], H,
                            AntipodeData(parts["s"], parts["alpha"], parts["beta"]), part == "s")
     for row in range(H.delta.rows):
         for col in range(H.delta.cols):
             for v in (1, -1, 2):
-                K = DualQuasiBialgebra(H.field, H.dim, _set(H.delta, row, col, num(v)),
-                                       H.counit, H.mul, H.unit, H.omega, H.omega_inv)
+                K = with_parts(H, delta=with_entry(H.delta, row, col, num(v)))
                 yield ["delta", str(row), str(col), str(v)], K, data, True
 
 
-def run(src: Path) -> list[dict]:
-    sys.path[:0] = [str(src.resolve()), str(ROOT / "tests")]
+def run() -> list[dict]:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from dualquasi import (DualQuasiError, LeftComodule, Matrix, adjunction_unit,
                            anti_homomorphism_defect, check_antipode, check_preantipode,
                            check_projection_formula, coinvariant_comodule,
@@ -126,13 +120,12 @@ def run(src: Path) -> list[dict]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--manifest", type=Path)
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args()
     if args.compare:
         return compare(*args.compare)
-    records = run(args.src)
+    records = run()
     if args.manifest:
         args.manifest.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     raised = Counter(r["raised"] for r in records if r["raised"])
