@@ -16,10 +16,12 @@ from .errors import DimensionMismatch, DocumentError, InvariantViolation
 from .io import load_antipode, load_bicomodule, load_dqb, load_preantipode
 from .report import Check, Report, serialize_report
 
-# Each command imports the layers above the algebra itself when it runs, so
-# `verify` never loads the comodule, preantipode or group modules, only
-# `from-antipode` loads the antipode module, only the commands that write a
-# document load the writers, and `gen` loads no axiom suite.
+# Each command imports the layers above the algebra itself when it runs, and
+# only after its algebra document has loaded, so a document that fails to
+# load compiles nothing above the loader.  `verify` never loads the comodule,
+# preantipode or group modules, only `from-antipode` loads the antipode
+# module, only a command that prints or writes a document loads the writers,
+# and `gen` loads no axiom suite.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,14 +69,23 @@ def _load_dqb(args, require_valid: bool = False):
 
     With ``require_valid`` an algebra that fails an axiom is an input error
     (exit 2) rather than a reported negative."""
+    H = load_dqb(args.dqb.read_text(encoding="utf-8"))
     from .axioms import validate_dqb
 
-    H = load_dqb(args.dqb.read_text(encoding="utf-8"))
     rep = validate_dqb(H)
     if require_valid and not rep.ok:
         raise ValueError(f"input is not a dual quasi-bialgebra "
                          f"({rep.failures[0].axiom} fails)")
     return H, rep
+
+
+def _preantipode_doc(args, S):
+    """S's document when the command prints it (text reports) or writes it
+    (--out), else None."""
+    if args.report == "text" or args.out:
+        from .writers import dump_preantipode
+        return dump_preantipode(S)
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -84,10 +95,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_preantipode(args) -> int:
-    from .preantipode import solve_preantipode
-    from .writers import dump_preantipode
-
     H, _ = _load_dqb(args, require_valid=True)
+    from .preantipode import solve_preantipode
+
     family = solve_preantipode(H)
     if family is None:
         if args.report == "json-lines":
@@ -95,7 +105,7 @@ def cmd_solve_preantipode(args) -> int:
         else:
             print("none")
         return 1
-    doc = dump_preantipode(family.particular)
+    doc = _preantipode_doc(args, family.particular)
     if args.report == "json-lines":
         print(json.dumps({
             "preantipode": [[str(family.particular[i, j]) for j in range(H.dim)]
@@ -111,18 +121,17 @@ def cmd_solve_preantipode(args) -> int:
 
 
 def cmd_from_antipode(args) -> int:
-    from .antipode import check_antipode, preantipode_with_report
-    from .writers import dump_preantipode
-
     H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
+    from .antipode import check_antipode, preantipode_with_report
+
     rep_a = check_antipode(H, data)
     if not rep_a.ok:
         print(serialize_report(rep_a, args.report))
         return 1
     S, rep_s = preantipode_with_report(H, data)
     print(serialize_report(rep_s, args.report))
-    doc = dump_preantipode(S)
+    doc = _preantipode_doc(args, S)
     if args.report == "text":
         print(doc, end="")
     if args.out:
@@ -131,12 +140,6 @@ def cmd_from_antipode(args) -> int:
 
 
 def cmd_structure_theorem(args) -> int:
-    from .adjunction import adjunction_counit
-    from .comodules import coinvariants, hhat, validate_bicomodule
-    from .elimination import rank
-    from .preantipode import check_preantipode, solve_preantipode
-    from .structure import retraction_report
-
     if args.use_hhat == (args.module is not None):
         print("error: provide exactly one of a module document or --use-hhat",
               file=sys.stderr)
@@ -145,6 +148,12 @@ def cmd_structure_theorem(args) -> int:
     if not rep.ok:
         print(serialize_report(rep, args.report))
         return 1
+    from .adjunction import adjunction_counit
+    from .comodules import coinvariants, hhat, validate_bicomodule
+    from .elimination import rank
+    from .preantipode import check_preantipode, solve_preantipode
+    from .structure import retraction_report
+
     if args.use_hhat:
         M = hhat(H)
     else:

@@ -9,7 +9,7 @@ keeps M's coinvariant basis and its evaluation map once they are computed.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .dqb import DualQuasiBialgebra, _Codes
 from .linalg import Matrix
@@ -90,14 +90,21 @@ class _View:
         return [[(t, code(c)) for t, c in self.H.delta2[a]] for a in range(self.H.dim)]
 
     @cached_property
-    def heads(self) -> list:
-        """Per j·n+a, the (j, a) half of ω⁻¹(m₋₁⊗a₁⊗b₁) m₀⊗a₂b₂ ω(m₁⊗a₃⊗b₃)
-        at m = e_j: the Sweedler terms of e_j times Δ²(a), as (ω⁻¹ index head,
-        ω index head, a₂ head, m₀, code)."""
-        n, mul = self.H.dim, self.codes.mul
-        return [[((x * n + a1) * n, (y * n + a3) * n, a2 * n, j2, mul(c, ca))
-                 for (x,), j2, (y,), c in terms for (a1, a2, a3), ca in self.splits[a]]
-                for terms in self.sweedler(1, 1) for a in range(n)]
+    def half(self):
+        """j·n+a ↦ the (j, a) half of ω⁻¹(m₋₁⊗a₁⊗b₁) m₀⊗a₂b₂ ω(m₁⊗a₃⊗b₃) at
+        m = e_j: the Sweedler terms of e_j times Δ²(a), as (ω⁻¹ index head,
+        ω index head, a₂ head, m₀, code).  Each b loop reads at most M.dim
+        halves at a time (one per term of a coinvariant vector in
+        ``adjunction_counit``), so the cache keeps that many, and no row is
+        kept for every (j, a)."""
+        n, mul, splits, terms = self.H.dim, self.codes.mul, self.splits, self.sweedler(1, 1)
+
+        def half(col):
+            j, a = divmod(col, n)
+            return [((x * n + a1) * n, (y * n + a3) * n, a2 * n, j2, mul(c, ca))
+                    for (x,), j2, (y,), c in terms[j] for (a1, a2, a3), ca in splits[a]]
+        # one int argument is its own cache key
+        return lru_cache(maxsize=self.dim)(half)
 
     def matrix(self, rows: int, cols: int, terms) -> Matrix:
         """The matrix whose entry (i, j) sums the values of the codes given at (i, j)."""
@@ -230,7 +237,7 @@ def _identities(view: _View) -> list:
                         put(rhs, (i2, y), mul(c123, c4))
         return lhs, rhs
 
-    heads, splits, w, w_inv = view.heads, view.splits, view.omega, view.omega_inv
+    half, splits, w, w_inv = view.half, view.splits, view.omega, view.omega_inv
 
     def quasi_associativity(j, a, b):
         """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
@@ -239,7 +246,7 @@ def _identities(view: _View) -> list:
         for j2, c in at[j * n + a]:
             for j3, c2 in at[j2 * n + b]:
                 put(lhs, (j3,), mul(c, c2))
-        for inv_head, w_head, a2_head, j2, c in heads[j * n + a]:
+        for inv_head, w_head, a2_head, j2, c in half(j * n + a):
             for (b1, b2, b3), cb in splits[b]:
                 v = w_inv[inv_head + b1]
                 if not v:

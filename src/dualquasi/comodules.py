@@ -139,8 +139,7 @@ def free_hopf_bicomodule(H: DualQuasiBialgebra, M: Bicomodule) -> HopfBicomodule
              for a1, a2, c2 in delta[a] for y, c3 in products[b * n + a2])
     # (m⊗h)·l completes the (m, h) halves of the twisted product over l
     act = ((j * n + t, col * n + l, mul(mul(mul(mul(c, cl), v), v2), cm))
-           for col, heads in enumerate(view.heads)
-           for inv_head, w_head, a2_head, j, c in heads
+           for col in range(D) for inv_head, w_head, a2_head, j, c in view.half(col)
            for l in range(n) for (l1, l2, l3), cl in view.splits[l]
            if (v := view.omega_inv[inv_head + l1]) and (v2 := view.omega[w_head + l3])
            for t, cm in products[a2_head + l2])

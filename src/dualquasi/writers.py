@@ -1,17 +1,14 @@
 """Canonical serialization of the four document kinds (see ``io`` for the
-formats).
-
-Documents are written in the layout of json.dumps(doc, indent=2), whose
-pure-Python encoder (the only one that indents) is several times slower.
+formats): each document is json.dumps(doc, indent=2) of a dict, with sparse
+sections as [indices…, scalar] lists sorted by their indices.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+import json
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra
-from .fields import Field
 from .io import FORMAT_VERSION
 from .linalg import Matrix
 from .scalars import Scalar
@@ -20,24 +17,8 @@ if TYPE_CHECKING:
     from .comodules import HopfBicomodule
 
 
-def _json_list(items: list[str], depth: int) -> str:
-    """The JSON list of rendered items as json.dumps(..., indent=2) lays it
-    out at nesting depth ``depth``."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_object(fields, depth: int = 0) -> str:
-    """The JSON object of (key, rendered value) pairs, laid out likewise."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(f"{_quote(key)}: {value}" for key, value in fields)
-    return "{" + inner + body + "\n" + "  " * depth + "}"
-
-
 class _Texts(dict):
-    """Each distinct scalar's JSON string, rendered once per document.
+    """Each distinct scalar's string, rendered once per document.
 
     A document's scalars share one field, so (num, den) names each of them,
     and looking it up hashes a tuple in C instead of calling the Python
@@ -47,79 +28,60 @@ class _Texts(dict):
         key = value.num, value.den
         text = self.get(key)
         if text is None:
-            text = self[key] = _quote(str(value))
+            text = self[key] = str(value)
         return text
 
+    def rows(self, matrix: Matrix) -> list[list[str]]:
+        return [list(map(self, matrix.row_list(i))) for i in range(matrix.rows)]
 
-def _field_doc(field: Field) -> str:
-    fields = [("kind", _quote(field.kind))]
-    if field.kind == "cyclotomic":
-        fields.append(("order", str(field.order)))
-    return _json_object(fields, 1)
-
-
-def _sparse_entries(texts: _Texts, matrix: Matrix, from_rc) -> str:
-    """Entries [indices…, scalar] sorted by their indices."""
-    entries = sorted(((from_rc(r, c), v) for r in range(matrix.rows)
-                      for c, v in matrix.row_terms(r)), key=lambda e: e[0])
-    return _json_list([_json_list([*map(str, idx), texts(v)], 2) for idx, v in entries], 1)
+    def sparse(self, matrix: Matrix, from_rc) -> list[list]:
+        """Entries [indices…, scalar] sorted by their indices, which are distinct."""
+        return sorted([*from_rc(r, c), self(v)]
+                      for r in range(matrix.rows) for c, v in matrix.row_terms(r))
 
 
-def _json_row(texts: _Texts, values) -> str:
-    return _json_list(list(map(texts, values)), 1)
-
-
-def _json_rows(texts: _Texts, matrix: Matrix) -> str:
-    return _json_list([_json_list(list(map(texts, matrix.row_list(i))), 2)
-                       for i in range(matrix.rows)], 1)
+def _document(**sections) -> str:
+    return json.dumps({"version": FORMAT_VERSION, **sections}, indent=2) + "\n"
 
 
 def dump_dqb(H: DualQuasiBialgebra) -> str:
     """Canonical serialization; inserts omega_inv when it was computed."""
     n = H.dim
     texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("field", _field_doc(H.field)),
-        ("dim", str(n)),
-        ("delta", _sparse_entries(texts, H.delta, lambda r, c: (c, r // n, r % n))),
-        ("counit", _json_row(texts, H.counit.entries)),
-        ("mul", _sparse_entries(texts, H.mul, lambda r, c: (c // n, c % n, r))),
-        ("unit", _json_row(texts, H.unit.entries)),
-        ("omega", _sparse_entries(
-            texts, H.omega, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
-        ("omega_inv", _sparse_entries(
-            texts, H.omega_inv, lambda r, c: ((c // n) // n, (c // n) % n, c % n))),
-    ]) + "\n"
+    field = {"kind": H.field.kind}
+    if H.field.kind == "cyclotomic":
+        field["order"] = H.field.order
+
+    def triple(r, c):
+        return c // n // n, c // n % n, c % n
+
+    return _document(
+        field=field, dim=n,
+        delta=texts.sparse(H.delta, lambda r, c: (c, r // n, r % n)),
+        counit=list(map(texts, H.counit.entries)),
+        mul=texts.sparse(H.mul, lambda r, c: (c // n, c % n, r)),
+        unit=list(map(texts, H.unit.entries)),
+        omega=texts.sparse(H.omega, triple),
+        omega_inv=texts.sparse(H.omega_inv, triple))
 
 
 def dump_bicomodule(M: HopfBicomodule) -> str:
     d = M.dim
     n = M.hopf_dim
     texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(d)),
-        ("rho_l", _sparse_entries(texts, M.rho_l, lambda r, c: (c, r // d, r % d))),
-        ("rho_r", _sparse_entries(texts, M.rho_r, lambda r, c: (c, r // n, r % n))),
-        ("act", _sparse_entries(texts, M.act, lambda r, c: (c // n, c % n, r))),
-    ]) + "\n"
+    return _document(
+        dim=d,
+        rho_l=texts.sparse(M.rho_l, lambda r, c: (c, r // d, r % d)),
+        rho_r=texts.sparse(M.rho_r, lambda r, c: (c, r // n, r % n)),
+        act=texts.sparse(M.act, lambda r, c: (c // n, c % n, r)))
 
 
 def dump_antipode(data: AntipodeData) -> str:
     texts = _Texts()
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(data.s.rows)),
-        ("s", _json_rows(texts, data.s)),
-        ("alpha", _json_row(texts, data.alpha.entries)),
-        ("beta", _json_row(texts, data.beta.entries)),
-    ]) + "\n"
+    return _document(dim=data.s.rows, s=texts.rows(data.s),
+                     alpha=list(map(texts, data.alpha.entries)),
+                     beta=list(map(texts, data.beta.entries)))
 
 
 def dump_preantipode(S: Matrix) -> str:
-    return _json_object([
-        ("version", str(FORMAT_VERSION)),
-        ("dim", str(S.rows)),
-        ("matrix", _json_rows(_Texts(), S)),
-    ]) + "\n"
+    return _document(dim=S.rows, matrix=_Texts().rows(S))

@@ -187,6 +187,62 @@ def sweedler_four_dim_hopf():
     return H, data
 
 
+def taft_algebra(n: int):
+    """The Taft algebra T_n over ℚ(ζ_n) and its antipode datum.
+
+    Basis g^i x^j (0 ≤ i, j < n) at index i·n + j, with x g = ζ g x, gⁿ = 1,
+    xⁿ = 0 and Δ(g^i x^j) = Σ_k C(j,k)_ζ g^{i+k} x^{j−k} ⊗ g^i x^k, where the
+    ζ-binomials satisfy C(j,k) = C(j−1,k−1) + ζ^k C(j−1,k); ε(g^i x^j) = δ_{j,0}
+    and ω = ε⊗ε⊗ε.  The antipode datum is s(g^i x^j) = (−g⁻¹x)^j g^{−i} with
+    α = β = ε.  Δ is not grouplike for n ≥ 2, and T₂ is Sweedler's algebra
+    with its basis in another order.
+    """
+    if ("taft", n) in _example_cache:
+        return _example_cache["taft", n]
+    from dualquasi.dqb import AntipodeData
+
+    F = Field.cyclotomic(n)
+    N = n * n
+
+    def index(i, j):
+        return i % n * n + j
+
+    def product(a, b):
+        """(g^i x^j)(g^k x^l) = ζ^{jk} g^{i+k} x^{j+l}, as its only term or none."""
+        (i, j), (k, l) = divmod(a, n), divmod(b, n)
+        return [] if j + l >= n else [(index(i + k, j + l), F.zeta(j * k))]
+
+    binomial = [[F.one]]
+    for j in range(1, n):
+        prev = binomial[-1] + [F.zero]
+        binomial.append([prev[0]] + [prev[k - 1] + F.zeta(k) * prev[k] for k in range(1, j + 1)])
+    delta = Matrix.from_terms(F, N * N, N, (
+        (index(i + k, j - k) * N + index(i, k), index(i, j), binomial[j][k])
+        for i in range(n) for j in range(n) for k in range(j + 1)))
+    mul = Matrix.from_terms(F, N, N * N, ((t, a * N + b, c) for a in range(N)
+                                          for b in range(N) for t, c in product(a, b)))
+    eps = [F.one if a % n == 0 else F.zero for a in range(N)]
+    counit = Matrix.row_vector(F, eps)
+    omega = Matrix.row_vector(F, [eps[a] * eps[b] * eps[c]
+                                  for a in range(N) for b in range(N) for c in range(N)])
+
+    def s_entry(a):
+        """s(g^i x^j) = (−g⁻¹x)^j g^{−i} as its one entry (row, a, coefficient)."""
+        i, j = divmod(a, n)
+        term, c = index(-i, 0), F.one
+        for _ in range(j):
+            ((term, c2),) = product(index(-1, 1), term)
+            c = -c * c2
+        return term, a, c
+
+    s = Matrix.from_terms(F, N, N, map(s_entry, range(N)))
+    unit = Matrix.column_vector(F, [F.one] + [F.zero] * (N - 1))
+    out = (DualQuasiBialgebra(F, N, delta, counit, mul, unit, omega),
+           AntipodeData(s, counit, counit))
+    _example_cache["taft", n] = out
+    return out
+
+
 def sympy_grouplike_preantipode(group: GroupData, theta_fraction):
     """Independent parametric oracle for the preantipode system on a group
     algebra over the rationals.

@@ -503,3 +503,27 @@ def test_module_checks_leave_the_algebra_numbering_alone():
         assert validate_bicomodule(H, M).ok
         adjunction_counit(H, M)
     assert len(H._codes.values) == before
+
+
+def test_module_checks_keep_no_row_per_basis_pair_of_the_twisted_product():
+    # Ĥ of the Taft algebra T₃ has 81 basis vectors and a Δ that is not
+    # grouplike; keeping every (j, a) half of the twisted product on the view
+    # held 2 MB here after both calls
+    import gc
+    import tracemalloc
+
+    from helpers import taft_algebra
+
+    H, _ = taft_algebra(3)
+    M = hhat(H)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert validate_bicomodule(H, M).ok
+        adjunction_counit(H, M)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000

@@ -15,7 +15,7 @@ from dualquasi import (LeftComodule, Matrix, check_antipode, check_preantipode,
                        structure_isomorphism, validate_bicomodule,
                        validate_dqb)
 
-from helpers import sweedler_four_dim_hopf
+from helpers import sweedler_four_dim_hopf, taft_algebra
 
 
 def test_validates():
@@ -97,3 +97,13 @@ def test_induced_and_free_constructions():
     assert validate_bicomodule(H, T).ok
     eps, psi = structure_isomorphism(H, data.s, T)
     assert psi @ eps == Matrix.identity(H.field, coinvariants(H, T).rank * 4)
+
+
+def test_taft_algebras_have_the_antipode_as_their_only_preantipode():
+    for n in (2, 3):
+        H, data = taft_algebra(n)
+        assert validate_dqb(H).ok, n
+        assert check_antipode(H, data).ok, n
+        family = solve_preantipode(H)
+        assert family.kernel_dimension == 0, n
+        assert family.particular == preantipode_from_antipode(H, data) == data.s, n

@@ -93,6 +93,29 @@ def test_solving_commands_do_not_load_the_comodule_layer(tmp_path):
         assert "dualquasi.comodules" not in modules, argv
 
 
+def test_an_algebra_document_that_fails_to_load_compiles_nothing_above_the_loader(tmp_path):
+    ex = cyclic_group_example(2, 1)
+    doc = json.loads(dump_dqb(ex.dqb))
+    doc["delta"][0][1] = 5
+    bad = tmp_path / "bad.dqb.json"
+    bad.write_text(json.dumps(doc))
+    antipode = tmp_path / "c2.antipode.json"
+    antipode.write_text(dump_antipode(ex.antipode))
+    for argv in (("verify", str(bad)), ("solve-preantipode", str(bad)),
+                 ("from-antipode", str(bad), str(antipode)),
+                 ("structure-theorem", str(bad), "--use-hhat")):
+        proc, modules = _imported_modules("-m", "dualquasi", *argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert [line for line in proc.stderr.splitlines()
+                if not line.startswith("import time:")] == [
+            "error: dqb.delta[0]: index out of range: 5 not in [0, 2)"], argv
+        assert "dualquasi.io" in modules, argv
+        for name in ("axioms", "convolutions", "elimination", "preantipode", "comodules",
+                     "antipode", "structure", "writers"):
+            assert f"dualquasi.{name}" not in modules, (argv, name)
+
+
 @pytest.fixture(scope="module")
 def command_modules(tmp_path_factory):
     """For each command on cyclic 2 r=1, the modules its fresh process imports;
