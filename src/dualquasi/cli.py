@@ -20,8 +20,8 @@ from .report import Check, Report, serialize_report
 # only after its algebra document has loaded, so a document that fails to
 # load compiles nothing above the loader.  `verify` never loads the comodule,
 # preantipode or group modules, only `from-antipode` loads the antipode
-# module, only a command that prints or writes a document loads the writers,
-# and `gen` loads no axiom suite.
+# module, only the commands that write a document load the writers, and `gen`
+# loads no axiom suite.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,15 +79,6 @@ def _load_dqb(args, require_valid: bool = False):
     return H, rep
 
 
-def _preantipode_doc(args, S):
-    """S's document when the command prints it (text reports) or writes it
-    (--out), else None."""
-    if args.report == "text" or args.out:
-        from .writers import dump_preantipode
-        return dump_preantipode(S)
-    return None
-
-
 def cmd_verify(args) -> int:
     _, rep = _load_dqb(args)
     print(serialize_report(rep, args.report))
@@ -97,6 +88,7 @@ def cmd_verify(args) -> int:
 def cmd_solve_preantipode(args) -> int:
     H, _ = _load_dqb(args, require_valid=True)
     from .preantipode import solve_preantipode
+    from .writers import dump_preantipode
 
     family = solve_preantipode(H)
     if family is None:
@@ -105,7 +97,7 @@ def cmd_solve_preantipode(args) -> int:
         else:
             print("none")
         return 1
-    doc = _preantipode_doc(args, family.particular)
+    doc = dump_preantipode(family.particular)
     if args.report == "json-lines":
         print(json.dumps({
             "preantipode": [[str(family.particular[i, j]) for j in range(H.dim)]
@@ -124,6 +116,7 @@ def cmd_from_antipode(args) -> int:
     H, _ = _load_dqb(args, require_valid=True)
     data = load_antipode(args.antipode.read_text(encoding="utf-8"), H)
     from .antipode import check_antipode, preantipode_with_report
+    from .writers import dump_preantipode
 
     rep_a = check_antipode(H, data)
     if not rep_a.ok:
@@ -131,7 +124,7 @@ def cmd_from_antipode(args) -> int:
         return 1
     S, rep_s = preantipode_with_report(H, data)
     print(serialize_report(rep_s, args.report))
-    doc = _preantipode_doc(args, S)
+    doc = dump_preantipode(S)
     if args.report == "text":
         print(doc, end="")
     if args.out:

@@ -97,7 +97,14 @@ class _View:
         halves at a time (one per term of a coinvariant vector in
         ``adjunction_counit``), so the cache keeps that many, and no row is
         kept for every (j, a)."""
-        n, mul, splits, terms = self.H.dim, self.codes.mul, self.splits, self.sweedler(1, 1)
+        n, mul = self.H.dim, self.codes.mul
+        # a term adds nothing at any b when ω⁻¹(x⊗·⊗·), ω⁻¹(·⊗a₁⊗·),
+        # ω(y⊗·⊗·) or ω(·⊗a₃⊗·) is zero, so it is left out
+        inv_x, inv_a = _live(self.omega_inv, n)
+        w_y, w_a = _live(self.omega, n)
+        splits = [[s for s in row if inv_a[s[0][0]] and w_a[s[0][2]]] for row in self.splits]
+        terms = [[t for t in row if inv_x[t[0][0]] and w_y[t[2][0]]]
+                 for row in self.sweedler(1, 1)]
 
         def half(col):
             j, a = divmod(col, n)
@@ -111,6 +118,13 @@ class _View:
         values = self.codes.values
         return Matrix.from_terms(self.H.field, rows, cols,
                                  ((i, j, values[c]) for i, j, c in terms))
+
+
+def _live(w: list, n: int) -> tuple[list, list]:
+    """From the coded table w of ω or ω⁻¹: for each basis x, whether
+    w(x⊗·⊗·) is nonzero somewhere, and the same for the middle leg."""
+    rows = [any(w[h:h + n]) for h in range(0, n ** 3, n)]
+    return [any(rows[x * n:x * n + n]) for x in range(n)], [any(rows[a::n]) for a in range(n)]
 
 
 def _view(H: DualQuasiBialgebra, M) -> _View:
@@ -243,10 +257,11 @@ def _identities(view: _View) -> list:
         """(m·h)·k = ω⁻¹(m₋₁⊗h₁⊗k₁) m₀·(h₂k₂) ω(m₁⊗h₃⊗k₃)"""
         lhs: dict = {}
         rhs: dict = {}
-        for j2, c in at[j * n + a]:
+        col = j * n + a
+        for j2, c in at[col]:
             for j3, c2 in at[j2 * n + b]:
                 put(lhs, (j3,), mul(c, c2))
-        for inv_head, w_head, a2_head, j2, c in half(j * n + a):
+        for inv_head, w_head, a2_head, j2, c in half(col):
             for (b1, b2, b3), cb in splits[b]:
                 v = w_inv[inv_head + b1]
                 if not v:

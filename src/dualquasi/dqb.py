@@ -84,7 +84,8 @@ class _Codes:
 
     def put(self, acc: dict, key, value: int) -> None:
         """Add the code ``value`` into ``acc[key]`` of a sparse vector of codes."""
-        acc[key] = self.add(acc.get(key, 0), value)
+        old = acc.get(key)
+        acc[key] = self.add(old, value) if old else value
 
 
 class DualQuasiBialgebra:

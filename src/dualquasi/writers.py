@@ -1,10 +1,11 @@
 """Canonical serialization of the four document kinds (see ``io`` for the
 formats): each document is json.dumps(doc, indent=2) of a dict, with sparse
-sections as [indices…, scalar] lists sorted by their indices.
+sections as [indices…, scalar] arrays sorted by their indices.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from typing import TYPE_CHECKING
 
@@ -34,14 +35,20 @@ class _Texts(dict):
     def rows(self, matrix: Matrix) -> list[list[str]]:
         return [list(map(self, matrix.row_list(i))) for i in range(matrix.rows)]
 
-    def sparse(self, matrix: Matrix, from_rc) -> list[list]:
-        """Entries [indices…, scalar] sorted by their indices, which are distinct."""
-        return sorted([*from_rc(r, c), self(v)]
+    def sparse(self, matrix: Matrix, from_rc) -> list[tuple]:
+        """Entries (indices…, scalar) sorted by their indices, which are
+        distinct; json.dumps writes each tuple as an array."""
+        return sorted((*from_rc(r, c), self(v))
                       for r in range(matrix.rows) for c, v in matrix.row_terms(r))
 
 
 def _document(**sections) -> str:
-    return json.dumps({"version": FORMAT_VERSION, **sections}, indent=2) + "\n"
+    # json.dump hands each chunk of the encoder to the buffer as it comes;
+    # json.dumps would hold a list of every chunk beside the joined string
+    out = io.StringIO()
+    json.dump({"version": FORMAT_VERSION, **sections}, out, indent=2)
+    out.write("\n")
+    return out.getvalue()
 
 
 def dump_dqb(H: DualQuasiBialgebra) -> str:

@@ -527,3 +527,27 @@ def test_module_checks_keep_no_row_per_basis_pair_of_the_twisted_product():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000
+
+
+def test_twisted_product_halves_leave_out_terms_with_a_zero_reassociator_factor():
+    # T₃ is a Hopf algebra, ω = ε⊗ε⊗ε, so a term of a half adds something at
+    # some b exactly when its ω⁻¹ and ω factors are nonzero for some b
+    from dualquasi.coded import _view
+    from helpers import taft_algebra
+
+    H, _ = taft_algebra(3)
+    M = hhat(H)
+    view, n = _view(H, M), H.dim
+    w_inv, w = view.omega_inv, view.omega
+
+    def live(table, x, a):
+        return any(table[(x * n + a) * n + b] for b in range(n))
+
+    terms = view.sweedler(1, 1)
+    kept = [(x, a1, y, a3) for j in range(M.dim) for (x,), _, (y,), _ in terms[j]
+            for a in range(n) for (a1, _, a3), _ in view.splits[a]
+            if live(w_inv, x, a1) and live(w, y, a3)]
+    halves = [view.half(col) for col in range(M.dim * n)]
+    assert sum(map(len, halves)) == len(kept) < sum(map(len, terms)) * sum(map(len, view.splits))
+    assert all(live(w_inv, *divmod(inv // n, n)) and live(w, *divmod(head // n, n))
+               for row in halves for inv, head, *_ in row)
