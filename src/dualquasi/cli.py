@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
-from .io import load_antipode, load_bicomodule, load_dqb, load_preantipode
+from .io import MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb, load_preantipode
 from .report import Check, Report, serialize_report
 
 # Each command imports the layers above the algebra itself when it runs, and
@@ -203,6 +203,11 @@ def cmd_gen(args) -> int:
     n, r = args.cyclic, args.r
     if n < 1 or not 0 <= r < n:
         print(f"error: need N >= 1 and 0 <= r < N, got N={n} r={r}", file=sys.stderr)
+        return 2
+    if r and n > MAX_FIELD_ORDER:
+        # checked before building n³ cocycle values over Q(zeta_N)
+        print(f"error: r >= 1 needs N <= {MAX_FIELD_ORDER}, the largest field order a "
+              f"document may declare, got N={n}", file=sys.stderr)
         return 2
     ex = cyclic_group_example(n, r)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -9,24 +9,27 @@ Algebra documents carry ``version``, ``field`` ({"kind":"rationals"} or
 * ``counit``, ``unit``: dense arrays of n scalar strings,
 * ``omega_inv`` (optional): same layout as omega.
 
-Module documents carry ``dim`` and sparse sections with input indices first
-and the output index last: ``rho_l`` [i, a, j, "c"] (ρ(e_i) += c·e_a⊗e_j),
-``rho_r`` [i, j, a, "c"] (ρ(e_i) += c·e_j⊗e_a), ``act`` [i, a, j, "c"]
-(e_i·e_a += c·e_j).  Antipode documents hold dense matrices/functionals
-(``s``, ``alpha``, ``beta``), preantipode documents a dense ``matrix``; both
-use the column-as-image convention matrix[row][col] = coefficient of e_row
-in the image of e_col.
+Module documents carry ``dim`` and sparse sections ``rho_l`` [i, a, j, "c"]
+(ρ(e_i) += c·e_a⊗e_j), ``rho_r`` [i, j, a, "c"] (ρ(e_i) += c·e_j⊗e_a) and
+``act`` [i, a, j, "c"] (e_i·e_a += c·e_j).  Antipode documents hold dense
+matrices/functionals (``s``, ``alpha``, ``beta``), preantipode documents a
+dense ``matrix``.
 
-Unspecified sparse entries are zero.  Canonical serialization (in
-``writers``) sorts sparse entries lexicographically by indices and prints
-scalars canonically, so parse → serialize → parse is bit-exact.  Parsing
-never coerces: every malformed scalar or out-of-range index aborts with its
-location.
+Every section uses the column-as-image convention: matrix[row][col] is the
+coefficient of e_row in the image of e_col.  A sparse entry lists the
+indices of its inputs (the column), then those of its outputs (the row), so
+its indices are the digits of col·rows + row, and lexicographic order of
+entries is the matrix's column-major order.  Unspecified sparse entries are
+zero.  Canonical serialization (in ``writers``) writes entries in that order
+and prints scalars canonically, so parse → serialize → parse is bit-exact.
+Parsing never coerces: every malformed scalar or out-of-range index aborts
+with its location.
 """
 
 from __future__ import annotations
 
 import json
+from math import prod
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra
@@ -44,17 +47,6 @@ FORMAT_VERSION = 1
 MAX_FIELD_ORDER = 1024
 
 
-# -- primitive readers -----------------------------------------------------------
-
-
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"syntax error: {exc.msg}",
-                            f"line {exc.lineno} column {exc.colno}") from None
-
-
 def _require(doc: dict, key: str, kind, location: str):
     if not isinstance(doc, dict):
         raise DocumentError("expected a JSON object", location)
@@ -66,12 +58,6 @@ def _require(doc: dict, key: str, kind, location: str):
                              or kind is int and isinstance(value, bool)):
         raise DocumentError(f"key {key!r} has the wrong type", f"{location}.{key}")
     return value
-
-
-def _check_version(doc: dict, location: str) -> None:
-    version = _require(doc, "version", int, location)
-    if version != FORMAT_VERSION:
-        raise DocumentError(f"unsupported version {version}", f"{location}.version")
 
 
 def _field_from_doc(doc: dict, location: str) -> Field:
@@ -91,17 +77,48 @@ def _field_from_doc(doc: dict, location: str) -> Field:
     raise DocumentError(f"unknown field kind {kind!r}", f"{location}.field.kind")
 
 
-class _ScalarReader:
-    """Parses the scalar strings of one document, each distinct string once.
+def _index_error(value, dim: int, location: str) -> DocumentError:
+    """The error for an index that failed the fast check in ``_Reader.sparse``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return DocumentError("index must be an integer", location)
+    return DocumentError(f"index out of range: {value} not in [0, {dim})", location)
 
-    A failure is not remembered, so a malformed string raises at its first
-    occurrence, with that location, ``location[pos]``."""
 
-    def __init__(self, field: Field):
-        self.field = field
+class _Reader:
+    """One document, read one section per call.
+
+    The constructor parses the JSON, checks the version and, unless a field
+    is given, reads the ``field`` key.  Each distinct scalar string is parsed
+    once; a failure is not remembered, so a malformed string raises at its
+    first occurrence."""
+
+    def __init__(self, text: str, location: str, field: Field | None = None):
+        try:
+            self.doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"syntax error: {exc.msg}",
+                                f"line {exc.lineno} column {exc.colno}") from None
+        self.location = location
+        version = self.get("version", int)
+        if version != FORMAT_VERSION:
+            raise DocumentError(f"unsupported version {version}", f"{location}.version")
+        self.field = _field_from_doc(self.doc, location) if field is None else field
         self._parsed: dict[str, Scalar] = {}
 
-    def __call__(self, text, location: str, pos: int) -> Scalar:
+    def get(self, key: str, kind=list):
+        return _require(self.doc, key, kind, self.location)
+
+    def dim(self, expected: int | None = None) -> int:
+        """``dim``, which must be positive, or equal ``expected`` if given."""
+        n = self.get("dim", int)
+        if expected is None and n < 1:
+            raise DocumentError(f"dim must be positive, got {n}", f"{self.location}.dim")
+        if expected is not None and n != expected:
+            raise DocumentError(f"dim {n} disagrees with the algebra dimension {expected}",
+                                f"{self.location}.dim")
+        return n
+
+    def scalar(self, text, location: str, pos: int) -> Scalar:
         value = self._parsed.get(text) if type(text) is str else None
         if value is None:
             where = f"{location}[{pos}]"
@@ -114,144 +131,98 @@ class _ScalarReader:
             self._parsed[text] = value
         return value
 
+    def _row(self, values, length: int, location: str) -> list[Scalar]:
+        if not isinstance(values, list) or len(values) != length:
+            raise DocumentError(f"expected a list of {length} scalars", location)
+        return [self.scalar(v, location, i) for i, v in enumerate(values)]
 
-def _index_error(value, dim: int, location: str) -> DocumentError:
-    """The error for an index that failed the fast check in ``_sparse_matrix``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        return DocumentError("index must be an integer", location)
-    return DocumentError(f"index out of range: {value} not in [0, {dim})", location)
+    def vector(self, key: str, n: int) -> list[Scalar]:
+        """A dense list of n scalars."""
+        return self._row(self.get(key), n, f"{self.location}.{key}")
+
+    def square(self, key: str, n: int) -> Matrix:
+        """A dense n×n matrix, as a list of rows."""
+        rows = self.get(key)
+        location = f"{self.location}.{key}"
+        if len(rows) != n:
+            raise DocumentError(f"expected {n} rows", location)
+        flat: list[Scalar] = []
+        for i, row in enumerate(rows):
+            flat.extend(self._row(row, n, f"{location}[{i}]"))
+        return Matrix(self.field, n, n, flat)
+
+    def sparse(self, key: str, dims: tuple[int, ...], rows: int,
+               unique: bool = False) -> Matrix:
+        """A sparse section as a matrix with ``rows`` rows: the indices of an
+        entry, with ranges ``dims``, are the digits of col·rows + row.  Values
+        at repeated indices add up, unless ``unique`` forbids repeats."""
+        entries = self.get(key)
+        location = f"{self.location}.{key}"
+        width = len(dims) + 1
+        scalar = self.scalar
+        seen: set[int] = set()
+        terms = []
+        # an entry's location is built only when the entry fails a check
+        for pos, entry in enumerate(entries):
+            if not isinstance(entry, list) or len(entry) != width:
+                raise DocumentError(
+                    f"expected [{len(dims)} indices, scalar]", f"{location}[{pos}]")
+            flat = 0
+            for v, d in zip(entry, dims):
+                if type(v) is not int or not 0 <= v < d:
+                    raise _index_error(v, d, f"{location}[{pos}]")
+                flat = flat * d + v
+            if unique:
+                if flat in seen:
+                    raise DocumentError(f"duplicate entry for indices {entry[:-1]}",
+                                        f"{location}[{pos}]")
+                seen.add(flat)
+            col, row = divmod(flat, rows)
+            terms.append((row, col, scalar(entry[-1], location, pos)))
+        return Matrix.from_terms(self.field, rows, prod(dims) // rows, terms)
 
 
-def _dense_row(read: _ScalarReader, values, length: int, location: str) -> list[Scalar]:
-    if not isinstance(values, list) or len(values) != length:
-        raise DocumentError(f"expected a list of {length} scalars", location)
-    return [read(v, location, i) for i, v in enumerate(values)]
-
-
-def _sparse_matrix(read: _ScalarReader, entries, dims: tuple[int, ...], to_rc,
-                   rows: int, cols: int, location: str,
-                   allow_duplicates: bool) -> Matrix:
-    terms = []
-    seen: set[tuple[int, ...]] = set()
-    width = len(dims) + 1
-    # an entry's location is built only when the entry fails a check
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != width:
-            raise DocumentError(
-                f"expected [{len(dims)} indices, scalar]", f"{location}[{pos}]")
-        idx = tuple(entry[:-1])
-        for v, d in zip(idx, dims):
-            if type(v) is not int or not 0 <= v < d:
-                raise _index_error(v, d, f"{location}[{pos}]")
-        if not allow_duplicates:
-            if idx in seen:
-                raise DocumentError(f"duplicate entry for indices {list(idx)}",
-                                    f"{location}[{pos}]")
-            seen.add(idx)
-        r, c = to_rc(idx)
-        terms.append((r, c, read(entry[-1], location, pos)))
-    return Matrix.from_terms(read.field, rows, cols, terms)
-
-
-# -- dual quasi-bialgebra documents ------------------------------------------------
+# -- the four document kinds ---------------------------------------------------------
 
 
 def load_dqb(text: str) -> DualQuasiBialgebra:
     """Parse a dual quasi-bialgebra document; validation is a separate step."""
-    doc = _parse_json(text)
-    loc = "dqb"
-    _check_version(doc, loc)
-    field = _field_from_doc(doc, loc)
-    n = _require(doc, "dim", int, loc)
-    if n < 1:
-        raise DocumentError(f"dim must be positive, got {n}", f"{loc}.dim")
-    read = _ScalarReader(field)
-    delta = _sparse_matrix(
-        read, _require(doc, "delta", list, loc), (n, n, n),
-        lambda idx: (idx[1] * n + idx[2], idx[0]), n * n, n, f"{loc}.delta", True)
-    mul = _sparse_matrix(
-        read, _require(doc, "mul", list, loc), (n, n, n),
-        lambda idx: (idx[2], idx[0] * n + idx[1]), n, n * n, f"{loc}.mul", True)
-    omega = _sparse_matrix(
-        read, _require(doc, "omega", list, loc), (n, n, n),
-        lambda idx: (0, (idx[0] * n + idx[1]) * n + idx[2]),
-        1, n ** 3, f"{loc}.omega", False)
-    counit = Matrix.row_vector(
-        field, _dense_row(read, _require(doc, "counit", list, loc), n, f"{loc}.counit"))
-    unit = Matrix.column_vector(
-        field, _dense_row(read, _require(doc, "unit", list, loc), n, f"{loc}.unit"))
+    read = _Reader(text, "dqb")
+    n = read.dim()
+    cube = (n, n, n)
+    delta = read.sparse("delta", cube, n * n)
+    mul = read.sparse("mul", cube, n)
+    omega = read.sparse("omega", cube, 1, unique=True)
+    counit = Matrix.row_vector(read.field, read.vector("counit", n))
+    unit = Matrix.column_vector(read.field, read.vector("unit", n))
     omega_inv = None
-    if "omega_inv" in doc:
-        omega_inv = _sparse_matrix(
-            read, _require(doc, "omega_inv", list, loc), (n, n, n),
-            lambda idx: (0, (idx[0] * n + idx[1]) * n + idx[2]),
-            1, n ** 3, f"{loc}.omega_inv", False)
-    return DualQuasiBialgebra(field, n, delta, counit, mul, unit, omega, omega_inv)
-
-# -- module documents ---------------------------------------------------------------
+    if "omega_inv" in read.doc:
+        omega_inv = read.sparse("omega_inv", cube, 1, unique=True)
+    return DualQuasiBialgebra(read.field, n, delta, counit, mul, unit, omega, omega_inv)
 
 
 def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
     """Parse a Hopf-bicomodule document over the given algebra."""
     from .comodules import HopfBicomodule
 
-    doc = _parse_json(text)
-    loc = "module"
-    _check_version(doc, loc)
-    d = _require(doc, "dim", int, loc)
-    if d < 1:
-        raise DocumentError(f"dim must be positive, got {d}", f"{loc}.dim")
+    read = _Reader(text, "module", H.field)
+    d = read.dim()
     n = H.dim
-    read = _ScalarReader(H.field)
-    rho_l = _sparse_matrix(
-        read, _require(doc, "rho_l", list, loc), (d, n, d),
-        lambda idx: (idx[1] * d + idx[2], idx[0]), n * d, d, f"{loc}.rho_l", True)
-    rho_r = _sparse_matrix(
-        read, _require(doc, "rho_r", list, loc), (d, d, n),
-        lambda idx: (idx[1] * n + idx[2], idx[0]), d * n, d, f"{loc}.rho_r", True)
-    act = _sparse_matrix(
-        read, _require(doc, "act", list, loc), (d, n, d),
-        lambda idx: (idx[2], idx[0] * n + idx[1]), d, d * n, f"{loc}.act", True)
+    rho_l = read.sparse("rho_l", (d, n, d), n * d)
+    rho_r = read.sparse("rho_r", (d, d, n), d * n)
+    act = read.sparse("act", (d, n, d), d)
     return HopfBicomodule(d, rho_l, rho_r, act)
 
 
-# -- antipode and preantipode documents ------------------------------------------------
-
-
-def _dense_matrix(read: _ScalarReader, rows, n: int, location: str) -> Matrix:
-    if len(rows) != n:
-        raise DocumentError(f"expected {n} rows", location)
-    flat: list[Scalar] = []
-    for i, row in enumerate(rows):
-        flat.extend(_dense_row(read, row, n, f"{location}[{i}]"))
-    return Matrix(read.field, n, n, flat)
-
-
 def load_antipode(text: str, H: DualQuasiBialgebra) -> AntipodeData:
-
-    doc = _parse_json(text)
-    loc = "antipode"
-    _check_version(doc, loc)
-    n = _require(doc, "dim", int, loc)
-    if n != H.dim:
-        raise DocumentError(f"dim {n} disagrees with the algebra dimension {H.dim}",
-                            f"{loc}.dim")
-    field = H.field
-    read = _ScalarReader(field)
-    s = _dense_matrix(read, _require(doc, "s", list, loc), n, f"{loc}.s")
-    alpha = Matrix.row_vector(
-        field, _dense_row(read, _require(doc, "alpha", list, loc), n, f"{loc}.alpha"))
-    beta = Matrix.row_vector(
-        field, _dense_row(read, _require(doc, "beta", list, loc), n, f"{loc}.beta"))
+    read = _Reader(text, "antipode", H.field)
+    n = read.dim(H.dim)
+    s = read.square("s", n)
+    alpha = Matrix.row_vector(H.field, read.vector("alpha", n))
+    beta = Matrix.row_vector(H.field, read.vector("beta", n))
     return AntipodeData(s, alpha, beta)
 
+
 def load_preantipode(text: str, H: DualQuasiBialgebra) -> Matrix:
-    doc = _parse_json(text)
-    loc = "preantipode"
-    _check_version(doc, loc)
-    n = _require(doc, "dim", int, loc)
-    if n != H.dim:
-        raise DocumentError(f"dim {n} disagrees with the algebra dimension {H.dim}",
-                            f"{loc}.dim")
-    return _dense_matrix(_ScalarReader(H.field), _require(doc, "matrix", list, loc), n,
-                         f"{loc}.matrix")
+    read = _Reader(text, "preantipode", H.field)
+    return read.square("matrix", read.dim(H.dim))

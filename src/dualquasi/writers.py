@@ -1,6 +1,7 @@
 """Canonical serialization of the four document kinds (see ``io`` for the
 formats): each document is json.dumps(doc, indent=2) of a dict, with sparse
-sections as [indices…, scalar] arrays sorted by their indices.
+sections as [indices…, scalar] arrays in column-major order, which is the
+lexicographic order of their indices.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ class _Texts(dict):
     def rows(self, matrix: Matrix) -> list[list[str]]:
         return [list(map(self, matrix.row_list(i))) for i in range(matrix.rows)]
 
-    def sparse(self, matrix: Matrix, from_rc) -> list[tuple]:
-        """Entries (indices…, scalar) sorted by their indices, which are
-        distinct; json.dumps writes each tuple as an array."""
-        return sorted((*from_rc(r, c), self(v))
-                      for r in range(matrix.rows) for c, v in matrix.row_terms(r))
+    def sparse(self, matrix: Matrix, dims: tuple[int, int, int]) -> list[tuple]:
+        """Entries (i, j, k, scalar), where i, j, k are the digits of
+        col·rows + row in the ranges ``dims``, sorted by their indices;
+        json.dumps writes each tuple as an array."""
+        rows, (_, d1, d2) = matrix.rows, dims
+        d12 = d1 * d2
+        return sorted(((f := c * rows + r) // d12, f // d2 % d1, f % d2, self(v))
+                      for r in range(rows) for c, v in matrix.row_terms(r))
 
 
 def _document(**sections) -> str:
@@ -55,21 +59,18 @@ def dump_dqb(H: DualQuasiBialgebra) -> str:
     """Canonical serialization; inserts omega_inv when it was computed."""
     n = H.dim
     texts = _Texts()
+    cube = (n, n, n)
     field = {"kind": H.field.kind}
     if H.field.kind == "cyclotomic":
         field["order"] = H.field.order
-
-    def triple(r, c):
-        return c // n // n, c // n % n, c % n
-
     return _document(
         field=field, dim=n,
-        delta=texts.sparse(H.delta, lambda r, c: (c, r // n, r % n)),
+        delta=texts.sparse(H.delta, cube),
         counit=list(map(texts, H.counit.entries)),
-        mul=texts.sparse(H.mul, lambda r, c: (c // n, c % n, r)),
+        mul=texts.sparse(H.mul, cube),
         unit=list(map(texts, H.unit.entries)),
-        omega=texts.sparse(H.omega, triple),
-        omega_inv=texts.sparse(H.omega_inv, triple))
+        omega=texts.sparse(H.omega, cube),
+        omega_inv=texts.sparse(H.omega_inv, cube))
 
 
 def dump_bicomodule(M: HopfBicomodule) -> str:
@@ -78,9 +79,9 @@ def dump_bicomodule(M: HopfBicomodule) -> str:
     texts = _Texts()
     return _document(
         dim=d,
-        rho_l=texts.sparse(M.rho_l, lambda r, c: (c, r // d, r % d)),
-        rho_r=texts.sparse(M.rho_r, lambda r, c: (c, r // n, r % n)),
-        act=texts.sparse(M.act, lambda r, c: (c // n, c % n, r)))
+        rho_l=texts.sparse(M.rho_l, (d, n, d)),
+        rho_r=texts.sparse(M.rho_r, (d, d, n)),
+        act=texts.sparse(M.act, (d, n, d)))
 
 
 def dump_antipode(data: AntipodeData) -> str:

@@ -63,6 +63,34 @@ def test_gen_rejects_bad_parameters(tmp_path):
     assert "error" in err
 
 
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, r, refused", [(1025, 1, True), (1025, 1024, True),
+                                           (1024, 1, False), (1025, 0, False)])
+def test_gen_refuses_a_field_order_the_loader_rejects(tmp_path, monkeypatch, capsys,
+                                                      n, r, refused):
+    # the builder is replaced, so an accepted order allocates nothing either
+    from dualquasi import cli, groups
+
+    def build(*args):
+        raise _Built
+
+    monkeypatch.setattr(groups, "cyclic_group_example", build)
+    argv = ["gen", "--cyclic", str(n), "--r", str(r), "--out", str(tmp_path / "out")]
+    if refused:
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: r >= 1 needs N <= 1024, the largest field order a " \
+                      "document may declare, got N=1025\n"
+        assert not (tmp_path / "out").exists()
+    else:
+        with pytest.raises(_Built):
+            cli.main(argv)
+
+
 def test_gen_higher_orders(tmp_path):
     for n, r in ((3, 0), (4, 1)):
         rc, _, _ = run_cli("gen", "--cyclic", str(n), "--r", str(r),

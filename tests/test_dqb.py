@@ -1,5 +1,7 @@
+import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from dualquasi import (DualQuasiBialgebra, Field, InvariantViolation, Matrix,
                        convolution, convolution_inverse, validate_dqb)
 from dualquasi.groups import GroupData, cyclic_group_example, group_dqb, trivial_cocycle
+from dualquasi.io import load_dqb
 from dualquasi.linalg import tensor_index
 from dualquasi.report import Check, basis_tuples
 
@@ -373,6 +376,24 @@ def test_validation_builds_no_table_on_four_factors():
     for name, H in _reference_algebras():
         assert validate_dqb(H).ok, name
         assert max(H._split_tables) == 3, name
+
+
+def test_all_zero_reassociator_validates_in_small_memory():
+    # every term of the cocycle identity has an ω factor, so with ω = 0 both
+    # sides are zero, and no code list on H^⊗4 (24⁴ = 331 776 codes) is built
+    n = 24
+    H = load_dqb(json.dumps({"version": 1, "field": {"kind": "rationals"}, "dim": n,
+                             "delta": [], "counit": ["0"] * n, "mul": [],
+                             "unit": ["0"] * n, "omega": []}))
+    tracemalloc.start()
+    try:
+        report = validate_dqb(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    failed = [c.axiom for c in report.checks if not c.passed]
+    assert "cocycle-identity" not in failed and len(failed) == 5
 
 
 def test_convolution_identities_match_the_definitions():

@@ -78,11 +78,15 @@ def test_all_zero_document_without_omega_inv_loads_in_small_memory():
 
 
 def test_sparse_entries_are_sorted_canonically():
-    ex = bundled_examples()[1]
-    doc = json.loads(dump_dqb(ex.dqb))
-    for key in ("delta", "mul", "omega", "omega_inv"):
-        idx = [tuple(e[:-1]) for e in doc[key]]
-        assert idx == sorted(idx)
+    # the entries of a section, inputs then outputs, come in lexicographic
+    # order, which is the column-major order of the section's matrix
+    H = bundled_examples()[1].dqb
+    for text, keys in ((dump_dqb(H), ("delta", "mul", "omega", "omega_inv")),
+                       (dump_bicomodule(hhat(H)), ("rho_l", "rho_r", "act"))):
+        doc = json.loads(text)
+        for key in keys:
+            idx = [tuple(e[:-1]) for e in doc[key]]
+            assert idx and idx == sorted(idx), key
 
 
 def test_index_out_of_range_reports_location():
@@ -152,6 +156,22 @@ def test_oversized_field_order_rejected():
     assert str(err.value) == "dqb.field.order: order must be at most 1024, got 1025"
     doc["field"]["order"] = MAX_FIELD_ORDER
     assert load_dqb(json.dumps(doc)).field.order == 1024
+
+
+@pytest.mark.parametrize("which, text, message, location", [
+    (0, "[]", "expected a JSON object", "dqb"),
+    (1, '"module"', "expected a JSON object", "module"),
+    (2, "3", "expected a JSON object", "antipode"),
+    (3, "null", "expected a JSON object", "preantipode"),
+    (0, '{"version": 1, "field": {"kind": "cyclotomic", "order": 0}}',
+     "order must be positive, got 0", "dqb.field.order"),
+], ids=["dqb-list", "module-string", "antipode-number", "preantipode-null", "order-zero"])
+def test_document_header_errors_are_located(which, text, message, location):
+    load = _valid_documents()[which][0]
+    with pytest.raises(DocumentError) as err:
+        load(text)
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
 
 
 def test_version_checked():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquasi import (Field, Matrix, Scalar, inverse, kernel, rank, solve_affine,
-                       tensor_index, tensor_unindex)
+from dualquasi import (DimensionMismatch, Field, Matrix, Scalar, inverse, kernel, rank,
+                       solve_affine, tensor_index, tensor_unindex)
 
 Q = Field.rationals()
 
@@ -141,7 +141,6 @@ def test_kron_mixed_identity():
 
 
 def test_shape_errors():
-    from dualquasi import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         mat([[1, 2]]) @ mat([[1, 2]])
     with pytest.raises(DimensionMismatch):
@@ -152,6 +151,44 @@ def test_shape_errors():
         Matrix.zeros(Q, -1, 2)
     with pytest.raises(IndexError, match=r"^\(2, 0\) out of range for 2x2$"):
         Matrix.from_terms(Q, 2, 2, [(2, 0, Q.one)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Matrix(Q, 2, 2, vec([1, 2, 3])), DimensionMismatch,
+     r"^2x2 matrix needs 4 entries, got 3$"),
+    (lambda: mat([[1, 2]])[0, 2], IndexError, r"^\(0, 2\) out of range for 1x2$"),
+    (lambda: mat([[1, 2]])[-1, 0], IndexError, r"^\(-1, 0\) out of range for 1x2$"),
+    (lambda: mat([[1, 2]]) + mat([[1], [2]]), DimensionMismatch,
+     "^shape mismatch in addition$"),
+    (lambda: mat([[1, 2]]) - mat([[1], [2]]), DimensionMismatch,
+     "^shape mismatch in subtraction$"),
+    (lambda: mat([[1]]) + Matrix.identity(QI, 1), ValueError, "^scalars from different fields"),
+    (lambda: mat([[1]]) - Matrix.identity(QI, 1), ValueError, "^scalars from different fields"),
+    (lambda: mat([[1]]) * mat([[1]]), TypeError,
+     r"^use @ for matrix composition, \* for scalars$"),
+    (lambda: mat([[1]]) * 1.5, TypeError, None),
+    (lambda: mat([[1]]) + 1, TypeError, None),
+    (lambda: tensor_unindex(8, 2, 3), IndexError, r"^flat index 8 out of range for 2\*\*3$"),
+    (lambda: tensor_unindex(-1, 2, 3), IndexError, r"^flat index -1 out of range"),
+], ids=["entry-count", "column-range", "row-range", "add-shape", "sub-shape", "add-field",
+        "sub-field", "matrix-product", "float", "add-number", "unindex-high", "unindex-low"])
+def test_matrix_operations_reject_bad_operands(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("expression, expected", [
+    (lambda a: -a, [[-1, 2], [0, Fraction(-1, 2)]]),
+    (lambda a: -a + a, [[0, 0], [0, 0]]),
+    (lambda a: a * Fraction(2, 3), [[Fraction(2, 3), Fraction(-4, 3)], [0, Fraction(1, 3)]]),
+    (lambda a: Fraction(2, 3) * a, [[Fraction(2, 3), Fraction(-4, 3)], [0, Fraction(1, 3)]]),
+    (lambda a: a * 0, [[0, 0], [0, 0]]),
+    (lambda a: a * Q.from_fraction(-2), [[-2, 4], [0, -1]]),
+], ids=["neg", "neg-add", "times-fraction", "fraction-times", "times-zero", "times-scalar"])
+def test_negation_and_scalar_multiples(expression, expected):
+    result = expression(mat([[1, -2], [0, Fraction(1, 2)]]))
+    assert result == mat(expected)
+    assert all(v for i in range(result.rows) for _, v in result.row_terms(i))
 
 
 # -- sparse rows against a dense reference -------------------------------------

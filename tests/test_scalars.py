@@ -1,3 +1,4 @@
+import operator
 import sys
 from fractions import Fraction
 from math import gcd
@@ -264,6 +265,27 @@ def test_fields_are_built_only_through_their_constructors():
 def test_cross_field_arithmetic_rejected():
     with pytest.raises(ValueError):
         QI.one + QW.one
+
+
+@pytest.mark.parametrize("s", [Q.from_fraction(Fraction(-3, 2)), Q8.zeta(1) - Fraction(3, 2),
+                               Q12.zeta(1) + Q12.zeta(4) - 2], ids=["Q", "Q(zeta8)", "Q(zeta12)"])
+def test_reciprocals_and_negative_powers(s):
+    field = s.field
+    assert 1 / s == s.inverse() and (1 / s) * s == field.one
+    assert Fraction(2, 5) / s == field.from_fraction(Fraction(2, 5)) * s.inverse()
+    assert s ** -3 == s.inverse() ** 3 and s ** -3 * s ** 3 == field.one
+    with pytest.raises(ZeroDivisionError):
+        1 / field.zero
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.pow], ids=["+", "-", "*", "/", "**"])
+@pytest.mark.parametrize("other", [1.5, "1", None], ids=["float", "str", "None"])
+def test_scalar_mixed_with_a_non_number_raises(op, other):
+    for left, right in ((QI.one, other), (other, QI.one)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert QI.one != other
 
 
 @settings(max_examples=40, deadline=None)
