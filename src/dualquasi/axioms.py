@@ -105,52 +105,62 @@ def _reassociator_invertible(H) -> Check:
     return check
 
 
-def _omega_with_product(H, w: list[int], slot: int) -> list[int]:
-    """ω with the product of two factors in slot 0, 1 or 2, as codes on H^⊗4
-    in flat order: ω(hk⊗l⊗p), ω(h⊗kl⊗p) or ω(h⊗k⊗lp).  ``w`` holds the
-    codes of ω."""
-    n = H.dim
-    mul, add = H._codes.mul, H._codes.add
-    heads, tail = n ** slot, n ** (2 - slot)
-    # ω(head⊗t⊗x) sits at in + t·tail and the value at a⊗b in the slot at
-    # out + (a·n + b)·tail, where (in, out) = (head·n·tail + x, head·n²·tail + x);
-    # each product is copied in runs along the longer of the head and x axes
-    if heads <= tail:
-        runs = [(h * n * tail, h * n * n * tail) for h in range(heads)]
-        length, in_step, out_step = tail, 1, 1
-    else:
-        runs = [(x, x) for x in range(tail)]
-        length, in_step, out_step = heads, n * tail, n * n * tail
-    out = [0] * n ** 4
-    for ab, terms in enumerate(H._coded_products):
-        for start, target in runs:
-            # the run of a product is Σ c·ω over the runs of its terms
-            run = [0] * length
-            for t, c in terms:
-                i = start + t * tail
-                part = w[i:i + length * in_step:in_step]
-                if c != 1:
-                    part = [mul(c, v) for v in part]
-                run = part if len(terms) == 1 else list(map(add, run, part))
-            o = target + ab * tail
-            out[o:o + length * out_step:out_step] = run
-    return out
+def _combination(codes, terms, part, length: int) -> list[int]:
+    """Σ c·part(t) over the terms (t, c), each part(t) a code list of that length."""
+    acc = None
+    for t, c in terms:
+        run = part(t)
+        if c != 1:
+            run = [codes.mul(c, v) for v in run]
+        acc = run if acc is None else list(map(codes.add, acc, run))
+    return [0] * length if acc is None else acc
 
 
 def _cocycle_identity(H) -> Check:
-    """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4."""
-    if H.omega.is_zero():
-        # every term on either side has an ω factor: both sides are zero,
-        # and the dense code lists on H^⊗4 are not built
-        return Check("cocycle-identity", True)
+    """ω(H⊗H⊗m) ∗ ω(m⊗H⊗H) = (ε⊗ω) ∗ ω(H⊗m⊗H) ∗ (ω⊗ε) on H⊗4.
+
+    H^⊗4 comultiplies factor by factor, so at a first factor h each side is
+    Σ c·(f(h₁⊗·) ∗ g(h₂⊗·)) over Δ(h), convolutions on H^⊗3; the right side
+    splits h by (Δ⊗id)Δ, as the bracketing ((ε⊗ω) ∗ ω(H⊗m⊗H)) ∗ (ω⊗ε) does.
+    A term whose ω factor is zero on x⊗H⊗H is left out."""
+    n = H.dim
+    n2, n3 = n * n, n ** 3
     codes = H._codes
-    mul = codes.mul
     eps, w = H._coded_counit, H._coded_omega
-    eps_w = [mul(e, v) for e in eps for v in w]
-    w_eps = [mul(v, e) for v in w for e in eps]
-    lhs = _convolve(H, _omega_with_product(H, w, 2), _omega_with_product(H, w, 0), 4)
-    rhs = _convolve(H, _convolve(H, eps_w, _omega_with_product(H, w, 1), 4), w_eps, 4)
-    return _first_difference("cocycle-identity", lhs, rhs, codes.values, H.dim, 4)
+    delta, products = H._coded_delta, H._coded_products
+    rows = [w[x * n2:x * n2 + n2] for x in range(n)]
+    live = list(map(any, rows))
+
+    # the slices at x of the factors, as codes on (k, l, p) in flat order
+    def w_hh_m(x):  # ω(x⊗k⊗lp): a run along k per (l, p), then transposed
+        run = [rows[x][t::n] for t in range(n)].__getitem__
+        return [v for vs in zip(*[_combination(codes, terms, run, n) for terms in products])
+                for v in vs]
+
+    def w_m_hh(x):  # ω(xk⊗l⊗p)
+        return [v for terms in products[x * n:x * n + n]
+                for v in _combination(codes, terms, rows.__getitem__, n2)]
+
+    def w_h_m_h(x):  # ω(x⊗kl⊗p)
+        run = [rows[x][t * n:t * n + n] for t in range(n)].__getitem__
+        return [v for terms in products for v in _combination(codes, terms, run, n)]
+
+    def w_eps(x):  # ω(x⊗k⊗l)·ε(p)
+        return [codes.mul(v, e) for v in rows[x] for e in eps]
+
+    def eps_w_m(x):  # ((ε⊗ω) ∗ ω(H⊗m⊗H)) at x, where (ε⊗ω) at x₁ is ε(x₁)·ω
+        terms = [(x2, e) for x1, x2, c in delta[x] if live[x2] and (e := codes.mul(eps[x1], c))]
+        return _combination(codes, terms, lambda x2: _convolve(H, w, w_h_m_h(x2), 3), n3)
+
+    for h in range(n):
+        lhs = _combination(codes, [((a, b), c) for a, b, c in delta[h] if live[a]],
+                           lambda ab: _convolve(H, w_hh_m(ab[0]), w_m_hh(ab[1]), 3), n3)
+        rhs = _combination(codes, [((a, b), c) for a, b, c in delta[h] if live[b]],
+                           lambda ab: _convolve(H, eps_w_m(ab[0]), w_eps(ab[1]), 3), n3)
+        if lhs != rhs:
+            check = _first_difference("cocycle-identity", lhs, rhs, codes.values, n, 3)
+            return Check(check.axiom, False, (h,) + check.witness, check.lhs, check.rhs)
+    return Check("cocycle-identity", True)
 
 
 def _cocycle_normalization(H, slot, j, k):

@@ -34,26 +34,10 @@ def _functional_arity(H: DualQuasiBialgebra, f: Matrix, arity: int | None) -> in
 
 
 def _convolve(H: DualQuasiBialgebra, f, g, k: int) -> list[int]:
-    """Codes of f∗g on H^⊗k in flat order, from the codes of f and g.
-
-    Up to three factors this reads H's split table of arity k.  On more it
-    splits the first factor only, (f∗g)(h⊗y) = Σ c·(f(h₁⊗·) ∗ g(h₂⊗·))(y)
-    over Δ(h) = Σ c·h₁⊗h₂, so it convolves slices of length n^(k−1) and no
-    table on H^⊗k is built."""
+    """Codes of f∗g on H^⊗k in flat order, from the codes of f and g, read
+    off H's split table of arity k."""
     mul, add = H._codes.mul, H._codes.add
     out = []
-    if k > 3:
-        size = H.dim ** (k - 1)
-        for terms in H._coded_delta:
-            block = [0] * size
-            for a, b, c in terms:
-                part = _convolve(H, f[a * size:(a + 1) * size],
-                                 g[b * size:(b + 1) * size], k - 1)
-                if c != 1:
-                    part = [mul(c, v) for v in part]
-                block = part if len(terms) == 1 else list(map(add, block, part))
-            out.extend(block)
-        return out
     for terms in H.split_table(k):
         if len(terms) == 1:
             (lf, rf, c), = terms
@@ -78,7 +62,8 @@ def convolution(H: DualQuasiBialgebra, f: Matrix, g: Matrix,
     """Convolution f∗g of functionals on a common tensor power of H.
 
     (f∗g)(x) = Σ f(x₍₁₎)·g(x₍₂₎) with the componentwise comultiplication of
-    the tensor-power coalgebra; ε⊗…⊗ε is the two-sided unit.
+    the tensor-power coalgebra; ε⊗…⊗ε is the two-sided unit.  Like
+    ``convolution_inverse`` it builds and keeps H's split table of arity k.
     """
     k = _functional_arity(H, f, arity)
     if _functional_arity(H, g, arity) != k:

@@ -33,7 +33,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .dqb import AntipodeData, DualQuasiBialgebra
-from .errors import DocumentError, ScalarParseError
+from .errors import DocumentError, InvariantViolation, ScalarParseError
 from .fields import Field
 from .linalg import Matrix
 from .scalars import Scalar
@@ -198,7 +198,10 @@ def load_dqb(text: str) -> DualQuasiBialgebra:
     omega_inv = None
     if "omega_inv" in read.doc:
         omega_inv = read.sparse("omega_inv", cube, 1, unique=True)
-    return DualQuasiBialgebra(read.field, n, delta, counit, mul, unit, omega, omega_inv)
+    try:
+        return DualQuasiBialgebra(read.field, n, delta, counit, mul, unit, omega, omega_inv)
+    except InvariantViolation as exc:  # ω has no inverse to fill in omega_inv
+        raise DocumentError(str(exc), "dqb.omega") from None
 
 
 def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:

@@ -239,6 +239,27 @@ def test_boolean_dim_exit_code(workspace):
         assert err == "error: dqb.dim: key 'dim' has the wrong type\n"
 
 
+def test_noninvertible_reassociator_without_inverse_is_a_document_error(
+        tmp_path, capsys):
+    # with omega_inv left out the loader solves for ω⁻¹; an ω without one is
+    # an input error like any other, in both report formats and every command
+    from dualquasi import cli
+
+    doc = {"version": 1, "field": {"kind": "rationals"}, "dim": 1,
+           "delta": [[0, 0, 0, "1"]], "counit": ["1"], "mul": [[0, 0, 0, "1"]],
+           "unit": ["1"], "omega": [[0, 0, 0, "0"]]}
+    path = tmp_path / "singular.dqb.json"
+    path.write_text(json.dumps(doc))
+    for report in ("text", "json-lines"):
+        for argv in (["verify", str(path)], ["solve-preantipode", str(path)],
+                     ["from-antipode", str(path), str(path)],
+                     ["structure-theorem", str(path), "--use-hhat"]):
+            assert cli.main(["--report", report, *argv]) == 2, (report, argv)
+            out, err = capsys.readouterr()
+            assert out == "", (report, argv)
+            assert err == "error: dqb.omega: reassociator is not convolution invertible\n"
+
+
 def test_oversized_field_order_exit_code(workspace):
     doc = json.loads((workspace / "cyclic_2_r1.dqb.json").read_text())
     doc["field"] = {"kind": "cyclotomic", "order": 100000}

@@ -365,11 +365,16 @@ def _corruptions(H, seed):
 
 
 def _reference_algebras():
-    from helpers import sweedler_four_dim_hopf
+    """Fresh copies, so that no table another test built on a shared instance
+    is seen; twisted Sweedler is the one with a non-grouplike Δ and a
+    nontrivial ω together."""
+    from helpers import sweedler_four_dim_hopf, twisted_sweedler, with_parts
     from dualquasi import cyclic_group_example
-    return [("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
-            ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
-            ("sweedler", sweedler_four_dim_hopf()[0])]
+    return [(name, with_parts(H)) for name, H in (
+        ("cyclic_3_r2", cyclic_group_example(3, 2).dqb),
+        ("cyclic_4_r1", cyclic_group_example(4, 1).dqb),
+        ("sweedler", sweedler_four_dim_hopf()[0]),
+        ("twisted_sweedler", twisted_sweedler()))]
 
 
 def test_validation_builds_no_table_on_four_factors():
@@ -379,21 +384,24 @@ def test_validation_builds_no_table_on_four_factors():
 
 
 def test_all_zero_reassociator_validates_in_small_memory():
-    # every term of the cocycle identity has an ω factor, so with ω = 0 both
-    # sides are zero, and no code list on H^⊗4 (24⁴ = 331 776 codes) is built
+    # the cocycle identity runs one first factor at a time, so no code list on
+    # H^⊗4 (24⁴ = 331 776 codes) is built: not with ω = 0, where both sides are
+    # zero, nor with a single nonzero entry of ω and a zero stored inverse
     n = 24
-    H = load_dqb(json.dumps({"version": 1, "field": {"kind": "rationals"}, "dim": n,
-                             "delta": [], "counit": ["0"] * n, "mul": [],
-                             "unit": ["0"] * n, "omega": []}))
-    tracemalloc.start()
-    try:
-        report = validate_dqb(H)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5_000_000
-    failed = [c.axiom for c in report.checks if not c.passed]
-    assert "cocycle-identity" not in failed and len(failed) == 5
+    zero = {"version": 1, "field": {"kind": "rationals"}, "dim": n, "delta": [],
+            "counit": ["0"] * n, "mul": [], "unit": ["0"] * n, "omega": []}
+    one_entry = dict(zero, omega=[[1, 2, 3, "1"]], omega_inv=[])
+    for doc in (zero, one_entry):
+        H = load_dqb(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            report = validate_dqb(H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, doc["omega"]
+        failed = [c.axiom for c in report.checks if not c.passed]
+        assert "cocycle-identity" not in failed and len(failed) == 5, doc["omega"]
 
 
 def test_convolution_identities_match_the_definitions():
