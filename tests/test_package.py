@@ -161,6 +161,14 @@ def test_no_command_loads_fractions_or_decimal(command_modules):
             assert module not in modules, (name, module)
 
 
+def test_no_command_imports_argparse_gettext_or_locale(command_modules):
+    # the command table in cli parses argv itself; argparse would bring in
+    # gettext and locale, a few milliseconds and near half a megabyte per process
+    for name, modules in command_modules.items():
+        for module in ("argparse", "gettext", "locale"):
+            assert module not in modules, (name, module)
+
+
 MAX_MODULE_LINES = 300
 
 
