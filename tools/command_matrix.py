@@ -21,7 +21,7 @@ Inputs: 20 algebras (15 cyclic ones, Sweedler's algebra and a twist of it,
 S₃ with the sign cocycle and with a coboundary twist of it, and the
 idempotent monoid control) with their antipode data, preantipode and Ĥ
 documents; seeded corruptions of algebra, antipode, Ĥ and preantipode
-documents; the algebras without ``omega_inv``; ``gen`` runs; usage errors.
+documents; the algebras without ``omega_inv``; ``gen`` runs; usage errors and ``--help``.
 """
 
 from __future__ import annotations
@@ -161,6 +161,14 @@ def commands(inputs: Path) -> list[list[str]]:
     out += [["gen", "--cyclic", str(n), "--r", str(r), "--out", "out/"] for n, r in GEN]
     out += [["verify", "inputs/missing.dqb.json"], ["gen", "--cyclic", "3", "--r", "5",
             "--out", "out/"], ["structure-theorem", "inputs/cyclic_2_r1.dqb.json"], ["verify"]]
+    # usage errors, and the help text; each command line starts with a --report
+    out += [["check", "inputs/cyclic_2_r1.dqb.json"],
+            ["verify", "inputs/cyclic_2_r1.dqb.json", "--out", "out/S.json"],
+            ["solve-preantipode", "inputs/cyclic_2_r1.dqb.json", "--out"],
+            ["verify", "inputs/cyclic_2_r1.dqb.json", "inputs/cyclic_2_r1.dqb.json"],
+            ["gen", "--cyclic", "x", "--r", "1", "--out", "out/"],
+            ["--report", "xml", "verify", "inputs/cyclic_2_r1.dqb.json"],
+            ["--help"]]
     return out
 
 
