@@ -1,4 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: ``dualquasi [--report FORMAT] COMMAND ...``.
+
+The one global option, ``--report``, comes before the command.  A command's
+options, written out in full as ``--opt value`` or ``--opt=value``, may come
+before, between or after its positionals, and the last of a repeated option
+wins.  ``-h`` or ``--help``, before or after the command, prints help.
 
 Exit codes form a stable contract: 0 means success (all checks pass),
 1 means a mathematical negative (an axiom fails, no preantipode exists),
@@ -7,10 +12,10 @@ Exit codes form a stable contract: 0 means success (all checks pass),
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
 from .io import MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb, load_preantipode
@@ -22,46 +27,6 @@ from .report import Check, Report, serialize_report
 # preantipode or group modules, only `from-antipode` loads the antipode
 # module, only the commands that write a document load the writers, and `gen`
 # loads no axiom suite.
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dualquasi",
-        description="Exact verification and solving for dual quasi-bialgebras.")
-    parser.add_argument("--report", choices=("text", "json-lines"), default="text",
-                        help="report format (default: text)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check every defining axiom of an algebra document")
-    p.add_argument("dqb", type=Path)
-
-    p = sub.add_parser("solve-preantipode",
-                       help="compute the full affine set of preantipodes")
-    p.add_argument("dqb", type=Path)
-    p.add_argument("--out", type=Path, help="write the particular solution here")
-
-    p = sub.add_parser("from-antipode",
-                       help="build and check the preantipode from antipode data")
-    p.add_argument("dqb", type=Path)
-    p.add_argument("antipode", type=Path)
-    p.add_argument("--out", type=Path, help="write the resulting map here")
-
-    p = sub.add_parser("structure-theorem",
-                       help="verify the evaluation isomorphism on a bicomodule")
-    p.add_argument("dqb", type=Path)
-    p.add_argument("module", type=Path, nargs="?")
-    p.add_argument("--use-hhat", action="store_true",
-                   help="use the free bicomodule on the algebra itself")
-    p.add_argument("--preantipode", type=Path,
-                   help="use this map instead of solving for one")
-
-    p = sub.add_parser("gen", help="generate cyclic-group example documents")
-    p.add_argument("--cyclic", type=int, required=True, metavar="N",
-                   help="order of the cyclic group")
-    p.add_argument("--r", type=int, required=True,
-                   help="cocycle exponent, 0 <= r < N")
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    return parser
 
 
 def _load_dqb(args, require_valid: bool = False):
@@ -220,19 +185,107 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "solve-preantipode": cmd_solve_preantipode,
-    "from-antipode": cmd_from_antipode,
-    "structure-theorem": cmd_structure_theorem,
-    "gen": cmd_gen,
+# name: (handler, help line, positionals, options, required options).  A
+# bracketed positional may be left out; each option maps to the converter of
+# its value, or to None for a flag.  The global options come before the name.
+_COMMANDS = {
+    "verify": (cmd_verify, "check every defining axiom of an algebra document",
+               ("dqb",), {}, ()),
+    "solve-preantipode": (cmd_solve_preantipode, "compute the full affine set of preantipodes",
+                          ("dqb",), {"--out": Path}, ()),
+    "from-antipode": (cmd_from_antipode, "build and check the preantipode from antipode data",
+                      ("dqb", "antipode"), {"--out": Path}, ()),
+    "structure-theorem": (cmd_structure_theorem,
+                          "verify the evaluation isomorphism on a bicomodule",
+                          ("dqb", "[module]"), {"--use-hhat": None, "--preantipode": Path}, ()),
+    "gen": (cmd_gen, "generate cyclic-group example documents",
+            (), {"--cyclic": int, "--r": int, "--out": Path}, ("--cyclic", "--r", "--out")),
 }
 
 
+class _Usage(Exception):
+    """A malformed command line: (command or None, message), or (…, None) for help."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: dualquasi [-h] [--report {text,json-lines}] COMMAND ..."
+    _, _, positionals, options, required = _COMMANDS[command]
+    words = [name if convert is None else f"{name} {name[2:].upper()}"
+             for name, convert in options.items()]
+    words = [word if word.split()[0] in required else f"[{word}]" for word in words]
+    return " ".join([f"usage: dualquasi {command} [-h]", *words, *positionals])
+
+
+def _help(command: str | None) -> str:
+    if command is not None:
+        return f"{_usage(command)}\n\n{_COMMANDS[command][1]}\n"
+    return "\n".join([_usage(None), "", "commands:",
+                      *(f"  {name:19}{entry[1]}" for name, entry in _COMMANDS.items()), ""])
+
+
+def _is_option(token: str) -> bool:
+    # a negative number or a lone "-" is a value or a positional, not an option
+    return token[:1] == "-" and token != "-" and not token[1:].isdigit()
+
+
+def _parse(argv: list[str]):
+    """The handler of the command that argv names, and its arguments."""
+    command, options, values, given = None, {"--report": str}, {"--report": "text"}, []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not _is_option(token) and command is None:
+            if token not in _COMMANDS:
+                raise _Usage(None, f"unknown command {token!r} "
+                                   f"(choose from {', '.join(_COMMANDS)})")
+            command, options = token, _COMMANDS[token][3]
+        elif not _is_option(token):
+            given.append(token)
+        elif token in ("-h", "--help"):
+            raise _Usage(command, None)
+        elif name not in options or eq and options[name] is None:
+            raise _Usage(command, f"unrecognized option: {token}")
+        elif options[name] is None:
+            values[name] = True
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None or not eq and _is_option(value):
+                raise _Usage(command, f"argument {name}: expected one value")
+            try:
+                values[name] = options[name](value)
+            except ValueError:
+                raise _Usage(command, f"argument {name}: invalid value: {value!r}") from None
+    if values["--report"] not in ("text", "json-lines"):
+        raise _Usage(None, f"argument --report: invalid value: {values['--report']!r}")
+    if command is None:
+        raise _Usage(None, f"a command is required: {', '.join(_COMMANDS)}")
+    handler, _, positionals, options, required = _COMMANDS[command]
+    missing = [name for name in positionals[len(given):] if name[0] != "["]
+    missing += [name for name in required if name not in values]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(given) > len(positionals):
+        raise _Usage(command, f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    args = {**dict.fromkeys(positionals),
+            **{name: None if convert else False for name, convert in options.items()},
+            **values, **{name: Path(token) for name, token in zip(positionals, given)}}
+    return handler, SimpleNamespace(**{name.strip("-[]").replace("-", "_"): value
+                                       for name, value in args.items()})
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:
+        command, message = exc.args
+        if message is None:
+            print(_help(command), end="")
+            return 0
+        print(f"{_usage(command)}\ndualquasi: error: {message}", file=sys.stderr)
+        return 2
+    try:
+        return handler(args)
     except InvariantViolation as exc:
         print(f"FAIL {exc}")
         return 1

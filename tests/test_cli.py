@@ -1,6 +1,9 @@
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +358,133 @@ def test_module_form_builds_the_identity_table_once(tmp_path, monkeypatch, capsy
     assert cli.main(["structure-theorem", str(dqb), str(module), "--preantipode", str(S)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK (14 axioms)"
     assert len(calls) == 1
+
+
+# -- the command line grammar ---------------------------------------------------------
+
+_COMMAND_NAMES = ("verify", "solve-preantipode", "from-antipode", "structure-theorem", "gen")
+_P = Path
+
+
+@pytest.mark.parametrize("argv, command, values", [
+    (["verify", "a.json"], "verify", {"report": "text", "dqb": _P("a.json")}),
+    (["--report=json-lines", "verify", "a.json"], "verify",
+     {"report": "json-lines", "dqb": _P("a.json")}),
+    (["--report", "json-lines", "--report", "text", "verify", "a.json"], "verify",
+     {"report": "text", "dqb": _P("a.json")}),
+    (["solve-preantipode", "--out=S.json", "a.json"], "solve-preantipode",
+     {"report": "text", "dqb": _P("a.json"), "out": _P("S.json")}),
+    (["solve-preantipode", "a.json", "--out", "1.json", "--out", "2.json"],
+     "solve-preantipode", {"report": "text", "dqb": _P("a.json"), "out": _P("2.json")}),
+    (["solve-preantipode", "a.json"], "solve-preantipode",
+     {"report": "text", "dqb": _P("a.json"), "out": None}),
+    (["from-antipode", "--out", "S.json", "a.json", "b.json"], "from-antipode",
+     {"report": "text", "dqb": _P("a.json"), "antipode": _P("b.json"), "out": _P("S.json")}),
+    (["from-antipode", "a.json", "--out", "S.json", "b.json"], "from-antipode",
+     {"report": "text", "dqb": _P("a.json"), "antipode": _P("b.json"), "out": _P("S.json")}),
+    (["structure-theorem", "a.json", "--use-hhat"], "structure-theorem",
+     {"report": "text", "dqb": _P("a.json"), "module": None, "use_hhat": True,
+      "preantipode": None}),
+    (["--report", "json-lines", "structure-theorem", "--preantipode=S.json", "a.json", "m.json"],
+     "structure-theorem", {"report": "json-lines", "dqb": _P("a.json"), "module": _P("m.json"),
+                           "use_hhat": False, "preantipode": _P("S.json")}),
+    (["gen", "--out", "o", "--r=0", "--cyclic", "4"], "gen",
+     {"report": "text", "cyclic": 4, "r": 0, "out": _P("o")}),
+    (["gen", "--cyclic", "-3", "--r", "1", "--out", "-"], "gen",
+     {"report": "text", "cyclic": -3, "r": 1, "out": _P("-")}),
+])
+def test_command_lines_parse_to_their_values(monkeypatch, argv, command, values):
+    from dualquasi import cli
+    seen = []
+    for name, entry in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            (lambda args, name=name: seen.append((name, vars(args))) or 0,
+                             *entry[1:]))
+    assert cli.main(argv) == 0
+    assert seen == [(command, values)]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--report", "text"], ["check", "a.json"], ["verify", "--out", "S.json", "a.json"],
+    ["--use", "verify", "a.json"], ["structure-theorem", "a.json", "--use"],
+    ["structure-theorem", "a.json", "--use-hhat=1"], ["solve-preantipode", "a.json", "--out"],
+    ["solve-preantipode", "a.json", "--out", "--out", "S.json"],
+    ["verify", "a.json", "b.json"], ["from-antipode", "a.json"], ["verify"],
+    ["gen", "--cyclic", "x", "--r", "1", "--out", "o"], ["gen", "--cyclic=", "--r", "1"],
+    ["--report", "xml", "verify", "a.json"], ["--report=xml", "verify", "a.json"],
+    ["gen", "--cyclic", "2", "--r", "1"], ["verify", "a.json", "--report", "text"],
+    ["verify", "--", "a.json"],
+])
+def test_malformed_command_lines_are_usage_errors(capsys, argv):
+    from dualquasi import cli
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: dualquasi ")
+    assert "\ndualquasi: error: " in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--report", "json-lines", "-h"]])
+def test_help_names_every_command(capsys, argv):
+    from dualquasi import cli
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: dualquasi ") and err == ""
+    for name in _COMMAND_NAMES:
+        assert f"\n  {name} " in out, name
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_help_after_a_command(capsys, name):
+    from dualquasi import cli
+    for argv in ([name, "-h"], [name, "a.json", "--help"]):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: dualquasi {name} [-h]") and err == ""
+
+
+def test_exit_codes_under_fuzzed_command_lines(tmp_path, monkeypatch, capsys):
+    # well-formed command lines with up to three tokens inserted, deleted or
+    # replaced, on documents of dim <= 4, so each call takes milliseconds; the
+    # documents are written again before each call, since --out may overwrite one
+    from dualquasi import cli
+    monkeypatch.chdir(tmp_path)
+    ex = cyclic_group_example(2, 1)
+    docs = {"c2.dqb.json": dump_dqb(ex.dqb), "c2.antipode.json": dump_antipode(ex.antipode),
+            "c2.hhat.json": dump_bicomodule(hhat(ex.dqb)),
+            "c2.S.json": dump_preantipode(ex.preantipode),
+            "zero.S.json": dump_preantipode(Matrix.zeros(ex.dqb.field, 2, 2)),
+            "control.dqb.json": dump_dqb(control_bialgebra())}
+    lines = [["verify", "c2.dqb.json"], ["verify", "control.dqb.json"],
+             ["solve-preantipode", "c2.dqb.json", "--out", "out.json"],
+             ["solve-preantipode", "control.dqb.json"],
+             ["from-antipode", "c2.dqb.json", "c2.antipode.json"],
+             ["structure-theorem", "c2.dqb.json", "--use-hhat"],
+             ["structure-theorem", "control.dqb.json", "--use-hhat"],
+             ["structure-theorem", "c2.dqb.json", "c2.hhat.json", "--preantipode", "zero.S.json"],
+             ["structure-theorem", "c2.dqb.json", "c2.hhat.json", "--preantipode=c2.S.json"],
+             ["gen", "--cyclic", "4", "--r", "1", "--out", "out"]]
+    values = [*docs, "missing.json", "out", "-1", "0", "1", "2", "3", "4", "x",
+              "text", "json-lines", "xml", ""]
+    options = ["--report", "--out", "--use-hhat", "--preantipode", "--cyclic", "--r"]
+    tokens = [*values, *options, *_COMMAND_NAMES, "-h", "--help", "--"]
+    tokens += [f"{option}={value}" for option in options for value in ("c2.S.json", "2", "")]
+    rng = random.Random(23)
+    codes = Counter()
+    for _ in range(400):
+        argv = list(rng.choice(lines))
+        if rng.random() < 0.3:
+            argv = ["--report", rng.choice(["text", "json-lines"]), *argv]
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(len(argv) + 1)
+            if rng.random() < 0.5:
+                argv.insert(i, rng.choice(tokens))
+            elif i < len(argv):
+                argv[i:i + 1] = [rng.choice(tokens)] if rng.random() < 0.5 else []
+        for doc, text in docs.items():
+            (tmp_path / doc).write_text(text)
+        rc = cli.main(argv)
+        capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        codes[rc] += 1
+    assert min(codes[0], codes[1], codes[2]) >= 20, codes
