@@ -363,35 +363,34 @@ def test_module_form_builds_the_identity_table_once(tmp_path, monkeypatch, capsy
 # -- the command line grammar ---------------------------------------------------------
 
 _COMMAND_NAMES = ("verify", "solve-preantipode", "from-antipode", "structure-theorem", "gen")
-_P = Path
 
 
 @pytest.mark.parametrize("argv, command, values", [
-    (["verify", "a.json"], "verify", {"report": "text", "dqb": _P("a.json")}),
+    (["verify", "a.json"], "verify", {"report": "text", "dqb": Path("a.json")}),
     (["--report=json-lines", "verify", "a.json"], "verify",
-     {"report": "json-lines", "dqb": _P("a.json")}),
+     {"report": "json-lines", "dqb": Path("a.json")}),
     (["--report", "json-lines", "--report", "text", "verify", "a.json"], "verify",
-     {"report": "text", "dqb": _P("a.json")}),
+     {"report": "text", "dqb": Path("a.json")}),
     (["solve-preantipode", "--out=S.json", "a.json"], "solve-preantipode",
-     {"report": "text", "dqb": _P("a.json"), "out": _P("S.json")}),
+     {"report": "text", "dqb": Path("a.json"), "out": Path("S.json")}),
     (["solve-preantipode", "a.json", "--out", "1.json", "--out", "2.json"],
-     "solve-preantipode", {"report": "text", "dqb": _P("a.json"), "out": _P("2.json")}),
+     "solve-preantipode", {"report": "text", "dqb": Path("a.json"), "out": Path("2.json")}),
     (["solve-preantipode", "a.json"], "solve-preantipode",
-     {"report": "text", "dqb": _P("a.json"), "out": None}),
+     {"report": "text", "dqb": Path("a.json"), "out": None}),
     (["from-antipode", "--out", "S.json", "a.json", "b.json"], "from-antipode",
-     {"report": "text", "dqb": _P("a.json"), "antipode": _P("b.json"), "out": _P("S.json")}),
+     {"report": "text", "dqb": Path("a.json"), "antipode": Path("b.json"), "out": Path("S.json")}),
     (["from-antipode", "a.json", "--out", "S.json", "b.json"], "from-antipode",
-     {"report": "text", "dqb": _P("a.json"), "antipode": _P("b.json"), "out": _P("S.json")}),
+     {"report": "text", "dqb": Path("a.json"), "antipode": Path("b.json"), "out": Path("S.json")}),
     (["structure-theorem", "a.json", "--use-hhat"], "structure-theorem",
-     {"report": "text", "dqb": _P("a.json"), "module": None, "use_hhat": True,
+     {"report": "text", "dqb": Path("a.json"), "module": None, "use_hhat": True,
       "preantipode": None}),
     (["--report", "json-lines", "structure-theorem", "--preantipode=S.json", "a.json", "m.json"],
-     "structure-theorem", {"report": "json-lines", "dqb": _P("a.json"), "module": _P("m.json"),
-                           "use_hhat": False, "preantipode": _P("S.json")}),
+     "structure-theorem", {"report": "json-lines", "dqb": Path("a.json"), "module": Path("m.json"),
+                           "use_hhat": False, "preantipode": Path("S.json")}),
     (["gen", "--out", "o", "--r=0", "--cyclic", "4"], "gen",
-     {"report": "text", "cyclic": 4, "r": 0, "out": _P("o")}),
+     {"report": "text", "cyclic": 4, "r": 0, "out": Path("o")}),
     (["gen", "--cyclic", "-3", "--r", "1", "--out", "-"], "gen",
-     {"report": "text", "cyclic": -3, "r": 1, "out": _P("-")}),
+     {"report": "text", "cyclic": -3, "r": 1, "out": Path("-")}),
 ])
 def test_command_lines_parse_to_their_values(monkeypatch, argv, command, values):
     from dualquasi import cli
