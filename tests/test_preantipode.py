@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualquasi import (AntipodeData, DimensionMismatch, Field, Matrix,
+from dualquasi import (AntipodeData, DimensionMismatch, Field, InvariantViolation, Matrix,
                        adjunction_counit, anti_homomorphism_defect,
                        check_antipode, check_preantipode,
                        check_projection_formula, coinvariant_retraction,
@@ -13,7 +13,7 @@ from dualquasi import (AntipodeData, DimensionMismatch, Field, Matrix,
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
                      random_left_comodule, sympy_grouplike_preantipode, rational,
-                     symmetric_group_examples)
+                     symmetric_group_examples, with_entry)
 
 Q = Field.rationals()
 
@@ -378,6 +378,27 @@ def test_retraction_report_with_evaluation_map_adds_composites():
     zero = Matrix.zeros(H.field, 3, 3)
     assert (retraction_report(H, zero, M, inverse=True)
             == retraction_report(H, zero, M))
+
+
+def test_composite_failures_raise_and_report(monkeypatch):
+    # ε with one entry moved: τ and its five identities do not read ε, so
+    # only the composites with ψ see the change
+    import dualquasi.structure
+
+    ex = example("cyclic_4_r1")
+    H, M = ex.dqb, hhat(ex.dqb)
+    eps = adjunction_counit(H, M)
+    moved = with_entry(eps, 0, 0, eps[0, 0] + H.field.one)
+    monkeypatch.setattr(dualquasi.structure, "adjunction_counit", lambda H, M: moved)
+    for call in (coinvariant_retraction, structure_isomorphism):
+        with pytest.raises(InvariantViolation,
+                           match="^evaluation ∘ inverse is not the identity$"):
+            call(H, ex.preantipode, M)
+    report = retraction_report(H, ex.preantipode, M, inverse=True)
+    assert all(c.passed for c in report.checks[:5])
+    # ε and ψ are square, so ε∘ψ = id and ψ∘ε = id fail together
+    assert [(c.axiom, c.passed) for c in report.checks[5:]] == [
+        ("counit-after-inverse", False), ("inverse-after-counit", False)]
 
 
 def test_structure_entry_points_compute_coinvariants_and_evaluation_map_once(monkeypatch):
