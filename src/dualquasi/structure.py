@@ -11,13 +11,13 @@ inverse ψ(m) = τ(m₀)⊗m₁ built from the retraction
 from __future__ import annotations
 
 from .adjunction import adjunction_counit
-from .coded import _view
+from .coded import _report, _view
 from .comodules import HopfBicomodule, coinvariants
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
 from .elimination import Subspace
 from .errors import InvariantViolation
 from .linalg import Matrix
-from .report import Check, Report, basis_tuples, check_identity, clean_terms
+from .report import Check, Report, clean_terms
 from .values import Value
 
 
@@ -119,49 +119,48 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
             put(rhs, (i,), mul(v, view.counit[a]))
         return lhs, rhs
 
-    report = Report(tuple(
-        check_identity(axiom, basis_tuples(*dims), sides, view.codes.values)
-        for axiom, dims, sides in (
-            ("retraction-into-coinvariants", (d,), into_coinvariants),
-            ("retraction-module-identity", (d, n), module_identity),
-            ("retraction-left-colinearity", (d,), left_colinearity),
-            ("retraction-splits-counit", (d,), splits_counit),
-            ("retraction-fixes-coinvariants", (coinv.rank, n), fixes_coinvariants))))
+    report = _report(view, (
+        ("retraction-into-coinvariants", (d,), into_coinvariants),
+        ("retraction-module-identity", (d, n), module_identity),
+        ("retraction-left-colinearity", (d,), left_colinearity),
+        ("retraction-splits-counit", (d,), splits_counit),
+        ("retraction-fixes-coinvariants", (coinv.rank, n), fixes_coinvariants)))
     return report, tau
 
 
-def _evaluation_inverse(H: DualQuasiBialgebra, M: HopfBicomodule,
-                        tau: list[dict]) -> tuple[Matrix, Matrix]:
-    """τ in coinvariant coordinates (r×d) and ψ(m) = τ(m₀)⊗m₁ ((r·n)×d)."""
-    d = M.dim
-    images = _view(H, M).matrix(d, d, ((j, i, v) for i in range(d) for (j,), v in tau[i].items()))
-    retraction = coinvariants(H, M).coordinates(images)
-    assert retraction is not None  # guaranteed by retraction-into-coinvariants
-    return retraction, retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
+# the message of a failed composite; a failed identity names its axiom and witness
+_COMPOSITE_FAILURES = {"counit-after-inverse": "evaluation ∘ inverse is not the identity",
+                       "inverse-after-counit": "inverse ∘ evaluation is not the identity"}
 
 
-def _composites(H: DualQuasiBialgebra, M: HopfBicomodule, psi: Matrix) -> tuple[Check, Check]:
-    """Whether ε∘ψ and ψ∘ε are identity matrices, ε being M's evaluation map."""
-    eps = adjunction_counit(H, M)
-    return (Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
-            Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows)))
+def _structure(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, strict: bool = False):
+    """(report, τ, retraction, ψ): everything S induces on M, built once.
 
-
-def _verified_inverse(H: DualQuasiBialgebra, M: HopfBicomodule, report: Report,
-                      tau: list[dict]) -> tuple[Matrix, Matrix]:
-    """(retraction, ψ) once the retraction identities and both composites
-    hold; any failure raises InvariantViolation."""
-    if not report.ok:
+    The report holds the five retraction identities and, once they hold,
+    whether ψ(m) = τ(m₀)⊗m₁ inverts M's evaluation map ε:
+    ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit``
+    (ψ∘ε = id).  τ holds the images of M's basis as codes of M's view; the
+    retraction (r×d, in coinvariant coordinates) and ψ ((r·n)×d) are None
+    while an identity fails.  With ``strict`` the first failure raises
+    InvariantViolation, after ε's own checks, which always raise."""
+    report, tau = _retraction_pieces(H, S, M)
+    retraction = psi = None
+    if report.ok:
+        d = M.dim
+        images = _view(H, M).matrix(
+            d, d, ((j, i, v) for i in range(d) for (j,), v in tau[i].items()))
+        retraction = coinvariants(H, M).coordinates(images)
+        assert retraction is not None  # guaranteed by retraction-into-coinvariants
+        psi = retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
+        eps = adjunction_counit(H, M)
+        report = Report(report.checks + (
+            Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
+            Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows))))
+    if strict and not report.ok:
         bad = report.failures[0]
-        raise InvariantViolation(
-            f"retraction identity {bad.axiom} failed at witness {bad.witness}")
-    retraction, psi = _evaluation_inverse(H, M, tau)
-    after, before = _composites(H, M, psi)
-    if not after.passed:
-        raise InvariantViolation("evaluation ∘ inverse is not the identity")
-    if not before.passed:
-        raise InvariantViolation("inverse ∘ evaluation is not the identity")
-    return retraction, psi
+        raise InvariantViolation(_COMPOSITE_FAILURES.get(bad.axiom) or (
+            f"retraction identity {bad.axiom} failed at witness {bad.witness}"))
+    return report, tau, retraction, psi
 
 
 def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
@@ -178,11 +177,7 @@ def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
     whether ψ(m) = τ(m₀)⊗m₁ inverts the evaluation map ε:
     ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit`` (ψ∘ε = id).
     """
-    report, tau = _retraction_pieces(H, S, M)
-    if not inverse or not report.ok:
-        return report
-    _, psi = _evaluation_inverse(H, M, tau)
-    return Report(report.checks + _composites(H, M, psi))
+    return (_structure if inverse else _retraction_pieces)(H, S, M)[0]
 
 
 def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
@@ -190,8 +185,7 @@ def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
     """The retraction in coinvariant coordinates plus the evaluation inverse.
 
     Any failed identity raises InvariantViolation."""
-    report, tau = _retraction_pieces(H, S, M)
-    retraction, psi = _verified_inverse(H, M, report, tau)
+    _, _, retraction, psi = _structure(H, S, M, strict=True)
     return CoinvariantRetraction(coinvariants(H, M), retraction, psi)
 
 
@@ -200,8 +194,7 @@ def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
     """The mutually inverse pair (evaluation M^coH⊗H → M, its inverse ψ).
 
     Both composites are verified to be identity matrices, exactly."""
-    report, tau = _retraction_pieces(H, S, M)
-    _, psi = _verified_inverse(H, M, report, tau)
+    psi = _structure(H, S, M, strict=True)[3]
     return adjunction_counit(H, M), psi
 
 
@@ -219,26 +212,17 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
     # no command calls this, so structure-theorem never loads the antipode module
     from .antipode import _convolution, _sandwich
 
-    S = _sandwich(H, data)
     d, n = M.dim, H.dim
-    retraction_checks, tau = _retraction_pieces(H, S, M)
+    _, tau, _, psi = _structure(H, _sandwich(H, data), M, strict=True)
     view = _view(H, M)
     mul, put = view.codes.mul, view.codes.put
     s_cols = [view.encode(data.s.column_terms(b)) for b in range(n)]
     alpha = view.codes.encode(data.alpha.entries)
+    # P = act∘(id⊗β∗s)∘ρ^r, that is P(m) = m₀·(β∗s)(m₁), and γ = (P⊗id)∘ρ^r
     beta_s = _convolution(H, data.beta, data.s, H.counit)
-    beta_s_cols = [view.encode(beta_s.column_terms(b)) for b in range(n)]
-
-    # P(e_i) = Σ m₀·(β∗s)(m₁)
-    proj = []
-    for terms in view.sweedler(0, 1):
-        acc: dict = {}
-        for _, j, (b,), c in terms:
-            for q, v in beta_s_cols[b]:
-                for j2, ca in view.at[j * n + q]:
-                    put(acc, (j2,), mul(mul(c, v), ca))
-        proj.append(clean_terms(acc))
-
+    proj = M.act @ Matrix.identity(H.field, d).kron(beta_s) @ M.rho_r
+    gamma = proj.kron(Matrix.identity(H.field, n)) @ M.rho_r
+    proj_cols = [view.encode(proj.column_terms(j)) for j in range(d)]
     sweedlers = view.sweedler(1, 3)
 
     def projection_formula(i):
@@ -251,16 +235,9 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
                 w = view.omega[(x * n + q) * n + b3]
                 if not w:
                     continue
-                for key, v in proj[j].items():
-                    put(rhs, key, mul(mul(mul(coeff, sq), w), v))
+                for j2, v in proj_cols[j]:
+                    put(rhs, (j2,), mul(mul(mul(coeff, sq), w), v))
         return tau[i], rhs
 
-    report = Report((check_identity("retraction-projection-formula", basis_tuples(d),
-                                    projection_formula, view.codes.values),))
-
-    _, psi = _verified_inverse(H, M, retraction_checks, tau)
-    gamma_matrix = view.matrix(d * n, d, (
-        (j2 * n + b, i, mul(c, v))
-        for i in range(d) for j, b, c in view.rt[i] for (j2,), v in proj[j].items()))
-    embedded_psi = coinvariants(H, M).basis.kron(Matrix.identity(H.field, n)) @ psi
-    return report, gamma_matrix == embedded_psi
+    report = _report(view, (("retraction-projection-formula", (d,), projection_formula),))
+    return report, gamma == coinvariants(H, M).basis.kron(Matrix.identity(H.field, n)) @ psi
