@@ -25,6 +25,15 @@ _NUM_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _INT_RE = re.compile(r"\d+")
 
 
+def _int(digits: str, position: int) -> int:
+    """The integer a run of digits spells; one longer than the interpreter
+    converts (4300 digits by default) is a ScalarParseError at ``position``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScalarParseError("number has too many digits", position) from None
+
+
 @cache
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low-degree first."""
@@ -190,7 +199,7 @@ class Field:
             have_coef = False
             m = _NUM_RE.match(s, i)
             if m:
-                num, den = int(m.group(1)), int(m.group(2) or 1)
+                num, den = _int(m.group(1), i), _int(m.group(2) or "1", m.start(2))
                 if not den:
                     raise ScalarParseError("zero denominator", i)
                 i = m.end()
@@ -209,7 +218,7 @@ class Field:
                     m2 = _INT_RE.match(s, j + 1)
                     if m2 is None:
                         raise ScalarParseError("expected an integer exponent after '^'", j + 1)
-                    exp = int(m2.group(0))
+                    exp = _int(m2.group(0), j + 1)
                     j = m2.end()
                 else:
                     exp = 1

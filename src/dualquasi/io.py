@@ -98,6 +98,10 @@ class _Reader:
         except json.JSONDecodeError as exc:
             raise DocumentError(f"syntax error: {exc.msg}",
                                 f"line {exc.lineno} column {exc.colno}") from None
+        except RecursionError:
+            raise DocumentError("nesting too deep to read", location) from None
+        except ValueError:  # an integer longer than the interpreter converts
+            raise DocumentError("a number has too many digits to read", location) from None
         self.location = location
         version = self.get("version", int)
         if version != FORMAT_VERSION:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquasi import (Check, DocumentError, Matrix, Report, hhat, solve_affine,
-                       validate_dqb)
+from dualquasi import (Check, DocumentError, Field, Matrix, Report, ScalarParseError, hhat,
+                       solve_affine, validate_dqb)
 from dualquasi.groups import cyclic_group_example
 from dualquasi.io import (MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
                           load_preantipode)
@@ -226,9 +226,13 @@ def test_wrong_dimension_antipode_rejected():
         load_antipode(text, ex3.dqb)
 
 
-# small values only: a large dim or field order allocates before it is checked
+# small values only: a large dim or field order allocates before it is checked.
+# Numbers of 5000 digits are refused before anything is built: a scalar
+# literal, and an integer, written into the text in place of its marker
+# (json.dumps cannot write an integer that long).
+_LONG_INTEGER = "<an integer of 5000 digits>"
 _POOL = (None, True, False, 0, -1, 1.5, 4, 7, "", "x", "1/0", "z", "z^3", [], [[]], {},
-         {"a": 1})
+         {"a": 1}, "9" * 5000, _LONG_INTEGER)
 
 
 @functools.cache
@@ -263,9 +267,42 @@ def test_loaders_load_or_reject_any_single_change(which, data):
     else:
         parent[key] = _POOL[change]
     try:
-        load(json.dumps(doc))
+        load(json.dumps(doc).replace(json.dumps(_LONG_INTEGER), "9" * 5000))
     except DocumentError:
         pass
+
+
+def _spliced(doc: dict, key: str, raw: str) -> str:
+    """doc as JSON, with the raw text as the value at key."""
+    return json.dumps({**doc, key: "@"}).replace('"@"', raw)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize("which, location",
+                         enumerate(("dqb", "module", "antipode", "preantipode")))
+def test_loaders_locate_deep_nesting_and_long_integers(which, location):
+    load, text = _valid_documents()[which]
+    doc = json.loads(text)
+    section = next(key for key, value in doc.items() if isinstance(value, list))
+    for hostile in (_DEEP, _spliced(doc, section, _DEEP), _spliced(doc, "dim", "1" * 5001),
+                    _spliced(doc, section, f"[[{'9' * 5000}]]")):
+        with pytest.raises(DocumentError) as err:
+            load(hostile)
+        assert err.value.location == location
+        assert str(err.value) in (f"{location}: nesting too deep to read",
+                                  f"{location}: a number has too many digits to read")
+
+
+def test_an_overlong_scalar_is_malformed_at_its_place():
+    doc = json.loads(dump_dqb(cyclic_group_example(3, 1).dqb))
+    doc["unit"][0] = "1/" + "9" * 5000
+    with pytest.raises(DocumentError, match=r"^dqb\.unit\[0\]: malformed scalar '1/9+': "
+                                            r"number has too many digits \(at character 2\)$"):
+        load_dqb(json.dumps(doc))
+    with pytest.raises(ScalarParseError, match=r"^number has too many digits \(at character 2\)$"):
+        Field.cyclotomic(4).parse("z^" + "9" * 5000)
 
 
 def test_report_serialization_text():
