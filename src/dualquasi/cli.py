@@ -99,9 +99,7 @@ def cmd_from_antipode(args) -> int:
 
 def cmd_structure_theorem(args) -> int:
     if args.use_hhat == (args.module is not None):
-        print("error: provide exactly one of a module document or --use-hhat",
-              file=sys.stderr)
-        return 2
+        raise _Usage("structure-theorem", "provide exactly one of a module document or --use-hhat")
     H, rep = _load_dqb(args)
     if not rep.ok:
         print(serialize_report(rep, args.report))
@@ -277,15 +275,14 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except _Usage as exc:
+        return handler(args)
+    except _Usage as exc:  # from the parser, or a handler's check of its arguments
         command, message = exc.args
         if message is None:
             print(_help(command), end="")
             return 0
         print(f"{_usage(command)}\ndualquasi: error: {message}", file=sys.stderr)
         return 2
-    try:
-        return handler(args)
     except InvariantViolation as exc:
         print(f"FAIL {exc}")
         return 1

@@ -203,11 +203,46 @@ def test_structure_theorem_forced_zero_preantipode(workspace):
 
 
 def test_structure_theorem_requires_exactly_one_module(workspace):
-    rc, _, err = run_cli("structure-theorem", str(workspace / "cyclic_2_r1.dqb.json"))
-    assert rc == 2
-    rc, _, err = run_cli("structure-theorem", str(workspace / "cyclic_2_r1.dqb.json"),
-                         str(workspace / "hhat.module.json"), "--use-hhat")
-    assert rc == 2
+    # neither or both of a module document and --use-hhat: a usage error
+    usage = ("usage: dualquasi structure-theorem [-h] [--use-hhat] [--preantipode PREANTIPODE] "
+             "dqb [module]\ndualquasi: error: provide exactly one of a module document "
+             "or --use-hhat\n")
+    rc, out, err = run_cli("structure-theorem", str(workspace / "cyclic_2_r1.dqb.json"))
+    assert (rc, out, err) == (2, "", usage)
+    rc, out, err = run_cli("structure-theorem", str(workspace / "cyclic_2_r1.dqb.json"),
+                           str(workspace / "hhat.module.json"), "--use-hhat")
+    assert (rc, out, err) == (2, "", usage)
+
+
+def test_hostile_documents_are_located_input_errors(tmp_path, capsys):
+    # nesting deeper than the JSON decoder recurses, a dim of 5001 digits and
+    # a scalar of 5000: every command that loads the document exits 2 with a
+    # located message on stderr
+    from dualquasi import cli
+
+    ex = cyclic_group_example(2, 1)
+    texts = {"dqb": dump_dqb(ex.dqb), "module": dump_bicomodule(hhat(ex.dqb)),
+             "antipode": dump_antipode(ex.antipode),
+             "preantipode": dump_preantipode(ex.preantipode)}
+    paths = {name: tmp_path / f"{name}.json" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    D, M, A, S = (str(paths[name]) for name in texts)
+    commands = {"dqb": [["verify", D], ["solve-preantipode", D], ["from-antipode", D, A],
+                        ["structure-theorem", D, "--use-hhat"], ["structure-theorem", D, M]],
+                "module": [["structure-theorem", D, M]], "antipode": [["from-antipode", D, A]],
+                "preantipode": [["structure-theorem", D, M, "--preantipode", S]]}
+    for name, text in texts.items():
+        long_scalar = text.replace('"1"', f'"1/{"9" * 5000}"', 1)
+        assert long_scalar != text
+        for hostile in ("[" * 100_000 + "]" * 100_000,
+                        text.replace('"dim": ', f'"dim": {"1" * 5001}, "_": ', 1), long_scalar):
+            paths[name].write_text(hostile)
+            for argv in commands[name]:
+                assert cli.main(argv) == 2, (name, argv)
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith(f"error: {name}"), (name, argv, err[:80])
+        paths[name].write_text(text)
 
 
 def test_determinism(workspace):
