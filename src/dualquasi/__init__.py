@@ -40,7 +40,7 @@ _EXPORTS = {
     "scalars": ("Scalar",),
     "structure": ("CoinvariantRetraction", "check_projection_formula",
                   "coinvariant_retraction", "retraction_report",
-                  "structure_isomorphism"),
+                  "structure_isomorphism", "structure_theorem"),
     "writers": ("dump_antipode", "dump_bicomodule", "dump_dqb", "dump_preantipode"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

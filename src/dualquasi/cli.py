@@ -18,8 +18,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import DimensionMismatch, DocumentError, InvariantViolation
-from .io import MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb, load_preantipode
-from .report import Check, Report, serialize_report
+from .io import (MAX_DIM, MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
+                 load_preantipode)
+from .report import serialize_report
 
 # Each command imports the layers above the algebra itself when it runs, and
 # only after its algebra document has loaded, so a document that fails to
@@ -104,59 +105,21 @@ def cmd_structure_theorem(args) -> int:
     if not rep.ok:
         print(serialize_report(rep, args.report))
         return 1
-    from .adjunction import adjunction_counit
-    from .comodules import coinvariants, hhat, validate_bicomodule
-    from .elimination import rank
-    from .preantipode import check_preantipode, solve_preantipode
-    from .structure import retraction_report
+    from .comodules import hhat, validate_bicomodule
+    from .structure import structure_theorem
 
     if args.use_hhat:
         M = hhat(H)
     else:
         M = load_bicomodule(args.module.read_text(encoding="utf-8"), H)
-        rep_m = validate_bicomodule(H, M)
-        if not rep_m.ok:
-            print(serialize_report(rep_m, args.report))
+        rep = validate_bicomodule(H, M)
+        if not rep.ok:
+            print(serialize_report(rep, args.report))
             return 1
-
-    checks: list[Check] = []
-
-    def finish() -> int:
-        report = Report(tuple(checks))
-        print(serialize_report(report, args.report))
-        return 0 if report.ok else 1
-
-    # the coinvariants and the evaluation map are kept on M's coded view, so
-    # the retraction checks below read them without computing them again
-    coinv = coinvariants(H, M)
-    checks.append(Check("coinvariant-dimension", True, None,
-                        str(coinv.rank), str(M.dim)))
-    eps = adjunction_counit(H, M)
-    eps_rank = rank(eps)
-    bijective = (coinv.rank * H.dim == M.dim) and eps_rank == M.dim
-    checks.append(Check("counit-bijective", bijective, None,
-                        f"rank {eps_rank} on {coinv.rank * H.dim} columns",
-                        f"dimension {M.dim}"))
-
-    if args.preantipode:
-        S = load_preantipode(args.preantipode.read_text(encoding="utf-8"), H)
-        rep_s = check_preantipode(H, S)
-        checks.extend(rep_s.checks)
-        if not rep_s.ok:
-            return finish()
-    else:
-        family = solve_preantipode(H)
-        if family is None:
-            checks.append(Check("preantipode-exists", False, None,
-                                "empty solution set", None))
-            return finish()
-        checks.append(Check("preantipode-exists", True, None,
-                            f"kernel dimension {family.kernel_dimension}", None))
-        S = family.particular
-
-    # the five retraction identities, then ε∘ψ = id and ψ∘ε = id once they hold
-    checks.extend(retraction_report(H, S, M, inverse=True).checks)
-    return finish()
+    S = args.preantipode and load_preantipode(args.preantipode.read_text(encoding="utf-8"), H)
+    report = structure_theorem(H, M, S)
+    print(serialize_report(report, args.report))
+    return 0 if report.ok else 1
 
 
 def cmd_gen(args) -> int:
@@ -171,6 +134,10 @@ def cmd_gen(args) -> int:
         # checked before building n³ cocycle values over Q(zeta_N)
         print(f"error: r >= 1 needs N <= {MAX_FIELD_ORDER}, the largest field order a "
               f"document may declare, got N={n}", file=sys.stderr)
+        return 2
+    if n > MAX_DIM:
+        print(f"error: N must be at most {MAX_DIM}, the largest dim a document may declare, "
+              f"got N={n}", file=sys.stderr)
         return 2
     ex = cyclic_group_example(n, r)
     args.out.mkdir(parents=True, exist_ok=True)

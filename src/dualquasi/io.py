@@ -45,6 +45,9 @@ FORMAT_VERSION = 1
 # Field set-up builds tables quadratic in the degree φ(order), so a document
 # may not declare a larger order than this.
 MAX_FIELD_ORDER = 1024
+# The checks build dense tables of dim³ entries and Ĥ has dimension dim², so an
+# algebra may not declare a larger dim than this, nor a module its square.
+MAX_DIM = 64
 
 
 def _require(doc: dict, key: str, kind, location: str):
@@ -112,11 +115,12 @@ class _Reader:
     def get(self, key: str, kind=list):
         return _require(self.doc, key, kind, self.location)
 
-    def dim(self, expected: int | None = None) -> int:
-        """``dim``, which must be positive, or equal ``expected`` if given."""
+    def dim(self, expected: int | None = None, most: int = MAX_DIM) -> int:
+        """``dim``, which must be positive and at most ``most``, or equal ``expected``."""
         n = self.get("dim", int)
-        if expected is None and n < 1:
-            raise DocumentError(f"dim must be positive, got {n}", f"{self.location}.dim")
+        if expected is None and not 0 < n <= most:
+            bound = "positive" if n < 1 else f"at most {most}"
+            raise DocumentError(f"dim must be {bound}, got {n}", f"{self.location}.dim")
         if expected is not None and n != expected:
             raise DocumentError(f"dim {n} disagrees with the algebra dimension {expected}",
                                 f"{self.location}.dim")
@@ -131,7 +135,8 @@ class _Reader:
             try:
                 value = self.field.parse(text)
             except ScalarParseError as exc:
-                raise DocumentError(f"malformed scalar {text!r}: {exc}", where) from None
+                quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}…"
+                raise DocumentError(f"malformed scalar {quoted}: {exc}", where) from None
             self._parsed[text] = value
         return value
 
@@ -213,7 +218,7 @@ def load_bicomodule(text: str, H: DualQuasiBialgebra) -> HopfBicomodule:
     from .comodules import HopfBicomodule
 
     read = _Reader(text, "module", H.field)
-    d = read.dim()
+    d = read.dim(most=MAX_DIM ** 2)
     n = H.dim
     rho_l = read.sparse("rho_l", (d, n, d), n * d)
     rho_r = read.sparse("rho_r", (d, d, n), d * n)

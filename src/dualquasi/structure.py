@@ -14,9 +14,10 @@ from .adjunction import adjunction_counit
 from .coded import _report, _view
 from .comodules import HopfBicomodule, coinvariants
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
-from .elimination import Subspace
+from .elimination import Subspace, rank
 from .errors import InvariantViolation
 from .linalg import Matrix
+from .preantipode import check_preantipode, solve_preantipode
 from .report import Check, Report, clean_terms
 from .values import Value
 
@@ -163,21 +164,47 @@ def _structure(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, strict: bool
     return report, tau, retraction, psi
 
 
-def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, *,
-                      inverse: bool = False) -> Report:
+def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule) -> Report:
     """Per-identity verdicts for the retraction induced by S on M.
 
     Checks, in order: the image lies in the coinvariants, the module identity
     for τ(mh), left colinearity, τ(m₀)m₁ = m, and triviality on coinvariants.
     The last identity is equivalent to the middle two given the splitting
     identity, so matching verdicts across the two routes is itself a useful
-    consistency signal.
+    consistency signal."""
+    return _retraction_pieces(H, S, M)[0]
 
-    With ``inverse`` the report goes on, once the five identities hold, to
-    whether ψ(m) = τ(m₀)⊗m₁ inverts the evaluation map ε:
-    ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit`` (ψ∘ε = id).
-    """
-    return (_structure if inverse else _retraction_pieces)(H, S, M)[0]
+
+def structure_theorem(H: DualQuasiBialgebra, M: HopfBicomodule,
+                      S: Matrix | None = None) -> Report:
+    """The structure theorem on M, as ``structure-theorem`` reports it.
+
+    Records, in order: ``coinvariant-dimension`` (dim M^coH against dim M),
+    ``counit-bijective`` (whether the evaluation map M^coH⊗H → M is), then
+    S's five preantipode identities or, without S, whether the solver finds
+    one (``preantipode-exists``).  A failure there ends the report; otherwise
+    the five retraction identities of S follow and, once they hold, whether
+    ψ(m) = τ(m₀)⊗m₁ inverts the evaluation map: ``counit-after-inverse``
+    (ε∘ψ = id) and ``inverse-after-counit`` (ψ∘ε = id)."""
+    # the coinvariants and ε are kept on M's coded view, so the retraction
+    # checks below read them without computing them again
+    coinv = coinvariants(H, M)
+    eps_rank = rank(adjunction_counit(H, M))
+    columns = coinv.rank * H.dim
+    checks = [Check("coinvariant-dimension", True, None, str(coinv.rank), str(M.dim)),
+              Check("counit-bijective", columns == M.dim and eps_rank == M.dim, None,
+                    f"rank {eps_rank} on {columns} columns", f"dimension {M.dim}")]
+    if S is not None:
+        checks.extend(check_preantipode(H, S).checks)
+    elif (family := solve_preantipode(H)) is None:
+        checks.append(Check("preantipode-exists", False, None, "empty solution set", None))
+    else:
+        checks.append(Check("preantipode-exists", True, None,
+                            f"kernel dimension {family.kernel_dimension}", None))
+        S = family.particular
+    if all(c.passed for c in checks[2:]):
+        checks.extend(_structure(H, S, M)[0].checks)
+    return Report(tuple(checks))
 
 
 def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,

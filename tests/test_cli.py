@@ -70,10 +70,16 @@ class _Built(Exception):
     pass
 
 
-@pytest.mark.parametrize("n, r, refused", [(1025, 1, True), (1025, 1024, True),
-                                           (1024, 1, False), (1025, 0, False)])
+_FIELD_ORDER = "error: r >= 1 needs N <= 1024, the largest field order a document may declare"
+_DIM = "error: N must be at most 64, the largest dim a document may declare"
+
+
+# the field order is checked first; an N that passes it is refused above dim 64
+@pytest.mark.parametrize("n, r, field_order_refused", [
+    (1025, 1, True), (1025, 1024, True), (1024, 1, False), (1025, 0, False), (65, 0, False),
+    (64, 1, False), (64, 0, False)])
 def test_gen_refuses_a_field_order_the_loader_rejects(tmp_path, monkeypatch, capsys,
-                                                      n, r, refused):
+                                                      n, r, field_order_refused):
     # the builder is replaced, so an accepted order allocates nothing either
     from dualquasi import cli, groups
 
@@ -82,12 +88,10 @@ def test_gen_refuses_a_field_order_the_loader_rejects(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(groups, "cyclic_group_example", build)
     argv = ["gen", "--cyclic", str(n), "--r", str(r), "--out", str(tmp_path / "out")]
-    if refused:
+    if field_order_refused or n > 64:
         assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: r >= 1 needs N <= 1024, the largest field order a " \
-                      "document may declare, got N=1025\n"
+        refusal = _FIELD_ORDER if field_order_refused else _DIM
+        assert capsys.readouterr() == ("", f"{refusal}, got N={n}\n")
         assert not (tmp_path / "out").exists()
     else:
         with pytest.raises(_Built):
@@ -243,6 +247,23 @@ def test_hostile_documents_are_located_input_errors(tmp_path, capsys):
                 out, err = capsys.readouterr()
                 assert out == "" and err.startswith(f"error: {name}"), (name, argv, err[:80])
         paths[name].write_text(text)
+
+
+def test_a_large_dim_is_an_input_error(tmp_path, capsys):
+    # the declared dim is refused before any section is read: an algebra
+    # larger than 64, and a module larger than 64²
+    from dualquasi import cli
+
+    ex = cyclic_group_example(2, 1)
+    dqb, module = tmp_path / "dqb.json", tmp_path / "module.json"
+    dqb.write_text(dump_dqb(ex.dqb))
+    module.write_text(dump_bicomodule(hhat(ex.dqb)).replace('"dim": ', '"dim": 1000000, "_": ', 1))
+    assert cli.main(["structure-theorem", str(dqb), str(module)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: module.dim: dim must be at most 4096, got 1000000\n")
+    dqb.write_text(dump_dqb(ex.dqb).replace('"dim": ', '"dim": 3000, "_": ', 1))
+    assert cli.main(["verify", str(dqb)]) == 2
+    assert capsys.readouterr() == ("", "error: dqb.dim: dim must be at most 64, got 3000\n")
 
 
 def test_determinism(workspace):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dualquasi import (Check, DocumentError, Field, Matrix, Report, ScalarParseError, hhat,
                        solve_affine, validate_dqb)
 from dualquasi.groups import cyclic_group_example
-from dualquasi.io import (MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
+from dualquasi.io import (MAX_DIM, MAX_FIELD_ORDER, load_antipode, load_bicomodule, load_dqb,
                           load_preantipode)
 from dualquasi.report import serialize_report
 from dualquasi.writers import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
@@ -158,6 +158,35 @@ def test_oversized_field_order_rejected():
     assert load_dqb(json.dumps(doc)).field.order == 1024
 
 
+def test_oversized_dim_rejected():
+    # an algebra of at most MAX_DIM, and a module of at most its square
+    H = cyclic_group_example(2, 1).dqb
+    for load, text, most, location in (
+            (load_dqb, dump_dqb(H), MAX_DIM, "dqb.dim"),
+            (lambda text: load_bicomodule(text, H), dump_bicomodule(hhat(H)), MAX_DIM ** 2,
+             "module.dim")):
+        doc = json.loads(text)
+        doc["dim"] = most + 1
+        with pytest.raises(DocumentError) as err:
+            load(json.dumps(doc))
+        assert err.value.location == location
+        assert str(err.value) == f"{location}: dim must be at most {most}, got {most + 1}"
+
+
+def test_a_large_dim_is_rejected_before_anything_is_built():
+    # with dim 3000 the empty delta section would be a matrix of 9·10⁶ rows
+    doc = json.dumps({"version": 1, "field": {"kind": "rationals"}, "dim": 3000,
+                      "delta": [], "counit": [], "mul": [], "unit": [], "omega": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match=r"^dqb\.dim: dim must be at most 64, got 3000$"):
+            load_dqb(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("which, text, message, location", [
     (0, "[]", "expected a JSON object", "dqb"),
     (1, '"module"', "expected a JSON object", "module"),
@@ -226,13 +255,12 @@ def test_wrong_dimension_antipode_rejected():
         load_antipode(text, ex3.dqb)
 
 
-# small values only: a large dim or field order allocates before it is checked.
-# Numbers of 5000 digits are refused before anything is built: a scalar
-# literal, and an integer, written into the text in place of its marker
-# (json.dumps cannot write an integer that long).
+# A large dim or field order is refused before anything is built, and so are
+# numbers of 5000 digits: a scalar literal, and an integer, written into the
+# text in place of its marker (json.dumps cannot write an integer that long).
 _LONG_INTEGER = "<an integer of 5000 digits>"
-_POOL = (None, True, False, 0, -1, 1.5, 4, 7, "", "x", "1/0", "z", "z^3", [], [[]], {},
-         {"a": 1}, "9" * 5000, _LONG_INTEGER)
+_POOL = (None, True, False, 0, -1, 1.5, 4, 7, 10 ** 6, "", "x", "1/0", "z", "z^3", [], [[]],
+         {}, {"a": 1}, "9" * 5000, _LONG_INTEGER)
 
 
 @functools.cache
@@ -296,11 +324,13 @@ def test_loaders_locate_deep_nesting_and_long_integers(which, location):
 
 
 def test_an_overlong_scalar_is_malformed_at_its_place():
+    # the message quotes the first 40 characters of the literal
     doc = json.loads(dump_dqb(cyclic_group_example(3, 1).dqb))
     doc["unit"][0] = "1/" + "9" * 5000
-    with pytest.raises(DocumentError, match=r"^dqb\.unit\[0\]: malformed scalar '1/9+': "
-                                            r"number has too many digits \(at character 2\)$"):
+    with pytest.raises(DocumentError, match=r"^dqb\.unit\[0\]: malformed scalar '1/9{38}'…: "
+                                            r"number has too many digits \(at character 2\)$") as err:
         load_dqb(json.dumps(doc))
+    assert len(str(err.value)) < 200
     with pytest.raises(ScalarParseError, match=r"^number has too many digits \(at character 2\)$"):
         Field.cyclotomic(4).parse("z^" + "9" * 5000)
 

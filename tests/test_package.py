@@ -33,7 +33,7 @@ EXPORTED = [
     "inverse", "kernel", "load_antipode", "load_bicomodule", "load_dqb",
     "load_preantipode", "preantipode_from_antipode", "rank",
     "regular_bicomodule", "retraction_report", "serialize_report",
-    "solve_affine", "solve_preantipode", "structure_isomorphism",
+    "solve_affine", "solve_preantipode", "structure_isomorphism", "structure_theorem",
     "tensor_index", "tensor_unindex", "trivial_cocycle", "trivial_left_coaction",
     "trivial_right_coaction", "validate_bicomodule", "validate_cocycle",
     "validate_dqb", "validate_left_comodule",
@@ -263,7 +263,7 @@ def test_antipode_data_is_one_class():
 
 def test_exported_names_are_unchanged():
     assert sorted(dualquasi.__all__) == EXPORTED
-    assert len(EXPORTED) == 69
+    assert len(EXPORTED) == 70
 
 
 def test_each_name_is_the_object_of_its_home_module():

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from dualquasi import (AntipodeData, DimensionMismatch, Field, InvariantViolation, Matrix,
+from dualquasi import (AntipodeData, DimensionMismatch, Field, InvariantViolation, Matrix, Report,
                        adjunction_counit, anti_homomorphism_defect,
                        check_antipode, check_preantipode,
                        check_projection_formula, coinvariant_retraction,
                        coinvariants, hhat, induce_bicomodule, inverse,
                        free_hopf_bicomodule, preantipode_from_antipode, rank,
                        retraction_report, serialize_report, solve_preantipode,
-                       structure_isomorphism)
+                       structure_isomorphism, structure_theorem)
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
                      random_left_comodule, sympy_grouplike_preantipode, rational,
@@ -365,19 +365,24 @@ def test_retraction_report_flags_zero_map():
         coinvariant_retraction(H, Matrix.zeros(H.field, 2, 2), hhat(H))
 
 
-def test_retraction_report_with_evaluation_map_adds_composites():
+def test_retraction_report_with_evaluation_map_adds_composites(monkeypatch):
+    import dualquasi.structure
+
     ex = example("cyclic_3_r1")
     H, M = ex.dqb, hhat(ex.dqb)
     plain = retraction_report(H, ex.preantipode, M)
-    full = retraction_report(H, ex.preantipode, M, inverse=True)
-    assert full.checks[:5] == plain.checks
-    assert [(c.axiom, c.passed) for c in full.checks[5:]] == [
+    # the two dimension records and S's five identities, then the retraction's
+    full = structure_theorem(H, M, ex.preantipode)
+    assert full.checks[7:12] == plain.checks
+    assert [(c.axiom, c.passed) for c in full.checks[12:]] == [
         ("counit-after-inverse", True), ("inverse-after-counit", True)]
-    # the composites need τ to land in the coinvariants, so a failing
-    # retraction stops the report after its five identities
+    # a zero S is no preantipode, so the report stops at its identities; with
+    # that check passed over, the retraction fails, and the composites, which
+    # need τ to land in the coinvariants, are left out
     zero = Matrix.zeros(H.field, 3, 3)
-    assert (retraction_report(H, zero, M, inverse=True)
-            == retraction_report(H, zero, M))
+    assert structure_theorem(H, M, zero).checks[2:] == check_preantipode(H, zero).checks
+    monkeypatch.setattr(dualquasi.structure, "check_preantipode", lambda H, S: Report(()))
+    assert structure_theorem(H, M, zero).checks[2:] == retraction_report(H, zero, M).checks
 
 
 def test_composite_failures_raise_and_report(monkeypatch):
@@ -394,10 +399,11 @@ def test_composite_failures_raise_and_report(monkeypatch):
         with pytest.raises(InvariantViolation,
                            match="^evaluation ∘ inverse is not the identity$"):
             call(H, ex.preantipode, M)
-    report = retraction_report(H, ex.preantipode, M, inverse=True)
-    assert all(c.passed for c in report.checks[:5])
+    report = structure_theorem(H, M, ex.preantipode)
+    assert report.checks[7:12] == retraction_report(H, ex.preantipode, M).checks
+    assert all(c.passed for c in report.checks[7:12])
     # ε and ψ are square, so ε∘ψ = id and ψ∘ε = id fail together
-    assert [(c.axiom, c.passed) for c in report.checks[5:]] == [
+    assert [(c.axiom, c.passed) for c in report.checks[12:]] == [
         ("counit-after-inverse", False), ("inverse-after-counit", False)]
 
 

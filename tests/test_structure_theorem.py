@@ -3,7 +3,9 @@
 Each case runs the command in-process on cyclic 2 r=1 (or the idempotent
 monoid, which has no preantipode) and compares the exit code and the whole
 stdout with a recorded report: both forms, a zero S, the monoid, an algebra
-that fails an axiom and a module that fails validation.
+that fails an axiom and a module that fails validation.  Then, on six
+algebras, the command's stdout must be the json-lines form of the report
+that the library's ``structure_theorem`` returns.
 """
 
 import contextlib
@@ -118,3 +120,36 @@ def _argv(case: str, p) -> list:
 def test_structure_theorem_exit_code_and_report(documents, case):
     rc, lines = PINNED[case]
     assert _main(*_argv(case, documents)) == (rc, "\n".join(lines) + "\n")
+
+
+def _algebras():
+    from helpers import (bundled_examples, control_bialgebra, sweedler_four_dim_hopf,
+                         symmetric_group_examples, twisted_sweedler)
+
+    cyclic = {ex.name: ex.dqb for ex in bundled_examples()}
+    return {"cyclic_2_r1": cyclic["cyclic_2_r1"], "cyclic_4_r1": cyclic["cyclic_4_r1"],
+            "sweedler": sweedler_four_dim_hopf()[0], "twisted_sweedler": twisted_sweedler(),
+            "s3": symmetric_group_examples()[0].dqb, "monoid": control_bialgebra()}
+
+
+@pytest.mark.parametrize("name", ["cyclic_2_r1", "cyclic_4_r1", "sweedler", "twisted_sweedler",
+                                  "s3", "monoid"])
+def test_the_command_prints_the_library_report(tmp_path, name):
+    # in both forms, with the solver's S (zero on the monoid, which has none)
+    # given as a document and without one
+    from dualquasi import load_bicomodule, serialize_report, solve_preantipode, structure_theorem
+
+    H = _algebras()[name]
+    family = solve_preantipode(H)
+    S = family.particular if family else Matrix.zeros(H.field, H.dim, H.dim)
+    paths = {part: tmp_path / f"{part}.json" for part in ("dqb", "module", "S")}
+    paths["dqb"].write_text(dump_dqb(H))
+    paths["module"].write_text(dump_bicomodule(hhat(H)))
+    paths["S"].write_text(dump_preantipode(S))
+    module = load_bicomodule(paths["module"].read_text(), H)
+    for form, M in (([paths["dqb"], "--use-hhat"], hhat(H)),
+                    ([paths["dqb"], paths["module"]], module)):
+        for given, options in ((None, []), (S, ["--preantipode", paths["S"]])):
+            report = structure_theorem(H, M, given)
+            expected = (0 if report.ok else 1, serialize_report(report, "json-lines") + "\n")
+            assert _main(*form, *options) == expected, (form, options)

@@ -14,8 +14,9 @@ that tree's own copy of the script.
 
 Calls, with S the solver's preantipode, or zero where H has none:
 - on Ĥ of each algebra: ``structure_isomorphism``, ``coinvariant_retraction``,
-  ``retraction_report`` with and without ``inverse``, ``coinvariant_comodule``
-  and, with antipode data, ``check_projection_formula``;
+  ``retraction_report``, ``structure_theorem`` with S and without (the solver's
+  S), ``coinvariant_comodule`` and, with antipode data,
+  ``check_projection_formula``;
 - ``adjunction_unit`` on H as a left comodule over itself;
 - ``anti_homomorphism_defect`` on the group algebras;
 - ``check_antipode`` for every single-entry change of Sweedler's s, α or β to
@@ -82,7 +83,7 @@ def run() -> list[dict]:
                            anti_homomorphism_defect, check_antipode, check_preantipode,
                            check_projection_formula, coinvariant_comodule,
                            coinvariant_retraction, hhat, retraction_report,
-                           solve_preantipode, structure_isomorphism)
+                           solve_preantipode, structure_isomorphism, structure_theorem)
 
     records = []
 
@@ -101,9 +102,10 @@ def run() -> list[dict]:
     for name, H, data, group in _bases():
         family = solve_preantipode(H)
         S = family.particular if family else Matrix.zeros(H.field, H.dim, H.dim)
-        for call, kwargs in ((structure_isomorphism, {}), (coinvariant_retraction, {}),
-                             (retraction_report, {}), (retraction_report, {"inverse": True})):
-            record([name, call.__name__, *kwargs], call, H, S, hhat(H), **kwargs)
+        for call in (structure_isomorphism, coinvariant_retraction, retraction_report):
+            record([name, call.__name__], call, H, S, hhat(H))
+        record([name, "structure_theorem", "S"], structure_theorem, H, hhat(H), S)
+        record([name, "structure_theorem"], structure_theorem, H, hhat(H))
         record([name, "coinvariant_comodule"], coinvariant_comodule, H, hhat(H))
         if data is not None:
             record([name, "check_projection_formula"], check_projection_formula, H, data,
