@@ -113,13 +113,12 @@ def cmd_structure_theorem(args) -> int:
     else:
         M = load_bicomodule(args.module.read_text(encoding="utf-8"), H)
         rep = validate_bicomodule(H, M)
-        if not rep.ok:
-            print(serialize_report(rep, args.report))
-            return 1
-    S = args.preantipode and load_preantipode(args.preantipode.read_text(encoding="utf-8"), H)
-    report = structure_theorem(H, M, S)
-    print(serialize_report(report, args.report))
-    return 0 if report.ok else 1
+    if rep.ok:
+        S = (load_preantipode(args.preantipode.read_text(encoding="utf-8"), H)
+             if args.preantipode else None)
+        rep = structure_theorem(H, M, S)
+    print(serialize_report(rep, args.report))
+    return 0 if rep.ok else 1
 
 
 def cmd_gen(args) -> int:

@@ -257,13 +257,12 @@ def test_a_large_dim_is_an_input_error(tmp_path, capsys):
     ex = cyclic_group_example(2, 1)
     dqb, module = tmp_path / "dqb.json", tmp_path / "module.json"
     dqb.write_text(dump_dqb(ex.dqb))
-    module.write_text(dump_bicomodule(hhat(ex.dqb)).replace('"dim": ', '"dim": 1000000, "_": ', 1))
+    module.write_text(dump_bicomodule(hhat(ex.dqb)).replace('"dim": ', '"dim": 4097, "_": ', 1))
     assert cli.main(["structure-theorem", str(dqb), str(module)]) == 2
-    assert capsys.readouterr() == (
-        "", "error: module.dim: dim must be at most 4096, got 1000000\n")
-    dqb.write_text(dump_dqb(ex.dqb).replace('"dim": ', '"dim": 3000, "_": ', 1))
+    assert capsys.readouterr() == ("", "error: module.dim: dim must be at most 4096, got 4097\n")
+    dqb.write_text(dump_dqb(ex.dqb).replace('"dim": ', '"dim": 65, "_": ', 1))
     assert cli.main(["verify", str(dqb)]) == 2
-    assert capsys.readouterr() == ("", "error: dqb.dim: dim must be at most 64, got 3000\n")
+    assert capsys.readouterr() == ("", "error: dqb.dim: dim must be at most 64, got 65\n")
 
 
 def test_determinism(workspace):

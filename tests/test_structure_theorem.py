@@ -13,10 +13,12 @@ import io
 
 import pytest
 
-from dualquasi import HopfBicomodule, Matrix, cli, cyclic_group_example, hhat
+from dualquasi import (HopfBicomodule, Matrix, cli, cyclic_group_example, hhat, load_bicomodule,
+                       serialize_report, solve_preantipode, structure_theorem)
 from dualquasi.writers import dump_bicomodule, dump_dqb, dump_preantipode
 
-from helpers import control_bialgebra, with_entry, with_parts
+from helpers import (bundled_examples, control_bialgebra, sweedler_four_dim_hopf,
+                     symmetric_group_examples, twisted_sweedler, with_entry, with_parts)
 
 
 def _main(*argv) -> tuple[int, str]:
@@ -123,9 +125,6 @@ def test_structure_theorem_exit_code_and_report(documents, case):
 
 
 def _algebras():
-    from helpers import (bundled_examples, control_bialgebra, sweedler_four_dim_hopf,
-                         symmetric_group_examples, twisted_sweedler)
-
     cyclic = {ex.name: ex.dqb for ex in bundled_examples()}
     return {"cyclic_2_r1": cyclic["cyclic_2_r1"], "cyclic_4_r1": cyclic["cyclic_4_r1"],
             "sweedler": sweedler_four_dim_hopf()[0], "twisted_sweedler": twisted_sweedler(),
@@ -137,8 +136,6 @@ def _algebras():
 def test_the_command_prints_the_library_report(tmp_path, name):
     # in both forms, with the solver's S (zero on the monoid, which has none)
     # given as a document and without one
-    from dualquasi import load_bicomodule, serialize_report, solve_preantipode, structure_theorem
-
     H = _algebras()[name]
     family = solve_preantipode(H)
     S = family.particular if family else Matrix.zeros(H.field, H.dim, H.dim)
