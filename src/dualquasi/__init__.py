@@ -38,9 +38,7 @@ _EXPORTS = {
     "preantipode": ("PreantipodeFamily", "check_preantipode", "solve_preantipode"),
     "report": ("Check", "Report", "serialize_report"),
     "scalars": ("Scalar",),
-    "structure": ("CoinvariantRetraction", "check_projection_formula",
-                  "coinvariant_retraction", "retraction_report",
-                  "structure_isomorphism", "structure_theorem"),
+    "structure": ("check_projection_formula", "retraction_report", "structure_theorem"),
     "writers": ("dump_antipode", "dump_bicomodule", "dump_dqb", "dump_preantipode"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,7 +7,9 @@ wins.  ``-h`` or ``--help``, before or after the command, prints help.
 
 Exit codes form a stable contract: 0 means success (all checks pass),
 1 means a mathematical negative (an axiom fails, no preantipode exists),
-2 means an input or usage error.
+2 means an input or usage error.  A run that exhausts memory is not a
+negative: it prints one ``error: … out of memory …`` line on stderr and
+exits 2.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def cmd_structure_theorem(args) -> int:
     if rep.ok:
         S = (load_preantipode(args.preantipode.read_text(encoding="utf-8"), H)
              if args.preantipode else None)
-        rep = structure_theorem(H, M, S)
+        rep, _ = structure_theorem(H, M, S)
     print(serialize_report(rep, args.report))
     return 0 if rep.ok else 1
 
@@ -254,6 +256,10 @@ def main(argv=None) -> int:
         return 1
     except (DocumentError, DimensionMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for the checks to run",
+              file=sys.stderr)
         return 2
 
 

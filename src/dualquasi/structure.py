@@ -14,24 +14,11 @@ from .adjunction import adjunction_counit
 from .coded import _report, _view
 from .comodules import HopfBicomodule, coinvariants
 from .dqb import AntipodeData, DualQuasiBialgebra, _require_square
-from .elimination import Subspace, rank
+from .elimination import rank
 from .errors import InvariantViolation
 from .linalg import Matrix
 from .preantipode import check_preantipode, solve_preantipode
 from .report import Check, Report, clean_terms
-from .values import Value
-
-
-class CoinvariantRetraction(Value):
-    """The retraction M → M^coH and the inverse of the evaluation map.
-
-    ``retraction`` is r×d in coinvariant coordinates; ``counit_inverse`` is
-    the (r·n)×d matrix of m ↦ τ(m₀)⊗m₁."""
-
-    __slots__ = ("coinvariants", "retraction", "counit_inverse")
-
-    def __init__(self, coinvariants: Subspace, retraction: Matrix, counit_inverse: Matrix):
-        self._set(coinvariants, retraction, counit_inverse)
 
 
 def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
@@ -129,39 +116,28 @@ def _retraction_pieces(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
     return report, tau
 
 
-# the message of a failed composite; a failed identity names its axiom and witness
-_COMPOSITE_FAILURES = {"counit-after-inverse": "evaluation ∘ inverse is not the identity",
-                       "inverse-after-counit": "inverse ∘ evaluation is not the identity"}
-
-
-def _structure(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule, strict: bool = False):
-    """(report, τ, retraction, ψ): everything S induces on M, built once.
+def _structure(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule):
+    """(report, τ, ψ): everything S induces on M, built once.
 
     The report holds the five retraction identities and, once they hold,
     whether ψ(m) = τ(m₀)⊗m₁ inverts M's evaluation map ε:
     ``counit-after-inverse`` (ε∘ψ = id) and ``inverse-after-counit``
-    (ψ∘ε = id).  τ holds the images of M's basis as codes of M's view; the
-    retraction (r×d, in coinvariant coordinates) and ψ ((r·n)×d) are None
-    while an identity fails.  With ``strict`` the first failure raises
-    InvariantViolation, after ε's own checks, which always raise."""
+    (ψ∘ε = id).  τ holds the images of M's basis as codes of M's view; ψ,
+    (r·n)×d, is None while an identity fails."""
     report, tau = _retraction_pieces(H, S, M)
-    retraction = psi = None
-    if report.ok:
-        d = M.dim
-        images = _view(H, M).matrix(
-            d, d, ((j, i, v) for i in range(d) for (j,), v in tau[i].items()))
-        retraction = coinvariants(H, M).coordinates(images)
-        assert retraction is not None  # guaranteed by retraction-into-coinvariants
-        psi = retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
-        eps = adjunction_counit(H, M)
-        report = Report(report.checks + (
-            Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
-            Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows))))
-    if strict and not report.ok:
-        bad = report.failures[0]
-        raise InvariantViolation(_COMPOSITE_FAILURES.get(bad.axiom) or (
-            f"retraction identity {bad.axiom} failed at witness {bad.witness}"))
-    return report, tau, retraction, psi
+    if not report.ok:
+        return report, tau, None
+    d = M.dim
+    images = _view(H, M).matrix(
+        d, d, ((j, i, v) for i in range(d) for (j,), v in tau[i].items()))
+    retraction = coinvariants(H, M).coordinates(images)
+    assert retraction is not None  # guaranteed by retraction-into-coinvariants
+    psi = retraction.kron(Matrix.identity(H.field, H.dim)) @ M.rho_r
+    eps = adjunction_counit(H, M)
+    report = Report(report.checks + (
+        Check("counit-after-inverse", eps @ psi == Matrix.identity(H.field, eps.rows)),
+        Check("inverse-after-counit", psi @ eps == Matrix.identity(H.field, psi.rows))))
+    return report, tau, psi
 
 
 def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule) -> Report:
@@ -176,8 +152,10 @@ def retraction_report(H: DualQuasiBialgebra, S: Matrix, M: HopfBicomodule) -> Re
 
 
 def structure_theorem(H: DualQuasiBialgebra, M: HopfBicomodule,
-                      S: Matrix | None = None) -> Report:
-    """The structure theorem on M, as ``structure-theorem`` reports it.
+                      S: Matrix | None = None) -> tuple[Report, Matrix | None]:
+    """The structure theorem on M: the report ``structure-theorem`` prints,
+    and ψ, the (r·n)×d inverse of the evaluation map, or None unless every
+    record passes.
 
     Records, in order: ``coinvariant-dimension`` (dim M^coH against dim M),
     ``counit-bijective`` (whether the evaluation map M^coH⊗H → M is), then
@@ -202,27 +180,12 @@ def structure_theorem(H: DualQuasiBialgebra, M: HopfBicomodule,
         checks.append(Check("preantipode-exists", True, None,
                             f"kernel dimension {family.kernel_dimension}", None))
         S = family.particular
+    psi = None
     if all(c.passed for c in checks[2:]):
-        checks.extend(_structure(H, S, M)[0].checks)
-    return Report(tuple(checks))
-
-
-def coinvariant_retraction(H: DualQuasiBialgebra, S: Matrix,
-                           M: HopfBicomodule) -> CoinvariantRetraction:
-    """The retraction in coinvariant coordinates plus the evaluation inverse.
-
-    Any failed identity raises InvariantViolation."""
-    _, _, retraction, psi = _structure(H, S, M, strict=True)
-    return CoinvariantRetraction(coinvariants(H, M), retraction, psi)
-
-
-def structure_isomorphism(H: DualQuasiBialgebra, S: Matrix,
-                          M: HopfBicomodule) -> tuple[Matrix, Matrix]:
-    """The mutually inverse pair (evaluation M^coH⊗H → M, its inverse ψ).
-
-    Both composites are verified to be identity matrices, exactly."""
-    psi = _structure(H, S, M, strict=True)[3]
-    return adjunction_counit(H, M), psi
+        tail, _, psi = _structure(H, S, M)
+        checks.extend(tail.checks)
+    report = Report(tuple(checks))
+    return report, psi if report.ok else None
 
 
 # -- comparison with the antipode-based projection -------------------------------
@@ -235,12 +198,17 @@ def check_projection_formula(H: DualQuasiBialgebra, data: AntipodeData,
 
     Also reports (as the returned boolean, not as a failure) whether the
     candidate inverse γ(m) = P(m₀)⊗m₁ coincides with the actual inverse ψ;
-    the two agree when α = ε and the reassociator twists are trivial."""
+    the two agree when α = ε and the reassociator twists are trivial.  A
+    failed record of the structure theorem for S raises InvariantViolation."""
     # no command calls this, so structure-theorem never loads the antipode module
     from .antipode import _convolution, _sandwich
 
     d, n = M.dim, H.dim
-    _, tau, _, psi = _structure(H, _sandwich(H, data), M, strict=True)
+    checks, tau, psi = _structure(H, _sandwich(H, data), M)
+    if not checks.ok:
+        bad = checks.failures[0]
+        raise InvariantViolation(
+            f"retraction identity {bad.axiom} failed at witness {bad.witness}")
     view = _view(H, M)
     mul, put = view.codes.mul, view.codes.put
     s_cols = [view.encode(data.s.column_terms(b)) for b in range(n)]

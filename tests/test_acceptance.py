@@ -17,7 +17,7 @@ from dualquasi import (Matrix, adjunction_counit, anti_homomorphism_defect,
                        check_projection_formula,
                        coinvariants, free_hopf_bicomodule, hhat,
                        induce_bicomodule, rank, retraction_report,
-                       solve_preantipode, structure_isomorphism, validate_dqb,
+                       solve_preantipode, structure_theorem, validate_dqb,
                        validate_bicomodule)
 from dualquasi.io import load_antipode, load_bicomodule, load_dqb, load_preantipode
 from dualquasi.writers import dump_antipode, dump_bicomodule, dump_dqb, dump_preantipode
@@ -113,7 +113,11 @@ def test_criterion_04_structure_theorem_positive(test_modules):
             if not validate_bicomodule(H, M).ok:
                 ok, details = False, details + [f"{ex.name}/{label}: invalid module"]
                 continue
-            eps, psi = structure_isomorphism(H, ex.preantipode, M)
+            report, psi = structure_theorem(H, M, ex.preantipode)
+            if not report.ok:
+                ok, details = False, details + [f"{ex.name}/{label}: {report.failures[0].axiom}"]
+                continue
+            eps = adjunction_counit(H, M)
             r = coinvariants(H, M).rank
             if eps @ psi != Matrix.identity(H.field, M.dim):
                 ok, details = False, details + [f"{ex.name}/{label}: eps∘psi ≠ id"]

@@ -265,6 +265,27 @@ def test_a_large_dim_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: dqb.dim: dim must be at most 64, got 65\n")
 
 
+def test_running_out_of_memory_is_an_input_error(workspace, monkeypatch, capsys):
+    # a valid document whose checks exhaust memory is no mathematical
+    # negative: each command that loads an algebra exits 2 with one line
+    import dualquasi.axioms
+    from dualquasi import cli
+
+    def exhausted(H):
+        raise MemoryError
+
+    monkeypatch.setattr(dualquasi.axioms, "validate_dqb", exhausted)
+    D = str(workspace / "cyclic_2_r1.dqb.json")
+    for argv in (["verify", D], ["solve-preantipode", D],
+                 ["from-antipode", D, str(workspace / "cyclic_2_r1.antipode.json")],
+                 ["structure-theorem", D, "--use-hhat"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+        assert "out of memory" in err and "Traceback" not in err, (argv, err)
+
+
 def test_determinism(workspace):
     a = run_cli("verify", str(workspace / "cyclic_2_r1.dqb.json"))
     b = run_cli("verify", str(workspace / "cyclic_2_r1.dqb.json"))

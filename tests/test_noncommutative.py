@@ -7,12 +7,15 @@ the Sweedler-expansion paths the group algebras never reach.
 
 import random
 
-from dualquasi import (LeftComodule, Matrix, check_antipode, check_preantipode,
+import pytest
+
+from dualquasi import (AntipodeData, InvariantViolation, LeftComodule, Matrix,
+                       adjunction_counit, check_antipode, check_preantipode,
                        check_projection_formula, coinvariants, convolution,
                        free_hopf_bicomodule, hhat, induce_bicomodule,
                        preantipode_from_antipode, regular_bicomodule,
                        retraction_report, solve_preantipode,
-                       structure_isomorphism, validate_bicomodule,
+                       structure_theorem, validate_bicomodule,
                        validate_dqb)
 
 from helpers import sweedler_four_dim_hopf, taft_algebra
@@ -66,7 +69,9 @@ def test_free_bicomodule_and_structure_theorem():
     assert M.dim == 16
     assert validate_bicomodule(H, M).ok
     assert coinvariants(H, M).rank == 4
-    eps, psi = structure_isomorphism(H, data.s, M)
+    report, psi = structure_theorem(H, M, data.s)
+    assert report.ok
+    eps = adjunction_counit(H, M)
     assert eps @ psi == Matrix.identity(H.field, 16)
     assert psi @ eps == Matrix.identity(H.field, 16)
 
@@ -84,6 +89,17 @@ def test_projection_formula_classical_case():
     assert gamma_matches  # ordinary Hopf algebra: the candidate is the inverse
 
 
+def test_projection_formula_raises_on_a_failed_retraction():
+    # with α = 0 the sandwich β∗s∗α is the zero map, so τ = 0 and
+    # τ(m₀)·m₁ = m fails first, at the first basis vector
+    H, data = sweedler_four_dim_hopf()
+    zero_alpha = AntipodeData(data.s, Matrix.zeros(H.field, 1, H.dim), data.beta)
+    with pytest.raises(InvariantViolation) as raised:
+        check_projection_formula(H, zero_alpha, hhat(H))
+    assert str(raised.value) == \
+        "retraction identity retraction-splits-counit failed at witness (0,)"
+
+
 def test_induced_and_free_constructions():
     H, data = sweedler_four_dim_hopf()
     # the algebra over itself as a left comodule
@@ -91,11 +107,15 @@ def test_induced_and_free_constructions():
     FV = induce_bicomodule(H, V)
     assert validate_bicomodule(H, FV).ok
     assert coinvariants(H, FV).rank == 4
-    eps, psi = structure_isomorphism(H, data.s, FV)
+    report, psi = structure_theorem(H, FV, data.s)
+    assert report.ok
+    eps = adjunction_counit(H, FV)
     assert eps @ psi == Matrix.identity(H.field, 16)
     T = free_hopf_bicomodule(H, regular_bicomodule(H))
     assert validate_bicomodule(H, T).ok
-    eps, psi = structure_isomorphism(H, data.s, T)
+    report, psi = structure_theorem(H, T, data.s)
+    assert report.ok
+    eps = adjunction_counit(H, T)
     assert psi @ eps == Matrix.identity(H.field, coinvariants(H, T).rank * 4)
 
 

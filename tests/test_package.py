@@ -9,9 +9,8 @@ import pytest
 
 import dualquasi
 from dualquasi import (AffineSolution, AntipodeData, Bicomodule, Check, Cocycle,
-                       CoinvariantRetraction, DimensionMismatch, GroupData,
-                       GroupExample, HopfBicomodule, LeftComodule, Matrix,
-                       PreantipodeFamily, Report, Subspace, coinvariant_retraction,
+                       DimensionMismatch, GroupData, GroupExample, HopfBicomodule,
+                       LeftComodule, Matrix, PreantipodeFamily, Report, Subspace,
                        coinvariants, cyclic_group_example, dump_antipode,
                        dump_bicomodule, dump_dqb, dump_preantipode, hhat,
                        regular_bicomodule, solve_affine, solve_preantipode)
@@ -19,21 +18,19 @@ from dualquasi import (AffineSolution, AntipodeData, Bicomodule, Check, Cocycle,
 # the names the package exported before they were loaded on first use
 EXPORTED = [
     "AffineSolution", "AntipodeData", "Bicomodule", "Check", "Cocycle",
-    "CoinvariantRetraction", "DimensionMismatch", "DocumentError",
-    "DualQuasiBialgebra", "DualQuasiError", "Field", "GroupData", "GroupExample",
-    "HopfBicomodule", "InvariantViolation", "LeftComodule", "Matrix",
-    "PreantipodeFamily", "Report", "Scalar", "ScalarParseError", "Subspace",
-    "adjunction_counit", "adjunction_unit", "anti_homomorphism_defect",
-    "canonical_group_preantipode", "check_antipode", "check_preantipode",
-    "check_projection_formula", "coinvariant_comodule", "coinvariant_retraction",
+    "DimensionMismatch", "DocumentError", "DualQuasiBialgebra", "DualQuasiError",
+    "Field", "GroupData", "GroupExample", "HopfBicomodule", "InvariantViolation",
+    "LeftComodule", "Matrix", "PreantipodeFamily", "Report", "Scalar",
+    "ScalarParseError", "Subspace", "adjunction_counit", "adjunction_unit",
+    "anti_homomorphism_defect", "canonical_group_preantipode", "check_antipode",
+    "check_preantipode", "check_projection_formula", "coinvariant_comodule",
     "coinvariants", "convolution", "convolution_inverse", "cyclic_cocycle",
     "cyclic_group_example", "dump_antipode", "dump_bicomodule", "dump_dqb",
-    "dump_preantipode", "free_hopf_bicomodule", "group_antipode_data",
-    "group_dqb", "hhat", "idempotent_monoid_bialgebra", "induce_bicomodule",
-    "inverse", "kernel", "load_antipode", "load_bicomodule", "load_dqb",
-    "load_preantipode", "preantipode_from_antipode", "rank",
-    "regular_bicomodule", "retraction_report", "serialize_report",
-    "solve_affine", "solve_preantipode", "structure_isomorphism", "structure_theorem",
+    "dump_preantipode", "free_hopf_bicomodule", "group_antipode_data", "group_dqb",
+    "hhat", "idempotent_monoid_bialgebra", "induce_bicomodule", "inverse", "kernel",
+    "load_antipode", "load_bicomodule", "load_dqb", "load_preantipode",
+    "preantipode_from_antipode", "rank", "regular_bicomodule", "retraction_report",
+    "serialize_report", "solve_affine", "solve_preantipode", "structure_theorem",
     "tensor_index", "tensor_unindex", "trivial_cocycle", "trivial_left_coaction",
     "trivial_right_coaction", "validate_bicomodule", "validate_cocycle",
     "validate_dqb", "validate_left_comodule",
@@ -235,7 +232,7 @@ def test_solve_preantipode_loads_neither_the_antipode_nor_the_structure_layer(
     assert rc == "0", proc.stderr
     assert "solve_preantipode" in names
     for name in ("check_antipode", "preantipode_from_antipode", "retraction_report",
-                 "coinvariant_retraction", "structure_isomorphism"):
+                 "structure_theorem"):
         assert name not in names
 
 
@@ -263,7 +260,7 @@ def test_antipode_data_is_one_class():
 
 def test_exported_names_are_unchanged():
     assert sorted(dualquasi.__all__) == EXPORTED
-    assert len(EXPORTED) == 70
+    assert len(EXPORTED) == 67
 
 
 def test_each_name_is_the_object_of_its_home_module():
@@ -301,7 +298,6 @@ def _instances():
     H = ex.dqb
     M = hhat(H)
     family = solve_preantipode(H)
-    retraction = coinvariant_retraction(H, family.particular, M)
     return [
         Check("unit-left", False, (0, 1), "1", "2"),
         Report((Check("a", True), Check("b", False, (1,), "0", "1"))),
@@ -312,7 +308,6 @@ def _instances():
         coinvariants(H, M),
         ex.antipode,
         family,
-        retraction,
         ex.group,
         ex.cocycle,
         ex,
@@ -321,7 +316,7 @@ def _instances():
 
 VALUE_CLASSES = [Check, Report, AffineSolution, LeftComodule, Bicomodule,
                  HopfBicomodule, Subspace, AntipodeData, PreantipodeFamily,
-                 CoinvariantRetraction, GroupData, Cocycle, GroupExample]
+                 GroupData, Cocycle, GroupExample]
 
 
 def _fields(value):

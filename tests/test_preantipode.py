@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from dualquasi import (AntipodeData, DimensionMismatch, Field, InvariantViolation, Matrix, Report,
+from dualquasi import (AntipodeData, DimensionMismatch, Field, Matrix, Report,
                        adjunction_counit, anti_homomorphism_defect,
                        check_antipode, check_preantipode,
-                       check_projection_formula, coinvariant_retraction,
-                       coinvariants, hhat, induce_bicomodule, inverse,
-                       free_hopf_bicomodule, preantipode_from_antipode, rank,
-                       retraction_report, serialize_report, solve_preantipode,
-                       structure_isomorphism, structure_theorem)
+                       check_projection_formula, coinvariants, hhat,
+                       induce_bicomodule, inverse, free_hopf_bicomodule,
+                       preantipode_from_antipode, rank, retraction_report,
+                       serialize_report, solve_preantipode, structure_theorem)
 
 from helpers import (bundled_examples, control_bialgebra, random_bicomodule,
                      random_left_comodule, sympy_grouplike_preantipode, rational,
@@ -233,16 +232,19 @@ def test_tau_values_on_twisted_hhat():
     ex = example("cyclic_2_r1")
     H = ex.dqb
     M = hhat(H)
-    retr = coinvariant_retraction(H, ex.preantipode, M)
+    report, psi = structure_theorem(H, M, ex.preantipode)
+    assert report.ok
+    # ψ(m) = τ(m₀)⊗m₁, so ε on the last leg reads τ in coinvariant coordinates
+    retraction = Matrix.identity(H.field, coinvariants(H, M).rank).kron(H.counit) @ psi
     # coinvariant basis columns are 1⊗1 and g⊗g, in that order
     # τ(g⊗1) = −(g⊗g): in coordinates, column of flat index 2 is (0, −1)
-    col = retr.retraction.column_list(2)
+    col = retraction.column_list(2)
     assert [str(v) for v in col] == ["0", "-1"]
     # τ(g⊗g) = g⊗g
-    col = retr.retraction.column_list(3)
+    col = retraction.column_list(3)
     assert [str(v) for v in col] == ["0", "1"]
     # τ(1⊗1) = 1⊗1
-    col = retr.retraction.column_list(0)
+    col = retraction.column_list(0)
     assert [str(v) for v in col] == ["1", "0"]
 
 
@@ -263,11 +265,13 @@ def test_retraction_report_all_identities():
                 and verdicts["retraction-left-colinearity"])
 
 
-def test_structure_isomorphism_exact_inverse():
+def test_structure_theorem_psi_is_the_exact_inverse():
     for ex in [example("cyclic_2_r1"), *symmetric_group_examples()]:
         M = hhat(ex.dqb)
         d = M.dim
-        eps, psi = structure_isomorphism(ex.dqb, ex.preantipode, M)
+        report, psi = structure_theorem(ex.dqb, M, ex.preantipode)
+        assert report.ok
+        eps = adjunction_counit(ex.dqb, M)
         assert eps.rows == eps.cols == d == ex.dqb.dim ** 2
         assert eps @ psi == Matrix.identity(ex.dqb.field, d)
         assert psi @ eps == Matrix.identity(ex.dqb.field, d)
@@ -301,9 +305,9 @@ def test_classical_fundamental_theorem_comparison():
     ex = example("cyclic_2_r0")
     H = ex.dqb
     M = hhat(H)
-    retr = coinvariant_retraction(H, ex.preantipode, M)
-    embedded = retr.coinvariants.basis.kron(
-        Matrix.identity(H.field, 2)) @ retr.counit_inverse
+    report, psi = structure_theorem(H, M, ex.preantipode)
+    assert report.ok
+    embedded = coinvariants(H, M).basis.kron(Matrix.identity(H.field, 2)) @ psi
     n, D = 2, 4
     classical = Matrix.from_terms(
         H.field, D * n, D,
@@ -361,8 +365,8 @@ def test_retraction_report_flags_zero_map():
     report = retraction_report(H, Matrix.zeros(H.field, 2, 2), hhat(H))
     assert [c.axiom for c in report.failures] == [
         "retraction-splits-counit", "retraction-fixes-coinvariants"]
-    with pytest.raises(Exception):
-        coinvariant_retraction(H, Matrix.zeros(H.field, 2, 2), hhat(H))
+    report, psi = structure_theorem(H, hhat(H), Matrix.zeros(H.field, 2, 2))
+    assert not report.ok and psi is None
 
 
 def test_retraction_report_with_evaluation_map_adds_composites(monkeypatch):
@@ -372,20 +376,23 @@ def test_retraction_report_with_evaluation_map_adds_composites(monkeypatch):
     H, M = ex.dqb, hhat(ex.dqb)
     plain = retraction_report(H, ex.preantipode, M)
     # the two dimension records and S's five identities, then the retraction's
-    full = structure_theorem(H, M, ex.preantipode)
+    full, psi = structure_theorem(H, M, ex.preantipode)
     assert full.checks[7:12] == plain.checks
     assert [(c.axiom, c.passed) for c in full.checks[12:]] == [
         ("counit-after-inverse", True), ("inverse-after-counit", True)]
+    assert psi is not None
     # a zero S is no preantipode, so the report stops at its identities; with
     # that check passed over, the retraction fails, and the composites, which
     # need τ to land in the coinvariants, are left out
     zero = Matrix.zeros(H.field, 3, 3)
-    assert structure_theorem(H, M, zero).checks[2:] == check_preantipode(H, zero).checks
+    assert structure_theorem(H, M, zero)[0].checks[2:] == check_preantipode(H, zero).checks
     monkeypatch.setattr(dualquasi.structure, "check_preantipode", lambda H, S: Report(()))
-    assert structure_theorem(H, M, zero).checks[2:] == retraction_report(H, zero, M).checks
+    report, psi = structure_theorem(H, M, zero)
+    assert report.checks[2:] == retraction_report(H, zero, M).checks
+    assert psi is None
 
 
-def test_composite_failures_raise_and_report(monkeypatch):
+def test_composite_failures_report_and_withhold_psi(monkeypatch):
     # ε with one entry moved: τ and its five identities do not read ε, so
     # only the composites with ψ see the change
     import dualquasi.structure
@@ -395,21 +402,19 @@ def test_composite_failures_raise_and_report(monkeypatch):
     eps = adjunction_counit(H, M)
     moved = with_entry(eps, 0, 0, eps[0, 0] + H.field.one)
     monkeypatch.setattr(dualquasi.structure, "adjunction_counit", lambda H, M: moved)
-    for call in (coinvariant_retraction, structure_isomorphism):
-        with pytest.raises(InvariantViolation,
-                           match="^evaluation ∘ inverse is not the identity$"):
-            call(H, ex.preantipode, M)
-    report = structure_theorem(H, M, ex.preantipode)
+    report, psi = structure_theorem(H, M, ex.preantipode)
     assert report.checks[7:12] == retraction_report(H, ex.preantipode, M).checks
     assert all(c.passed for c in report.checks[7:12])
     # ε and ψ are square, so ε∘ψ = id and ψ∘ε = id fail together
     assert [(c.axiom, c.passed) for c in report.checks[12:]] == [
         ("counit-after-inverse", False), ("inverse-after-counit", False)]
+    # a ψ that fails a composite is not handed out
+    assert psi is None
 
 
 def test_structure_entry_points_compute_coinvariants_and_evaluation_map_once(monkeypatch):
     # M's coded view keeps its coinvariant basis and its verified evaluation
-    # map, so four entry points on one (H, M) eliminate once and build ε once
+    # map, so three entry points on one (H, M) eliminate once and build ε once
     import dualquasi.adjunction
     from dualquasi import coinvariant_comodule, cyclic_group_example
     from dualquasi.elimination import Subspace
@@ -433,8 +438,7 @@ def test_structure_entry_points_compute_coinvariants_and_evaluation_map_once(mon
     ex = cyclic_group_example(8, 1)
     H, M = ex.dqb, hhat(ex.dqb)
     S = solve_preantipode(H).particular
-    structure_isomorphism(H, S, M)
-    coinvariant_retraction(H, S, M)
+    structure_theorem(H, M, S)
     retraction_report(H, S, M)
     coinvariant_comodule(H, M)
     assert len(eliminations) == 1

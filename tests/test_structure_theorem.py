@@ -5,7 +5,8 @@ monoid, which has no preantipode) and compares the exit code and the whole
 stdout with a recorded report: both forms, a zero S, the monoid, an algebra
 that fails an axiom and a module that fails validation.  Then, on six
 algebras, the command's stdout must be the json-lines form of the report
-that the library's ``structure_theorem`` returns.
+that the library's ``structure_theorem`` returns, which hands out ψ, the
+inverse of the evaluation map, exactly when the command exits 0.
 """
 
 import contextlib
@@ -13,8 +14,9 @@ import io
 
 import pytest
 
-from dualquasi import (HopfBicomodule, Matrix, cli, cyclic_group_example, hhat, load_bicomodule,
-                       serialize_report, solve_preantipode, structure_theorem)
+from dualquasi import (HopfBicomodule, Matrix, adjunction_counit, cli, cyclic_group_example, hhat,
+                       inverse, load_bicomodule, serialize_report, solve_preantipode,
+                       structure_theorem)
 from dualquasi.writers import dump_bicomodule, dump_dqb, dump_preantipode
 
 from helpers import (bundled_examples, control_bialgebra, sweedler_four_dim_hopf,
@@ -147,6 +149,9 @@ def test_the_command_prints_the_library_report(tmp_path, name):
     for form, M in (([paths["dqb"], "--use-hhat"], hhat(H)),
                     ([paths["dqb"], paths["module"]], module)):
         for given, options in ((None, []), (S, ["--preantipode", paths["S"]])):
-            report = structure_theorem(H, M, given)
+            report, psi = structure_theorem(H, M, given)
             expected = (0 if report.ok else 1, serialize_report(report, "json-lines") + "\n")
             assert _main(*form, *options) == expected, (form, options)
+            # ψ comes back exactly when every record passes, and inverts ε
+            assert psi == (inverse(adjunction_counit(H, M)) if report.ok else None), \
+                (form, options)

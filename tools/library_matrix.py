@@ -5,18 +5,17 @@ of the command matrix, for byte-identity checks between two source trees.
     python tools/library_matrix.py --compare A.json B.json
 
 Each record holds the call as ``argv`` and the sha256 of its rendered result:
-a report as json-lines, a matrix by its shape and rows, a record or a tuple
-field by field, or the type and message of the exception it raised.  The run
-exits 1 when a call raises anything but a ``DualQuasiError`` or a
-``ValueError``.  ``--compare`` is the command matrix's.  The calls run with
+a report as json-lines, a matrix by its shape and rows, ``None`` as such, a
+record or a tuple field by field, or the type and message of the exception it
+raised.  The run exits 1 when a call raises anything but a
+``DualQuasiError`` or a ``ValueError``.  ``--compare`` is the command matrix's.  The calls run with
 this tree's ``src`` and ``tests/helpers.py``; to record an older tree, run
 that tree's own copy of the script.
 
 Calls, with S the solver's preantipode, or zero where H has none:
-- on Ĥ of each algebra: ``structure_isomorphism``, ``coinvariant_retraction``,
-  ``retraction_report``, ``structure_theorem`` with S and without (the solver's
-  S), ``coinvariant_comodule`` and, with antipode data,
-  ``check_projection_formula``;
+- on Ĥ of each algebra: ``retraction_report``, ``structure_theorem`` with S
+  and without (the solver's S), whose report and ψ are rendered as a pair,
+  ``coinvariant_comodule`` and, with antipode data, ``check_projection_formula``;
 - ``adjunction_unit`` on H as a left comodule over itself;
 - ``anti_homomorphism_defect`` on the group algebras;
 - ``check_antipode`` for every single-entry change of Sweedler's s, α or β to
@@ -81,9 +80,8 @@ def run() -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from dualquasi import (DualQuasiError, LeftComodule, Matrix, adjunction_unit,
                            anti_homomorphism_defect, check_antipode, check_preantipode,
-                           check_projection_formula, coinvariant_comodule,
-                           coinvariant_retraction, hhat, retraction_report,
-                           solve_preantipode, structure_isomorphism, structure_theorem)
+                           check_projection_formula, coinvariant_comodule, hhat,
+                           retraction_report, solve_preantipode, structure_theorem)
 
     records = []
 
@@ -102,8 +100,7 @@ def run() -> list[dict]:
     for name, H, data, group in _bases():
         family = solve_preantipode(H)
         S = family.particular if family else Matrix.zeros(H.field, H.dim, H.dim)
-        for call in (structure_isomorphism, coinvariant_retraction, retraction_report):
-            record([name, call.__name__], call, H, S, hhat(H))
+        record([name, "retraction_report"], retraction_report, H, S, hhat(H))
         record([name, "structure_theorem", "S"], structure_theorem, H, hhat(H), S)
         record([name, "structure_theorem"], structure_theorem, H, hhat(H))
         record([name, "coinvariant_comodule"], coinvariant_comodule, H, hhat(H))
